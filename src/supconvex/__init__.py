@@ -9,6 +9,10 @@ averageable map families, and covering certificates for the asymptotic
 lower bounds.
 """
 
+# Defined before the submodule imports: harness reads it for report
+# provenance, and pyproject.toml reads it as the package version.
+__version__ = "0.1.0"
+
 from ._rational import Rat, as_fraction, format_rat, parse_rat, rat
 from .averageable import (
     AffinePiece,
@@ -103,5 +107,3 @@ from .subdivision import (
     subdivide,
 )
 from .supconvolve import sup_convolve_n, sup_convolve_pair
-
-__version__ = "0.1.0"

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 from ._rational import ONE, ZERO, Rat
 from .envelope import SampledFunction
+from .exactlp import eliminate
 from .geometry import (
     BaryPoint,
     Simplex,
@@ -145,18 +146,15 @@ def _matrix_from_vertex_images(domain: Simplex, images):
     Vertices of a nondegenerate simplex in {sum = 1} are linearly
     independent, so a pure matrix (offset zero) always exists.
     """
-    from .geometry import _solve
-
     d = domain.k + 1
-    vert_rows = [list(v.coords) for v in domain.vertices]
-    rows = []
-    for r in range(d):
-        rhs = [images[j].coords[r] for j in range(d)]
-        sol = _solve(vert_rows, rhs)
-        if sol is None:
-            raise ValueError("degenerate domain simplex")
-        rows.append(tuple(sol))
-    return tuple(rows)
+    # Row r of the matrix solves (vertex j) . row = (image j)[r] for all j.
+    _, rows = eliminate(
+        [v.coords for v in domain.vertices],
+        [[images[j].coords[r] for j in range(d)] for r in range(d)],
+    )
+    if rows is None:
+        raise ValueError("degenerate domain simplex")
+    return tuple(tuple(row) for row in rows)
 
 
 def _piece_from_vertex_images(domain: Simplex, images) -> AffinePiece:

@@ -98,6 +98,9 @@ def normalize_to_simplex_form(f: SampledFunction) -> SampledFunction:
     always touches the function there, since a vertex admits only the
     trivial convex combination).  When the envelope is affine the
     result is additionally <= 0 everywhere; for general f it is not.
+    The inequality reports do not call it: the sup-convolution and the
+    envelope both commute with subtracting an affine function, so their
+    gains over f are unchanged by the shift.
     """
     env = concave_envelope(f)
     lat = f.lattice

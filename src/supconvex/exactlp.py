@@ -1,4 +1,5 @@
-"""Exact revised simplex over the rationals.
+"""Exact revised simplex over the rationals, and the package's one
+exact elimination routine.
 
 Solves max c.x subject to A x = b, x >= 0 where every entry is an exact
 rational.  The systems in this package are tiny (at most about nine
@@ -15,6 +16,9 @@ inverse and supports warm starts:
 Bland's smallest-index rule is used for both entering and leaving
 choices (and its dual analogue), so every loop terminates despite the
 heavy degeneracy typical of these geometric LPs.
+
+``eliminate`` computes the basis inverse, and also serves the geometry
+(volumes, point-in-simplex weights) and the averageable map matrices.
 """
 
 from __future__ import annotations
@@ -24,6 +28,46 @@ from collections import namedtuple
 from ._rational import ONE, ZERO, Rat
 
 Solution = namedtuple("Solution", "status value x basis")
+
+
+def eliminate(rows, rhs=()):
+    """Exact Gauss-Jordan elimination of the square matrix A = rows.
+
+    rhs holds zero or more right-hand-side columns b_j.  Returns
+    (det(A), X) where X[j] solves A x = b_j; X is None exactly when A
+    is singular.  The pivot is the first nonzero entry of its column
+    (exact arithmetic needs no magnitude pivoting), and rows with a zero
+    there are skipped, which pays off on the sparse simplex bases.  With
+    no rhs only the rows below each pivot are reduced, as det needs.
+    """
+    n = len(rows)
+    width = n + len(rhs)
+    aug = [list(row) + [b[i] for b in rhs] for i, row in enumerate(rows)]
+    det = ONE
+    for col in range(n):
+        pivot_row = None
+        for r in range(col, n):
+            if aug[r][col] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            return ZERO, None
+        if pivot_row != col:
+            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+            det = -det
+        row_c = aug[col]
+        pivot = row_c[col]
+        det *= pivot
+        inv = ONE / pivot
+        for c in range(col, width):
+            row_c[c] *= inv
+        for r in range(0 if rhs else col + 1, n):
+            row_r = aug[r]
+            f = row_r[col]
+            if r != col and f != 0:
+                for c in range(col, width):
+                    row_r[c] -= f * row_c[c]
+    return det, [[row[n + j] for row in aug] for j in range(len(rhs))]
 
 
 class ExactSimplexSolver:
@@ -40,35 +84,11 @@ class ExactSimplexSolver:
         if len(objective) != len(self.cols):
             raise ValueError("objective length mismatch")
         self.obj = [Rat(v) for v in objective]
+        self._identity = [
+            [ONE if c == r else ZERO for c in range(self.m)] for r in range(self.m)
+        ]
 
     # -- basis linear algebra -------------------------------------------
-
-    def _basis_inverse(self, basis):
-        m = self.m
-        aug = [
-            list(self.cols[basis[j]][i] for j in range(m))
-            + [ONE if c == i else ZERO for c in range(m)]
-            for i in range(m)
-        ]
-        for col in range(m):
-            pivot_row = None
-            for r in range(col, m):
-                if aug[r][col] != 0:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                return None
-            if pivot_row != col:
-                aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-            inv = ONE / aug[col][col]
-            for c in range(col, 2 * m):
-                aug[col][c] *= inv
-            for r in range(m):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    for c in range(col, 2 * m):
-                        aug[r][c] -= f * aug[col][c]
-        return [row[m:] for row in aug]
 
     @staticmethod
     def _mat_vec(rows, vec):
@@ -170,7 +190,9 @@ class ExactSimplexSolver:
             raise ValueError("rhs length mismatch")
         if basis is not None:
             basis = list(basis)
-            binv = self._basis_inverse(basis)
+            # The transposed basis (its columns as rows) eliminated
+            # against the identity yields the rows of the inverse.
+            _, binv = eliminate([self.cols[j] for j in basis], self._identity)
             if binv is None:
                 raise ValueError("starting basis is singular")
             xb = self._mat_vec(binv, rhs)

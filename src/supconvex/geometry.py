@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._rational import ONE, ZERO, Rat
+from .exactlp import eliminate
 
 # Hard cap on the simplex dimension k.  Enumeration sizes grow like
 # N**k; the cap keeps every public operation tractable.
@@ -103,61 +104,6 @@ def barycenter(k: int) -> BaryPoint:
     return BaryPoint(tuple(Rat(1, k + 1) for _ in range(k + 1)))
 
 
-def _det(rows):
-    """Determinant by exact Gaussian elimination with row swaps."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    det = ONE
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        pivot = m[col][col]
-        det *= pivot
-        inv = ONE / pivot
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor != 0:
-                row_r = m[r]
-                row_c = m[col]
-                for c in range(col, n):
-                    row_r[c] -= factor * row_c[c]
-    return det
-
-
-def _solve(rows, rhs):
-    """Solve a square exact linear system; None when singular."""
-    n = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return None
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        inv = ONE / pivot
-        for c in range(col, n + 1):
-            aug[col][c] *= inv
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                for c in range(col, n + 1):
-                    aug[r][c] -= factor * aug[col][c]
-    return [aug[i][n] for i in range(n)]
-
-
 def _chart_rows(verts):
     """Rows of vertex differences in the drop-last-coordinate chart."""
     base = verts[0].coords
@@ -174,7 +120,7 @@ def relative_volume(s: Simplex):
     Computed as |det| of the chart matrix of vertex differences; the
     chart is chosen so the standard simplex has determinant exactly 1.
     """
-    det = _det(_chart_rows(s.vertices))
+    det, _ = eliminate(_chart_rows(s.vertices))
     if det == 0:
         raise DegenerateSimplexError("zero-volume simplex")
     return abs(det)
@@ -188,11 +134,11 @@ def contains(s: Simplex, p: BaryPoint) -> bool:
     """
     if p.dim != s.k:
         raise ValueError("point and simplex dimensions differ")
-    cols = [v.coords for v in s.vertices]
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(len(p.coords))]
-    weights = _solve(rows, list(p.coords))
-    if weights is None:
+    rows = list(zip(*(v.coords for v in s.vertices)))  # vertices as columns
+    _, solution = eliminate(rows, [p.coords])
+    if solution is None:
         raise DegenerateSimplexError("zero-volume simplex")
+    weights = solution[0]
     if sum(weights, ZERO) != 1:
         return False
     return all(w >= 0 for w in weights)
@@ -206,6 +152,8 @@ def simplices_interior_intersect(a: Simplex, b: Simplex) -> bool:
     open interiors meet; infeasibility means even the closed simplices
     are disjoint.
     """
+    # Looked up at call time, so that a wrapper installed on
+    # exactlp.solve_lp (as benchmarks/tracing.py does) sees these solves.
     from .exactlp import solve_lp
 
     if a.k != b.k:

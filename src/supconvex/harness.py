@@ -35,16 +35,19 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
+from . import __version__
 from ._rational import Rat, format_rat
 from .combinat import sharp_constant
-from .envelope import SampledFunction, concave_envelope, normalize_to_simplex_form
-from .geometry import lattice
+from .envelope import SampledFunction, concave_envelope
+# Unused here; kept because benchmarks/tracing.py wraps this name in
+# this module, and its trace mode fails without it.
+from .envelope import normalize_to_simplex_form  # noqa: F401
+from .geometry import _check_dim, lattice
 from .prng import SplitMix64
 from .subdivision import cell_contains, cell_vertices, subdivide
 from .supconvolve import sup_convolve_n, sup_convolve_pair
-
-PACKAGE_VERSION = "0.1.0"
 
 DEFAULT_TOL_REL = Rat(1, 20)
 DEFAULT_TOL_ABS = Rat(1, 10**9)
@@ -60,29 +63,42 @@ def function_payload(f: SampledFunction) -> dict:
     return {"k": f.k, "N": f.resolution, "values": rows}
 
 
+def _is_int(v) -> bool:
+    # JSON true/false load as bool, a subclass of int; reject them.
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def function_from_payload(data) -> SampledFunction:
+    """Validate a function-file document and build the function.  The
+    row count is checked against C(N + k, k) before the lattice is
+    built, so a short file claiming a huge N fails at once."""
     if not isinstance(data, dict):
         raise ValueError("function file must be a JSON object")
     missing = {"k", "N", "values"} - set(data)
     if missing:
         raise ValueError(f"function file missing keys: {sorted(missing)}")
-    k, n_res = data["k"], data["N"]
-    if not (isinstance(k, int) and isinstance(n_res, int)):
+    k, n_res, rows = data["k"], data["N"], data["values"]
+    if not (_is_int(k) and _is_int(n_res)):
         raise ValueError("k and N must be integers")
+    _check_dim(k)  # before comb(), which is slow for a huge k
+    if n_res < 1:
+        raise ValueError("resolution must be >= 1")
+    if not isinstance(rows, list):
+        raise ValueError("values must be a list of rows")
+    expected = comb(n_res + k, k)
+    if len(rows) != expected:
+        raise ValueError(f"expected {expected} rows, got {len(rows)}")
     lat = lattice(k, n_res)
-    rows = data["values"]
-    if len(rows) != len(lat):
-        raise ValueError(f"expected {len(lat)} rows, got {len(rows)}")
     values = []
     for i, row in enumerate(rows):
-        if len(row) != k + 3:
+        if not isinstance(row, list) or len(row) != k + 3:
             raise ValueError(f"row {i}: expected {k + 3} entries")
         ints, num, den = tuple(row[: k + 1]), row[k + 1], row[k + 2]
         if ints != lat.int_points[i]:
             raise ValueError(
                 f"row {i}: coordinates {ints} out of order (want {lat.int_points[i]})"
             )
-        if not all(isinstance(v, int) for v in row):
+        if not all(_is_int(v) for v in row):
             raise ValueError(f"row {i}: entries must be integers")
         if den <= 0:
             raise ValueError(f"row {i}: denominator must be positive")
@@ -218,20 +234,21 @@ def verify_nfold(
 ) -> InequalityReport:
     """Check mean(conv_n(f) - f) >= c(k, n) * mean(env(f) - f).
 
-    f is first normalized (envelope vertex values subtracted as an
-    affine function); both sides of the inequality are invariant under
-    that shift, and the normalized form keeps the report values small.
+    Both sides are exactly invariant under adding an affine function a
+    to f, since conv_n(f - a) = conv_n(f) - a and env(f - a) =
+    env(f) - a.  So f is used as given: subtracting the envelope's
+    vertex interpolant first (normalize_to_simplex_form) would give the
+    same exact lhs and rhs at the cost of a second envelope sweep.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    fn = normalize_to_simplex_form(f)
-    env = concave_envelope(fn)
-    conv = sup_convolve_n(fn, n)
-    lhs = mean_value(conv.values) - mean_value(fn.values)
-    rhs = mean_value(env.values) - mean_value(fn.values)
+    env = concave_envelope(f)
+    conv = sup_convolve_n(f, n)
+    lhs = mean_value(conv.values) - mean_value(f.values)
+    rhs = mean_value(env.values) - mean_value(f.values)
     constant = sharp_constant(f.k, n)
     verdict, ratio = _verdict(lhs, rhs, constant, tol_rel, tol_abs)
-    prov = {"f": function_digest(f), "version": PACKAGE_VERSION}
+    prov = {"f": function_digest(f), "version": __version__}
     if provenance:
         prov.update(provenance)
     return InequalityReport(
@@ -265,7 +282,7 @@ def verify_pair(
     prov = {
         "f": function_digest(f),
         "g": function_digest(g),
-        "version": PACKAGE_VERSION,
+        "version": __version__,
     }
     if provenance:
         prov.update(provenance)

@@ -29,7 +29,8 @@ from itertools import combinations
 from math import comb
 
 from ._rational import ONE, Rat, rat_floor
-from .geometry import DIM_CAP, BaryPoint, _check_dim, _det, compositions
+from .exactlp import eliminate
+from .geometry import DIM_CAP, BaryPoint, _check_dim, compositions
 
 
 def enumerate_shifts(k: int, total: int):
@@ -85,7 +86,8 @@ def _int_simplex_volume(verts) -> object:
     base = verts[0]
     k = len(verts) - 1
     rows = [[Rat(verts[i][j] - base[j]) for j in range(k)] for i in range(1, k + 1)]
-    return abs(_det(rows))
+    det, _ = eliminate(rows)
+    return abs(det)
 
 
 @cache

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 from supconvex import (
@@ -125,6 +126,15 @@ def test_domain_errors_exit_1(capsys):
     assert main(["constants", "--k", "0", "--n", "2"]) == 1
     assert main(["envelope", "--input", "/nonexistent/f.json"]) == 1
     capsys.readouterr()
+
+
+def test_oversized_function_file_exits_1_fast(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"k": 6, "N": 1000, "values": []}))
+    start = time.perf_counter()
+    assert main(["envelope", "--input", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    assert "rows" in capsys.readouterr().err
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -1,9 +1,12 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
+import supconvex
 from supconvex import (
+    SplitMix64,
     extremal_grid_report,
     function_digest,
     function_from_payload,
@@ -13,6 +16,7 @@ from supconvex import (
     make_extremal,
     make_random,
     mean_value,
+    normalize_to_simplex_form,
     report_json,
     sampled_function,
     save_function,
@@ -81,6 +85,36 @@ def test_payload_validation_rejects_bad_input():
         function_from_payload([1, 2, 3])
     with pytest.raises(ValueError, match="integers"):
         function_from_payload({"k": "1", "N": 2, "values": []})
+
+
+def test_payload_rejects_bool_where_int_required():
+    good = function_payload(make_random(1, 2, seed=1))
+    for key in ("k", "N"):
+        bad = json.loads(json.dumps(good))
+        bad[key] = True  # equal to 1, so k = true would pass as k = 1
+        with pytest.raises(ValueError, match="integers"):
+            function_from_payload(bad)
+    for row, col, value in ((0, 0, False), (1, -1, True), (1, -2, False)):
+        bad = json.loads(json.dumps(good))
+        bad["values"][row][col] = value
+        with pytest.raises(ValueError, match="integers"):
+            function_from_payload(bad)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"k": 6, "N": 1000, "values": []},  # C(1006, 6) ~ 1.4e15 points
+        {"k": 2, "N": 10**12, "values": [[0, 0, 10**12, 0, 1]]},
+        {"k": 10**9, "N": 10**9, "values": []},
+        {"k": 2, "N": 0, "values": []},
+    ],
+)
+def test_payload_with_untrusted_sizes_fails_fast(doc):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        function_from_payload(doc)
+    assert time.perf_counter() - start < 1
 
 
 def test_make_extremal_counts():
@@ -154,6 +188,34 @@ def test_verify_nfold_random_smoke():
         f = make_random(2, 6, seed=7000 + i, roughness=1 if i % 2 else "2/3")
         rep = verify_nfold(f, 2)
         assert rep.passed, report_json(rep)
+
+
+def test_nfold_report_is_invariant_under_affine_shift():
+    # verify_nfold uses f as given, with nonzero vertex values; adding
+    # an affine function, or normalising first, must not move lhs or rhs.
+    rng = SplitMix64(31)
+    lat = lattice(2, 4)
+    f = sampled_function(
+        lat, [Fraction(int(rng.next_below(21)) - 10, 4) for _ in lat.points]
+    )
+    a = (Fraction(3), Fraction(-5, 2), Fraction(1, 3))
+    shifted = sampled_function(
+        lat,
+        [v + sum(c * x for c, x in zip(a, p.coords)) for v, p in zip(f.values, lat.points)],
+    )
+    for n in (2, 3):
+        rep = verify_nfold(f, n)
+        assert rep.rhs > 0
+        for g in (shifted, normalize_to_simplex_form(f)):
+            other = verify_nfold(g, n)
+            assert (other.lhs, other.rhs) == (rep.lhs, rep.rhs)
+
+
+def test_report_version_is_package_version():
+    f = make_random(1, 3, seed=5)
+    assert verify_nfold(f, 2).provenance["version"] == supconvex.__version__
+    assert verify_pair(f, f).provenance["version"] == supconvex.__version__
+    assert supconvex.__version__ == "0.1.0"
 
 
 def test_extremal_grid_equalities():
