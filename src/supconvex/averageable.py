@@ -32,18 +32,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._rational import ONE, ZERO, Rat
-from .envelope import SampledFunction
 from .exactlp import eliminate
 from .geometry import (
     BaryPoint,
     Simplex,
     contains,
-    lattice,
+    lattice,  # noqa: F401 - unused here; benchmarks/tracing.py wraps averageable.lattice
     relative_volume,
     simplices_interior_intersect,
     standard_simplex,
 )
-from .prng import SplitMix64
+from .harness import make_random
 from .subdivision import hypersimplex_vertices, hypersimplex_volume
 from .supconvolve import sup_convolve_n
 
@@ -307,21 +306,6 @@ def _simplices_tile(simplices, expected_volume, inside, label):
     return CheckResult(label, True)
 
 
-def _default_functions(k: int, resolution: int, trials: int, seed: int):
-    lat = lattice(k, resolution)
-    rng = SplitMix64(seed)
-    out = []
-    for _ in range(trials):
-        values = []
-        for ints in lat.int_points:
-            if resolution in ints:
-                values.append(ZERO)
-            else:
-                values.append(-Rat(rng.next_below(65), 64))
-        out.append(SampledFunction(lat, tuple(values)))
-    return out
-
-
 def verify_certificate(
     cert: AverageabilityCertificate,
     functions=None,
@@ -335,8 +319,9 @@ def verify_certificate(
 
     All structural checks are exact.  The final transport check
     integrates by equal-weight lattice quadrature and therefore uses
-    the tolerance; it runs on the provided functions, or on `trials`
-    generated ones (0 at vertices, values in [-1, 0]).
+    the tolerance; it runs on the provided functions, or on
+    make_random(k, resolution, seed + t) for t < trials (0 at vertices,
+    values in [-1, 0]).
     """
     checks = []
     tri = standard_simplex(cert.k)
@@ -398,7 +383,7 @@ def verify_certificate(
     )
 
     if functions is None:
-        functions = _default_functions(cert.k, resolution, trials, seed)
+        functions = [make_random(cert.k, resolution, seed + t) for t in range(trials)]
     transport_ok = True
     witness = ""
     for t, f in enumerate(functions):

@@ -19,6 +19,7 @@ Everything is exact; there is no floating point in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from ._rational import ONE, ZERO, Rat
 from .exactlp import eliminate
@@ -26,6 +27,9 @@ from .exactlp import eliminate
 # Hard cap on the simplex dimension k.  Enumeration sizes grow like
 # N**k; the cap keeps every public operation tractable.
 DIM_CAP = 6
+# Cap on the lattice size C(N + k, k).  On a 2-vCPU host the largest
+# accepted lattices take 13-20 s and 0.4-0.5 GB for `supconvex random`.
+LATTICE_CAP = 5 * 10**5
 
 
 class DegenerateSimplexError(ValueError):
@@ -205,6 +209,9 @@ class BaryLattice:
         _check_dim(k)
         if resolution < 1:
             raise ValueError("resolution must be >= 1")
+        size = comb(resolution + k, k)
+        if size > LATTICE_CAP:
+            raise ValueError(f"lattice k={k}, N={resolution} has {size} points (cap {LATTICE_CAP})")
         self.k = k
         self.resolution = resolution
         self.int_points = tuple(compositions(resolution, k + 1))

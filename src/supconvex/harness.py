@@ -242,8 +242,8 @@ def verify_nfold(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    env = concave_envelope(f)
     conv = sup_convolve_n(f, n)
+    env = concave_envelope(f)
     lhs = mean_value(conv.values) - mean_value(f.values)
     rhs = mean_value(env.values) - mean_value(f.values)
     constant = sharp_constant(f.k, n)

@@ -86,6 +86,20 @@ def supconv_bruteforce(f, n: int):
     ]
 
 
+def pair_bruteforce(f, g):
+    """Two-function sup-convolution by enumerating all witness pairs."""
+    pts = f.lattice.int_points
+    fvals = [Fraction(int(v.numerator), int(v.denominator)) for v in f.values]
+    gvals = [Fraction(int(v.numerator), int(v.denominator)) for v in g.values]
+    best = {}
+    for x, fx in zip(pts, fvals):
+        for y, gy in zip(pts, gvals):
+            total = tuple(a + b for a, b in zip(x, y))
+            if total not in best or fx + gy > best[total]:
+                best[total] = fx + gy
+    return [best[tuple(2 * c for c in p)] / 2 for p in pts]
+
+
 def _compositions(total: int, parts: int):
     if parts == 1:
         yield (total,)

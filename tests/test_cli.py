@@ -137,6 +137,23 @@ def test_oversized_function_file_exits_1_fast(capsys, tmp_path):
     assert "rows" in capsys.readouterr().err
 
 
+def test_oversized_sizes_exit_1_fast(capsys, tmp_path):
+    # 861 points: big enough that an envelope sweep before the DP size
+    # check would take seconds.
+    path = tmp_path / "f.json"
+    save_function(make_random(2, 40, seed=1), path)
+    for argv in (
+        ["supconv", "--input", str(path), "--n", "1000000"],
+        ["verify-t1", "--input", str(path), "--n", "1000000"],
+        ["extremal", "--k", "3", "--N", "100000"],
+        ["random", "--k", "6", "--N", "1000"],
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 1
+        assert "cap" in capsys.readouterr().err
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     out = tmp_path / "payload.json"
     code, shown = run(

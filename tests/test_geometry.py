@@ -55,6 +55,8 @@ def test_dimension_cap():
         lattice(7, 2)
     with pytest.raises(ValueError):
         lattice(0, 2)
+    with pytest.raises(ValueError, match="166676666850001 points"):
+        lattice(3, 10**5)
 
 
 def test_standard_simplex_volume_is_one():

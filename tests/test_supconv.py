@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from oracles import supconv_bruteforce
+from oracles import pair_bruteforce, supconv_bruteforce
 from supconvex import (
     SplitMix64,
     concave_envelope,
@@ -40,17 +40,38 @@ def test_extremal_k1_values():
     ]
 
 
+def _mixed(k, resolution, seed):
+    """Coprime denominators, large numerators, both signs, at every point
+    including the vertices (where a witness sum reaches n*N)."""
+    rng = SplitMix64(seed)
+    pool = [
+        Fraction(1, 3),
+        Fraction(-5, 7),
+        Fraction(11, 64),
+        Fraction(10**12 + 1, 9),
+        Fraction(-(10**15), 11),
+        Fraction(2),
+    ]
+    lat = lattice(k, resolution)
+    return sampled_function(lat, [pool[rng.next_below(len(pool))] for _ in lat.int_points])
+
+
 def test_matches_bruteforce():
-    for k, resolution, n in (
-        (1, 4, 2),
-        (1, 4, 3),
-        (2, 3, 2),
-        (2, 3, 3),
-        (2, 4, 2),
-    ):
-        f = make_random(k, resolution, seed=10 * k + n)
+    cases = [
+        (make_random(k, resolution, seed=10 * k + n), n)
+        for k, resolution, n in ((1, 4, 2), (1, 4, 3), (2, 3, 2), (2, 3, 3), (2, 4, 2))
+    ]
+    cases += [
+        (_mixed(k, resolution, seed=100 * k + n), n)
+        for k, resolution, n in ((1, 5, 2), (1, 3, 4), (2, 3, 3), (2, 4, 4), (3, 2, 4), (3, 3, 3))
+    ]
+    for f, n in cases:
         conv = sup_convolve_n(f, n)
         assert list(conv.values) == supconv_bruteforce(f, n)
+        k, resolution = f.k, f.resolution
+        for g in (_mixed(k, resolution, seed=7 + k), make_random(k, resolution, seed=n)):
+            assert list(sup_convolve_pair(f, g).values) == pair_bruteforce(f, g)
+            assert list(sup_convolve_pair(g, f).values) == pair_bruteforce(g, f)
 
 
 def test_pair_of_equal_functions_matches_twofold():
@@ -138,3 +159,5 @@ def test_bad_inputs():
         sup_convolve_pair(f, g)
     with pytest.raises(ValueError):
         sup_convolve_n(f, 0)
+    with pytest.raises(ValueError, match="DP steps"):
+        sup_convolve_n(f, 10**6)
