@@ -42,9 +42,13 @@ from .geometry import (
     simplices_interior_intersect,
     standard_simplex,
 )
-from .harness import make_random
+from .harness import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, make_random
 from .subdivision import hypersimplex_vertices, hypersimplex_volume
 from .supconvolve import sup_convolve_n
+
+
+# Lattice resolution of the transport check's sampled functions.
+TRANSPORT_RESOLUTION = 4
 
 
 class UnsupportedCertificateError(ValueError):
@@ -311,17 +315,16 @@ def verify_certificate(
     functions=None,
     trials: int = 20,
     seed: int = 2024,
-    resolution: int = 4,
-    tol_rel=Rat(1, 20),
-    tol_abs=Rat(1, 10**9),
+    tol_rel=DEFAULT_TOL_REL,
+    tol_abs=DEFAULT_TOL_ABS,
 ) -> VerificationReport:
     """Re-derive and check every claim of a certificate from its maps.
 
     All structural checks are exact.  The final transport check
     integrates by equal-weight lattice quadrature and therefore uses
     the tolerance; it runs on the provided functions, or on
-    make_random(k, resolution, seed + t) for t < trials (0 at vertices,
-    values in [-1, 0]).
+    make_random(k, TRANSPORT_RESOLUTION, seed + t) for t < trials (0 at
+    vertices, values in [-1, 0]).
     """
     checks = []
     tri = standard_simplex(cert.k)
@@ -383,7 +386,9 @@ def verify_certificate(
     )
 
     if functions is None:
-        functions = [make_random(cert.k, resolution, seed + t) for t in range(trials)]
+        functions = [
+            make_random(cert.k, TRANSPORT_RESOLUTION, seed + t) for t in range(trials)
+        ]
     transport_ok = True
     witness = ""
     for t, f in enumerate(functions):

@@ -44,6 +44,9 @@ from ._rational import ONE, ZERO, Rat
 from .geometry import BaryPoint, Simplex, _check_dim, standard_simplex
 from .subdivision import cell_vertices, enumerate_shifts, subdivide
 
+# Cell refinements find_cover tries beyond the translate scale.
+MAX_REFINE = 2
+
 
 @dataclass(frozen=True)
 class GoodTranslate:
@@ -190,11 +193,11 @@ class CoverCertificate:
         return len(self.family)
 
 
-def find_cover(k: int, n: int, level: int, translates=None, max_refine: int = 2):
+def find_cover(k: int, n: int, level: int, translates=None):
     """Select a covering family among level-`level` good translates.
 
     Certification subdivides T at resolution n^(level+r) for
-    r = 0..max_refine and requires each cell inside a single chosen
+    r = 0..MAX_REFINE and requires each cell inside a single chosen
     translate; a greedy set cover picks the family.  Returns None when
     no admissible cover exists (some point provably uncovered, or the
     family is not smaller than the trivial count).
@@ -210,7 +213,7 @@ def find_cover(k: int, n: int, level: int, translates=None, max_refine: int = 2)
     if not pool:
         return None
     bound = n ** (level * (k + 1))
-    for extra in range(max_refine + 1):
+    for extra in range(MAX_REFINE + 1):
         resolution = n ** (level + extra)
         cells = subdivide(k, resolution)
         cell_tests = []
@@ -267,12 +270,12 @@ def find_cover(k: int, n: int, level: int, translates=None, max_refine: int = 2)
     return None
 
 
-def best_cover(k: int, n: int, max_level: int, blend_rounds: int = 2, budget: int = 4000):
+def best_cover(k: int, n: int, max_level: int, budget: int = 4000):
     """First level admitting a cover certificate, with its closure.
 
     Returns (closure, certificate or None).
     """
-    closure = closure_good(k, n, max_level, blend_rounds=blend_rounds, budget=budget)
+    closure = closure_good(k, n, max_level, budget=budget)
     for level in range(1, max_level + 1):
         cert = find_cover(k, n, level, translates=closure.at_level(level))
         if cert is not None:

@@ -5,10 +5,10 @@ denominator-N points of the standard k-simplex is, at each lattice
 point z, the largest value of a convex combination of sample values
 whose sample points average to z.  That is one small exact LP per
 lattice point: maximise sum(w_p f(p)) over weights w with
-sum(w_p p) = z, w >= 0 (the weight-sum-1 constraint is implied because
-barycentric coordinates already sum to 1).
+sum(w_p p) = z, w >= 0, solved on integer coordinates N p and N z (the
+weight-sum-1 constraint is implied because they all sum to N).
 
-The k+1 vertex columns form an identity basis that is feasible for
+The k+1 vertex columns form a diagonal basis that is feasible for
 every z, so the first point solves from there; subsequent points reuse
 the previous optimal basis, which stays dual feasible when the right
 hand side moves, and the dual simplex repairs it in a handful of
@@ -23,6 +23,10 @@ from dataclasses import dataclass
 from ._rational import Rat
 from .exactlp import ExactSimplexSolver
 from .geometry import BaryLattice, BaryPoint
+
+# Cap on the lattice size C(N + k, k) of one sweep, which prices every
+# column at every point; on a 2-vCPU host the largest accepted take 10-30 s.
+ENVELOPE_CAP = 460
 
 
 @dataclass(frozen=True)
@@ -73,13 +77,14 @@ class EnvelopeResult:
 
 def concave_envelope(f: SampledFunction) -> EnvelopeResult:
     lat = f.lattice
-    columns = [p.coords for p in lat.points]
-    solver = ExactSimplexSolver(columns, list(f.values))
+    if len(lat) > ENVELOPE_CAP:
+        raise ValueError(f"envelope over {len(lat)} lattice points (cap {ENVELOPE_CAP})")
+    solver = ExactSimplexSolver(lat.int_points, list(f.values))
     basis = lat.vertex_indices()
     env_values = []
     certificates = []
-    for i, point in enumerate(lat.points):
-        sol = solver.solve(list(point.coords), basis=basis)
+    for i, ints in enumerate(lat.int_points):
+        sol = solver.solve(ints, basis=basis)
         if sol.status != "optimal":  # pragma: no cover - LP is always feasible/bounded
             raise ArithmeticError(f"envelope LP status {sol.status}")
         assert sol.value >= f.values[i], "envelope fell below the function"

@@ -9,9 +9,14 @@ inverse and supports warm starts:
 - a caller-supplied basis that is primal feasible for the new right
   hand side starts the primal simplex (zero pivots when it is already
   optimal);
-- a previously optimal basis that went primal infeasible after a right
-  hand side change is repaired by the dual simplex;
-- anything else falls back to a two-phase solve with artificials.
+- any other caller-supplied basis starts the dual simplex, which checks
+  dual feasibility on the reduced costs of its first pricing pass; a
+  previously optimal basis that went primal infeasible after a right
+  hand side change passes, and is repaired in a few pivots (the dual
+  simplex keeps every reduced cost <= 0, so its result is optimal);
+- a basis that fails that check, or no basis, falls back to a
+  two-phase solve with artificials, run on a second solver over the
+  columns plus the artificials.
 
 Bland's smallest-index rule is used for both entering and leaving
 choices (and its dual analogue), so every loop terminates despite the
@@ -94,10 +99,6 @@ class ExactSimplexSolver:
     def _mat_vec(rows, vec):
         return [sum((r[i] * vec[i] for i in range(len(vec))), ZERO) for r in rows]
 
-    def _column_through(self, binv, j):
-        col = self.cols[j]
-        return [sum((binv[r][i] * col[i] for i in range(self.m)), ZERO) for r in range(self.m)]
-
     @staticmethod
     def _pivot(binv, xb, basis, row, direction, entering):
         piv = direction[row]
@@ -142,7 +143,7 @@ class ExactSimplexSolver:
                     break
             if entering is None:
                 return "optimal"
-            d = self._column_through(binv, entering)
+            d = self._mat_vec(binv, self.cols[entering])
             row = None
             best = None
             for r in range(self.m):
@@ -166,6 +167,8 @@ class ExactSimplexSolver:
             if row is None:
                 return "optimal"
             reduced = self._reduced_costs(binv, basis, obj, allowed)
+            if any(v > 0 for v in reduced.values()):
+                return None  # not dual feasible (only possible before a pivot)
             entering = None
             best = None
             for j in sorted(reduced):
@@ -179,7 +182,7 @@ class ExactSimplexSolver:
                         entering = j
             if entering is None:
                 return "infeasible"
-            d = self._column_through(binv, entering)
+            d = self._mat_vec(binv, self.cols[entering])
             self._pivot(binv, xb, basis, row, d, entering)
 
     # -- public entry points ----------------------------------------------
@@ -198,39 +201,27 @@ class ExactSimplexSolver:
             xb = self._mat_vec(binv, rhs)
             if all(v >= 0 for v in xb):
                 status = self._primal(binv, xb, basis, self.obj, len(self.cols))
-                return self._solution(status, xb, basis)
-            reduced = self._reduced_costs(binv, basis, self.obj, len(self.cols))
-            if all(v <= 0 for v in reduced.values()):
+            else:
                 status = self._dual(binv, xb, basis, self.obj, len(self.cols))
-                if status == "optimal":
-                    status = self._primal(binv, xb, basis, self.obj, len(self.cols))
+            if status is not None:
                 return self._solution(status, xb, basis)
-            # Neither primal nor dual feasible: fall through to two-phase.
         return self._two_phase(rhs)
 
     def _two_phase(self, rhs) -> Solution:
         m = self.m
         n_real = len(self.cols)
-        saved_cols, saved_obj = self.cols, self.obj
-        art_cols = []
-        for i in range(m):
-            col = [ZERO] * m
-            col[i] = ONE if rhs[i] >= 0 else -ONE
-            art_cols.append(tuple(col))
-        self.cols = saved_cols + art_cols
-        phase1_obj = [ZERO] * n_real + [-ONE] * m
-        basis = list(range(n_real, n_real + m))
-        binv = [
-            [(ONE if rhs[r] >= 0 else -ONE) if c == r else ZERO for c in range(m)]
-            for r in range(m)
+        signs = [ONE if v >= 0 else -ONE for v in rhs]
+        art_cols = [
+            tuple(signs[i] if r == i else ZERO for r in range(m)) for i in range(m)
         ]
+        phase1 = ExactSimplexSolver(self.cols + art_cols, [ZERO] * n_real + [-ONE] * m)
+        basis = list(range(n_real, n_real + m))
+        binv = [list(col) for col in art_cols]  # diag(signs) is its own inverse
         xb = [abs(v) for v in rhs]
-        status = self._primal(binv, xb, basis, phase1_obj, n_real + m)
+        status = phase1._primal(binv, xb, basis, phase1.obj, n_real + m)
         if status != "optimal":  # pragma: no cover - phase 1 is bounded
-            self.cols, self.obj = saved_cols, saved_obj
             return Solution(status, None, None, None)
         if any(xb[r] != 0 for r in range(m) if basis[r] >= n_real):
-            self.cols, self.obj = saved_cols, saved_obj
             return Solution("infeasible", None, None, None)
         # Pivot zero-level artificials out where a real column allows it.
         for r in range(m):
@@ -242,24 +233,19 @@ class ExactSimplexSolver:
                         (binv[r][i] * self.cols[j][i] for i in range(m)), ZERO
                     )
                     if wj != 0:
-                        d = self._column_through(binv, j)
+                        d = self._mat_vec(binv, self.cols[j])
                         self._pivot(binv, xb, basis, r, d, j)
                         break
-        phase2_obj = saved_obj + [ZERO] * m
-        status = self._primal(binv, xb, basis, phase2_obj, n_real)
-        self.cols, self.obj = saved_cols, saved_obj
-        if status != "optimal":
-            return Solution(status, None, None, None)
-        return self._solution("optimal", xb, basis, n_real=n_real)
+        status = phase1._primal(binv, xb, basis, self.obj + [ZERO] * m, n_real)
+        return self._solution(status, xb, basis)
 
-    def _solution(self, status, xb, basis, n_real=None) -> Solution:
+    def _solution(self, status, xb, basis) -> Solution:
         if status != "optimal":
             return Solution(status, None, None, None)
-        limit = len(self.cols) if n_real is None else n_real
         x = {}
         value = ZERO
         for r, j in enumerate(basis):
-            if j < limit:
+            if j < len(self.cols):
                 x[j] = xb[r]
                 value += self.obj[j] * xb[r]
         return Solution("optimal", value, x, tuple(basis))

@@ -230,7 +230,6 @@ def verify_nfold(
     n: int,
     tol_rel=DEFAULT_TOL_REL,
     tol_abs=DEFAULT_TOL_ABS,
-    provenance=None,
 ) -> InequalityReport:
     """Check mean(conv_n(f) - f) >= c(k, n) * mean(env(f) - f).
 
@@ -249,8 +248,6 @@ def verify_nfold(
     constant = sharp_constant(f.k, n)
     verdict, ratio = _verdict(lhs, rhs, constant, tol_rel, tol_abs)
     prov = {"f": function_digest(f), "version": __version__}
-    if provenance:
-        prov.update(provenance)
     return InequalityReport(
         "nfold", f.k, n, f.resolution, constant, "sharp" if f.k <= 3 else "conjectured",
         lhs, rhs, ratio, tol_rel, tol_abs, verdict, prov,
@@ -262,7 +259,6 @@ def verify_pair(
     g: SampledFunction,
     tol_rel=DEFAULT_TOL_REL,
     tol_abs=DEFAULT_TOL_ABS,
-    provenance=None,
 ) -> InequalityReport:
     """Check mean(conv(f, g) - (f+g)/2) >= (k+1)/2^(k+1) * mean(env(f) - f).
 
@@ -284,8 +280,6 @@ def verify_pair(
         "g": function_digest(g),
         "version": __version__,
     }
-    if provenance:
-        prov.update(provenance)
     return InequalityReport(
         "pair", k, 2, f.resolution, constant, "sharp" if k <= 3 else "conjectured",
         lhs, rhs, ratio, tol_rel, tol_abs, verdict, prov,

@@ -13,6 +13,7 @@ from supconvex import (
     medial_certificate,
     relative_volume,
     sampled_function,
+    simplex,
     verify_certificate,
 )
 
@@ -108,6 +109,69 @@ def test_corrupted_certificate_fails():
     assert not report.passed
     failed = [c for c in report.checks if not c.passed]
     assert failed and all(c.witness for c in failed)
+
+
+def _overlapping_domains(cert):
+    # Two halves of T, each of volume 1/2, that share the corner at e_0.
+    (piece,) = cert.maps[0].pieces
+    halves = (
+        simplex([(1, 0, 0), (0, 1, 0), (0, Fraction(1, 2), Fraction(1, 2))]),
+        simplex([(1, 0, 0), (0, 0, 1), (Fraction(1, 2), Fraction(1, 2), 0)]),
+    )
+    pieces = tuple(dataclasses.replace(piece, domain=d) for d in halves)
+    return dataclasses.replace(cert, maps=(PLMap("overlap", pieces),))
+
+
+def _volume_halving(cert):
+    # Columns are vertex images: e_2 goes to the midpoint of e_1 e_2.
+    (piece,) = cert.maps[0].pieces
+    half = Fraction(1, 2)
+    matrix = ((1, 0, 0), (0, 1, half), (0, 0, half))
+    squash = dataclasses.replace(piece, matrix=matrix)
+    return dataclasses.replace(cert, maps=(PLMap("squash", (squash,)),))
+
+
+def _inner_points_only(cert):
+    # conv_1 = f, averaged over the points where f = -1 only.
+    target = dataclasses.replace(cert.target, member=lambda p: max(p.coords) < 1)
+    return dataclasses.replace(cert, target=target)
+
+
+TAMPERED = [
+    (_overlapping_domains, "domain-tiling:overlap", "pieces 0 and 1 overlap"),
+    (_volume_halving, "piece-measure:squash", "piece 0 scales volume by 1/2"),
+    (
+        lambda c: dataclasses.replace(c, jacobian=Fraction(1, 3)),
+        "average-jacobian",
+        "piece 0 has jacobian 1, certificate says 1/3",
+    ),
+    (
+        lambda c: dataclasses.replace(
+            c, target=dataclasses.replace(c.target, rel_volume=Fraction(1, 3))
+        ),
+        "average-jacobian",
+        "jacobian 1 differs from |S|/|T| = 1/3",
+    ),
+    (
+        lambda c: dataclasses.replace(
+            c, target=dataclasses.replace(c.target, member=lambda p: False)
+        ),
+        "transport",
+        "no lattice points inside the target",
+    ),
+    (_inner_points_only, "transport", "function 0: -1 < -4/5 minus tolerance"),
+]
+
+
+@pytest.mark.parametrize("tamper, check, witness", TAMPERED)
+def test_tampered_certificate_fails_the_named_check(tamper, check, witness):
+    cert = tamper(averaging_certificate(2, 1))
+    lat = lattice(2, 4)
+    f = sampled_function(lat, [0 if 4 in pt else -1 for pt in lat.int_points])
+    report = verify_certificate(cert, functions=[f])
+    assert not report.passed
+    failed = {c.name: c.witness for c in report.checks if not c.passed}
+    assert failed.get(check) == witness, failed
 
 
 def test_unsupported_families_raise():

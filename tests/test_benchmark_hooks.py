@@ -9,6 +9,7 @@ trace mode or its output checks without failing any other test.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
@@ -48,3 +49,11 @@ def test_traced_names_resolve_in_their_callers():
 def test_names_read_by_the_benchmark_runner_exist():
     for module, name in READ_BY_RUNNER:
         assert hasattr(importlib.import_module(f"supconvex.{module}"), name), (module, name)
+
+
+def test_solver_solve_binds_rhs_and_basis_positionally():
+    # benchmarks/tracing.py's solver subclass calls solve(self, rhs, basis)
+    # and keeps the third positional argument as the warm-start basis.
+    solver_class = importlib.import_module("supconvex.envelope").ExactSimplexSolver
+    bound = inspect.signature(solver_class.solve).bind("self", "rhs", "basis")
+    assert bound.arguments == {"self": "self", "rhs": "rhs", "basis": "basis"}

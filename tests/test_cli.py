@@ -138,15 +138,18 @@ def test_oversized_function_file_exits_1_fast(capsys, tmp_path):
 
 
 def test_oversized_sizes_exit_1_fast(capsys, tmp_path):
-    # 861 points: big enough that an envelope sweep before the DP size
-    # check would take seconds.
+    # Every case is over a cap.  The 861-point file is big enough that an
+    # uncapped envelope sweep before the DP size check would take seconds.
     path = tmp_path / "f.json"
     save_function(make_random(2, 40, seed=1), path)
+    big = tmp_path / "big.json"
+    save_function(make_random(2, 100, seed=1), big)
     for argv in (
         ["supconv", "--input", str(path), "--n", "1000000"],
         ["verify-t1", "--input", str(path), "--n", "1000000"],
         ["extremal", "--k", "3", "--N", "100000"],
         ["random", "--k", "6", "--N", "1000"],
+        ["envelope", "--input", str(big)],
     ):
         start = time.perf_counter()
         assert main(argv) == 1

@@ -188,3 +188,67 @@ def test_singular_starting_basis_is_rejected():
     solver = ExactSimplexSolver(columns, [Fraction(1), Fraction(1), Fraction(1)])
     with pytest.raises(ValueError, match="starting basis is singular"):
         solver.solve([Fraction(1), Fraction(1)], basis=(0, 2))
+
+
+# -- warm-start dispatch -----------------------------------------------------
+
+
+def _record_paths(solver, monkeypatch):
+    """Names of the simplex routines that solver.solve calls, in order."""
+    taken = []
+    for name in ("_primal", "_dual", "_two_phase"):
+        method = getattr(solver, name)
+
+        def spy(*args, _method=method, _name=name):
+            taken.append(_name)
+            return _method(*args)
+
+        monkeypatch.setattr(solver, name, spy)
+    return taken
+
+
+def _assert_matches_cold(columns, objective, rhs, warm):
+    cold = ExactSimplexSolver(columns, objective).solve(rhs)
+    assert (warm.status, warm.value, warm.x) == (cold.status, cold.value, cold.x)
+
+
+def test_dual_feasible_warm_basis_takes_the_dual_simplex(monkeypatch):
+    # The k = 1, N = 2 envelope LP of f = (0, 1, 0): the optimal basis
+    # (1, 2) at z = (1, 1) goes primal infeasible at z = (0, 2) but its
+    # reduced costs stay <= 0.
+    columns = [[0, 2], [1, 1], [2, 0]]
+    objective = [0, 1, 0]
+    solver = ExactSimplexSolver(columns, objective)
+    taken = _record_paths(solver, monkeypatch)
+    warm = solver.solve([0, 2], basis=(1, 2))
+    assert taken == ["_dual"]
+    assert warm.status == "optimal" and warm.value == 0
+    assert warm.basis == (1, 0)
+    _assert_matches_cold(columns, objective, [0, 2], warm)
+
+
+def test_basis_neither_primal_nor_dual_feasible_falls_back_to_two_phase(monkeypatch):
+    # Basis (2, 1) gives x_2 = -1 and column 0 a positive reduced cost.
+    # Running the dual simplex from it anyway ends at a primal feasible
+    # basis of value 0, below the optimum 1.
+    columns = [[1, 0], [0, 1], [-1, 1], [1, 1]]
+    objective = [0, 0, 1, 0]
+    solver = ExactSimplexSolver(columns, objective)
+    taken = _record_paths(solver, monkeypatch)
+    warm = solver.solve([1, 1], basis=(2, 1))
+    assert taken == ["_dual", "_two_phase"]
+    assert warm.status == "optimal" and warm.value == 1
+    _assert_matches_cold(columns, objective, [1, 1], warm)
+
+
+def test_dual_simplex_reports_infeasible(monkeypatch):
+    # x_0 + x_2 = -1 has no nonnegative solution; the identity basis is
+    # dual feasible (zero objective), so the dual simplex proves it.
+    columns = [[1, 0], [0, 1], [1, 1]]
+    objective = [0, 0, 0]
+    solver = ExactSimplexSolver(columns, objective)
+    taken = _record_paths(solver, monkeypatch)
+    warm = solver.solve([-1, 2], basis=(0, 1))
+    assert taken == ["_dual"]
+    assert warm == ("infeasible", None, None, None)
+    _assert_matches_cold(columns, objective, [-1, 2], warm)

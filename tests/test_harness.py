@@ -183,6 +183,12 @@ def test_verify_pair_failure_is_reported():
     assert not rep.passed
 
 
+def test_verify_pair_rejects_mismatched_lattices():
+    f = make_random(2, 3, seed=1)
+    with pytest.raises(ValueError, match="share a lattice"):
+        verify_pair(f, make_random(2, 4, seed=1))
+
+
 def test_verify_nfold_random_smoke():
     for i in range(20):
         f = make_random(2, 6, seed=7000 + i, roughness=1 if i % 2 else "2/3")
