@@ -2,12 +2,15 @@
 
 Every quantity in this package (coordinates, volumes, function values,
 integrals, constants) is an exact rational number.  We prefer gmpy2.mpq
-when it is installed because it is roughly an order of magnitude faster
-in the dynamic-programming and simplex inner loops, and fall back to
-fractions.Fraction otherwise.  Both types are registered with
-numbers.Rational, always store a reduced value with positive
-denominator, hash identically, and mix freely with ints, so the rest of
-the code never needs to know which backend is active.
+when it is installed and fall back to fractions.Fraction otherwise.  The
+hottest loops, the sup-convolution DP and the simplex pricing, run on
+plain ints from ``scaled`` whichever backend is active, so the backend
+only matters for the rational work around them (basis inverse updates,
+file and report values); how much gmpy2 still gains there has not been
+measured since those loops moved to integers.  Both types are
+registered with numbers.Rational, always store a reduced value with
+positive denominator, hash identically, and mix freely with ints, so
+the rest of the code never needs to know which backend is active.
 """
 
 from __future__ import annotations
@@ -34,6 +37,16 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x.numerator, x.denominator)
+
+
+def scaled(values):
+    """(integer numerators, common denominator) of rational values, so
+    that values[i] == nums[i] / den with den the lcm of the denominators.
+
+    int() keeps the results plain Python ints whichever backend is active.
+    """
+    den = math.lcm(*(int(v.denominator) for v in values))
+    return [int(v.numerator) * (den // int(v.denominator)) for v in values], den
 
 
 def rat_floor(x) -> int:

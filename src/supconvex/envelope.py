@@ -11,9 +11,13 @@ weight-sum-1 constraint is implied because they all sum to N).
 The k+1 vertex columns form a diagonal basis that is feasible for
 every z, so the first point solves from there; subsequent points reuse
 the previous optimal basis, which stays dual feasible when the right
-hand side moves, and the dual simplex repairs it in a handful of
-pivots.  Every envelope value comes with a certificate: the supporting
-lattice points and exact weights realising it.
+hand side moves.  Where it is still primal feasible it is optimal
+again, and the solver returns it without pricing or re-inverting (at
+every point after the first when the envelope is affine, as for a
+normalised input); elsewhere the dual simplex repairs it in a handful
+of pivots.  The solver prices columns in plain integers (see exactlp).
+Every envelope value comes with a certificate: the supporting lattice
+points and exact weights realising it.
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ from ._rational import Rat
 from .exactlp import ExactSimplexSolver
 from .geometry import BaryLattice, BaryPoint
 
-# Cap on the lattice size C(N + k, k) of one sweep, which prices every
-# column at every point; on a 2-vCPU host the largest accepted take 10-30 s.
+# Cap on the lattice size C(N + k, k) of one sweep, whose worst case
+# prices every column at every point, O(|L|^2) exact work.  On a 2-vCPU
+# host the largest accepted sweeps (k = 1..6 at the largest N under the
+# cap, general inputs that pivot) take 0.03-1.6 s.
 ENVELOPE_CAP = 460
 
 
@@ -75,10 +81,15 @@ class EnvelopeResult:
         return SampledFunction(self.function.lattice, self.values)
 
 
-def concave_envelope(f: SampledFunction) -> EnvelopeResult:
-    lat = f.lattice
+def check_envelope_cap(lat: BaryLattice) -> None:
+    """Raise ValueError when a sweep over lat would exceed ENVELOPE_CAP."""
     if len(lat) > ENVELOPE_CAP:
         raise ValueError(f"envelope over {len(lat)} lattice points (cap {ENVELOPE_CAP})")
+
+
+def concave_envelope(f: SampledFunction) -> EnvelopeResult:
+    lat = f.lattice
+    check_envelope_cap(lat)
     solver = ExactSimplexSolver(lat.int_points, list(f.values))
     basis = lat.vertex_indices()
     env_values = []

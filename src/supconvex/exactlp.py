@@ -22,6 +22,29 @@ Bland's smallest-index rule is used for both entering and leaving
 choices (and its dual analogue), so every loop terminates despite the
 heavy degeneracy typical of these geometric LPs.
 
+Pricing runs on plain integers.  The constructor writes each column as
+an integer vector A_j over a positive integer e_j, and an objective as
+integer numerators C_j over one denominator D.  A pricing pass forms
+the dual vector y = c_B B^-1 in rationals (one entry per row), scales
+it to integers Y / D_y, and prices column j as
+
+    R_j = C_j D_y e_j - D (Y . A_j) = r_j D D_y e_j,
+
+the reduced cost r_j = c_j - y . col_j times a positive integer.  Only
+signs of R_j are read, except in the dual ratio test, which scales the
+leaving row of B^-1 to integers as well: W_j = w_j D_b e_j, so R_j / W_j
+is r_j / w_j times one positive factor common to all j, and ratios are
+compared by cross-multiplication.  The primal simplex prices columns in
+index order and stops at the first one that may enter.
+
+Reduced costs do not depend on the right hand side, so a basis once
+proved optimal stays dual feasible, and it is optimal again for every
+right hand side on which it is primal feasible.  The solver therefore
+keeps the last basis a warm solve proved optimal, in its order, with
+its inverse.  Handed that basis again, it copies the inverse instead of
+eliminating, and returns at once when the new basic solution is
+nonnegative: the primal simplex would find no entering column there.
+
 ``eliminate`` computes the basis inverse, and also serves the geometry
 (volumes, point-in-simplex weights) and the averageable map matrices.
 """
@@ -29,8 +52,10 @@ heavy degeneracy typical of these geometric LPs.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import islice
+from operator import mul
 
-from ._rational import ONE, ZERO, Rat
+from ._rational import ONE, ZERO, Rat, scaled
 
 Solution = namedtuple("Solution", "status value x basis")
 
@@ -89,9 +114,14 @@ class ExactSimplexSolver:
         if len(objective) != len(self.cols):
             raise ValueError("objective length mismatch")
         self.obj = [Rat(v) for v in objective]
+        self._ints, dens = zip(*map(scaled, self.cols))
+        nums, den = scaled(self.obj)
+        # (c, C_j e_j, D) with c = C / D: what a pricing pass needs.
+        self._pricing = (self.obj, [c * e for c, e in zip(nums, dens)], den)
         self._identity = [
             [ONE if c == r else ZERO for c in range(self.m)] for r in range(self.m)
         ]
+        self._proved = None  # (basis, inverse) of the last warm solve proved optimal
 
     # -- basis linear algebra -------------------------------------------
 
@@ -117,30 +147,27 @@ class ExactSimplexSolver:
 
     # -- simplex phases --------------------------------------------------
 
-    def _reduced_costs(self, binv, basis, obj, allowed):
-        cb = [obj[j] for j in basis]
+    def _reduced_costs(self, binv, basis, pricing, allowed):
+        """R_j for the columns j < allowed, lazily and in index order.
+
+        R_j is the reduced cost r_j times the positive integer D D_y e_j,
+        so it is 0 on every basic column.
+        """
+        obj, ce, den = pricing
         y = [
-            sum((cb[r] * binv[r][i] for r in range(self.m)), ZERO)
+            sum((obj[j] * row[i] for j, row in zip(basis, binv)), ZERO)
             for i in range(self.m)
         ]
-        in_basis = set(basis)
-        out = {}
-        for j in range(allowed):
-            if j in in_basis:
-                continue
-            col = self.cols[j]
-            rj = obj[j] - sum((y[i] * col[i] for i in range(self.m)), ZERO)
-            out[j] = rj
-        return out
+        ys, dy = scaled(y)
+        return (
+            cj * dy - den * sum(map(mul, ys, a))
+            for cj, a in zip(islice(ce, allowed), self._ints)
+        )
 
-    def _primal(self, binv, xb, basis, obj, allowed):
+    def _primal(self, binv, xb, basis, pricing, allowed):
         while True:
-            reduced = self._reduced_costs(binv, basis, obj, allowed)
-            entering = None
-            for j in sorted(reduced):
-                if reduced[j] > 0:
-                    entering = j
-                    break
+            reduced = self._reduced_costs(binv, basis, pricing, allowed)
+            entering = next((j for j, rj in enumerate(reduced) if rj > 0), None)
             if entering is None:
                 return "optimal"
             d = self._mat_vec(binv, self.cols[entering])
@@ -158,7 +185,7 @@ class ExactSimplexSolver:
                 return "unbounded"
             self._pivot(binv, xb, basis, row, d, entering)
 
-    def _dual(self, binv, xb, basis, obj, allowed):
+    def _dual(self, binv, xb, basis):
         while True:
             row = None
             for r in range(self.m):
@@ -166,20 +193,19 @@ class ExactSimplexSolver:
                     row = r
             if row is None:
                 return "optimal"
-            reduced = self._reduced_costs(binv, basis, obj, allowed)
-            if any(v > 0 for v in reduced.values()):
+            reduced = list(self._reduced_costs(binv, basis, self._pricing, len(self.cols)))
+            if any(rj > 0 for rj in reduced):
                 return None  # not dual feasible (only possible before a pivot)
+            # Entering: the smallest j minimising r_j / w_j over w_j < 0.
+            # W_j = w_j D_b e_j, so for W_j, W_b < 0 that ratio is below
+            # r_b / w_b exactly when R_j W_b < R_b W_j.  W_j >= 0 on
+            # every basic column.
+            brow, _ = scaled(binv[row])
             entering = None
-            best = None
-            for j in sorted(reduced):
-                wj = sum(
-                    (binv[row][i] * self.cols[j][i] for i in range(self.m)), ZERO
-                )
-                if wj < 0:
-                    ratio = reduced[j] / wj
-                    if best is None or ratio < best:
-                        best = ratio
-                        entering = j
+            for j, (rj, a) in enumerate(zip(reduced, self._ints)):
+                wj = sum(map(mul, brow, a))
+                if wj < 0 and (entering is None or rj * wb < rb * wj):
+                    entering, rb, wb = j, rj, wj
             if entering is None:
                 return "infeasible"
             d = self._mat_vec(binv, self.cols[entering])
@@ -193,16 +219,26 @@ class ExactSimplexSolver:
             raise ValueError("rhs length mismatch")
         if basis is not None:
             basis = list(basis)
-            # The transposed basis (its columns as rows) eliminated
-            # against the identity yields the rows of the inverse.
-            _, binv = eliminate([self.cols[j] for j in basis], self._identity)
-            if binv is None:
-                raise ValueError("starting basis is singular")
-            xb = self._mat_vec(binv, rhs)
-            if all(v >= 0 for v in xb):
-                status = self._primal(binv, xb, basis, self.obj, len(self.cols))
+            proved = self._proved is not None and self._proved[0] == tuple(basis)
+            if proved:
+                binv = [row[:] for row in self._proved[1]]
             else:
-                status = self._dual(binv, xb, basis, self.obj, len(self.cols))
+                # The transposed basis (its columns as rows) eliminated
+                # against the identity yields the rows of the inverse.
+                _, binv = eliminate([self.cols[j] for j in basis], self._identity)
+                if binv is None:
+                    raise ValueError("starting basis is singular")
+            xb = self._mat_vec(binv, rhs)
+            if any(v < 0 for v in xb):
+                status = self._dual(binv, xb, basis)
+            elif proved:
+                status = "optimal"
+            else:
+                status = self._primal(binv, xb, basis, self._pricing, len(self.cols))
+            if status == "optimal":
+                # binv belongs to this call, and nothing changes it after
+                # the return; a later hit works on a copy.
+                self._proved = (tuple(basis), binv)
             if status is not None:
                 return self._solution(status, xb, basis)
         return self._two_phase(rhs)
@@ -218,25 +254,24 @@ class ExactSimplexSolver:
         basis = list(range(n_real, n_real + m))
         binv = [list(col) for col in art_cols]  # diag(signs) is its own inverse
         xb = [abs(v) for v in rhs]
-        status = phase1._primal(binv, xb, basis, phase1.obj, n_real + m)
+        status = phase1._primal(binv, xb, basis, phase1._pricing, n_real + m)
         if status != "optimal":  # pragma: no cover - phase 1 is bounded
             return Solution(status, None, None, None)
         if any(xb[r] != 0 for r in range(m) if basis[r] >= n_real):
             return Solution("infeasible", None, None, None)
-        # Pivot zero-level artificials out where a real column allows it.
+        # Pivot zero-level artificials out where a real column allows it
+        # (w_j is 0 on the real columns already basic).
         for r in range(m):
             if basis[r] >= n_real:
-                for j in range(n_real):
-                    if j in basis:
-                        continue
-                    wj = sum(
-                        (binv[r][i] * self.cols[j][i] for i in range(m)), ZERO
-                    )
-                    if wj != 0:
+                brow, _ = scaled(binv[r])
+                for j, a in enumerate(self._ints):
+                    if sum(map(mul, brow, a)) != 0:
                         d = self._mat_vec(binv, self.cols[j])
                         self._pivot(binv, xb, basis, r, d, j)
                         break
-        status = phase1._primal(binv, xb, basis, self.obj + [ZERO] * m, n_real)
+        # Phase 2 prices the real columns only; basic artificials cost 0.
+        obj, ce, den = self._pricing
+        status = phase1._primal(binv, xb, basis, (obj + [ZERO] * m, ce, den), n_real)
         return self._solution(status, xb, basis)
 
     def _solution(self, status, xb, basis) -> Solution:

@@ -19,6 +19,7 @@ Everything is exact; there is no floating point in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from ._rational import ONE, ZERO, Rat
@@ -250,7 +251,15 @@ class BaryLattice:
         return hash((self.k, self.resolution))
 
 
+@lru_cache(maxsize=8, typed=True)
 def lattice(k: int, resolution: int) -> BaryLattice:
+    """The lattice of denominator-resolution points of the k-simplex.
+
+    A lattice is never modified after construction, so one instance per
+    (k, resolution) is shared; the few most recent are kept, since the
+    averageable transport check asks for the same one on every trial.
+    typed=True keeps lattice(True, N) from standing in for lattice(1, N).
+    """
     return BaryLattice(k, resolution)
 
 

@@ -40,14 +40,14 @@ from math import comb
 from . import __version__
 from ._rational import Rat, format_rat
 from .combinat import sharp_constant
-from .envelope import SampledFunction, concave_envelope
+from .envelope import SampledFunction, check_envelope_cap, concave_envelope
 # Unused here; kept because benchmarks/tracing.py wraps this name in
 # this module, and its trace mode fails without it.
 from .envelope import normalize_to_simplex_form  # noqa: F401
 from .geometry import _check_dim, lattice
 from .prng import SplitMix64
 from .subdivision import cell_contains, cell_vertices, subdivide
-from .supconvolve import sup_convolve_n, sup_convolve_pair
+from .supconvolve import check_dp_cap, sup_convolve_n, sup_convolve_pair
 
 DEFAULT_TOL_REL = Rat(1, 20)
 DEFAULT_TOL_ABS = Rat(1, 10**9)
@@ -225,6 +225,14 @@ def _verdict(lhs, rhs, constant, tol_rel, tol_abs):
     return ("pass" if ok else "fail"), lhs / rhs
 
 
+def _check_caps(lat, m: int) -> None:
+    """Both work budgets of a report (an m-function DP and an envelope
+    sweep), checked before either kernel runs, so that an input over one
+    cap is refused without first paying for the other kernel."""
+    check_dp_cap(lat, m)
+    check_envelope_cap(lat)
+
+
 def verify_nfold(
     f: SampledFunction,
     n: int,
@@ -241,6 +249,7 @@ def verify_nfold(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    _check_caps(f.lattice, n)
     conv = sup_convolve_n(f, n)
     env = concave_envelope(f)
     lhs = mean_value(conv.values) - mean_value(f.values)
@@ -268,6 +277,7 @@ def verify_pair(
     """
     if f.lattice != g.lattice:
         raise ValueError("f and g must share a lattice")
+    _check_caps(f.lattice, 2)
     conv = sup_convolve_pair(f, g)
     lhs = mean_value(conv.values) - (mean_value(f.values) + mean_value(g.values)) / Rat(2)
     env = concave_envelope(f)
@@ -315,6 +325,7 @@ def extremal_grid_report(k: int, n: int, resolution: int) -> ExtremalGridReport:
     always works); raises ValueError otherwise.
     """
     f = make_extremal(k, resolution)
+    _check_caps(f.lattice, n)
     conv = sup_convolve_n(f, n)
     env = concave_envelope(f)
     lat = f.lattice

@@ -22,15 +22,23 @@ sizes are lattice sizes of dilated simplices, polynomial in N**k.
 
 from __future__ import annotations
 
-from math import comb, lcm
+from math import comb
 
-from ._rational import Rat
+from ._rational import Rat, scaled
 from .envelope import SampledFunction
 
 # Cap on (m - 1) * C(mN + k, k) * |L|, which bounds the (stage entry,
 # lattice point) pairs the DP visits.  On a 2-vCPU host the largest
 # accepted runs take up to 35 s and 0.45 GB.
 DP_CAP = 6 * 10**8
+
+
+def check_dp_cap(lat, m: int) -> None:
+    """Raise ValueError when the DP over m functions on lat would exceed
+    DP_CAP; one function (m = 1) needs no DP."""
+    work = (m - 1) * comb(m * lat.resolution + lat.k, lat.k) * len(lat)
+    if work > DP_CAP:
+        raise ValueError(f"sup-convolution needs up to {work} DP steps (cap {DP_CAP})")
 
 
 def _best_sums(functions):
@@ -40,17 +48,12 @@ def _best_sums(functions):
     """
     lat = functions[0].lattice
     m = len(functions)
+    check_dp_cap(lat, m)
     pts = lat.int_points
-    work = (m - 1) * comb(m * lat.resolution + lat.k, lat.k) * len(pts)
-    if work > DP_CAP:
-        raise ValueError(f"sup-convolution needs up to {work} DP steps (cap {DP_CAP})")
     base = m * lat.resolution + 1
     codes = [sum(c * base**i for i, c in enumerate(p[:-1])) for p in pts]
-    den = lcm(*{int(v.denominator) for f in functions for v in f.values})
-    nums = [
-        [int(v.numerator) * (den // int(v.denominator)) for v in f.values]
-        for f in functions
-    ]
+    flat, den = scaled([v for f in functions for v in f.values])
+    nums = [flat[i * len(pts) : (i + 1) * len(pts)] for i in range(m)]
     stage = dict(zip(codes, nums[0]))
     for vals in nums[1:]:
         new_stage = {}

@@ -42,6 +42,28 @@ def _invert(matrix):
     return [row[n:] for row in aug]
 
 
+def lp_bruteforce(columns, objective, rhs):
+    """Optimum of max c.x over A x = b, x >= 0, or None when infeasible,
+    by enumerating every nonsingular square subset of columns.
+
+    Exhaustive for a bounded LP whose matrix has full row rank: a
+    feasible one then has an optimal basic solution.
+    """
+    m = len(rhs)
+    b = [Fraction(v) for v in rhs]
+    best = None
+    for subset in combinations(range(len(columns)), m):
+        inv = _invert([[Fraction(columns[j][i]) for j in subset] for i in range(m)])
+        if inv is None:
+            continue
+        x = [sum(inv[r][i] * b[i] for i in range(m)) for r in range(m)]
+        if all(v >= 0 for v in x):
+            value = sum(Fraction(objective[j]) * v for j, v in zip(subset, x))
+            if best is None or value > best:
+                best = value
+    return best
+
+
 def envelope_bruteforce(f):
     """Discrete concave envelope by enumerating all candidate supports.
 

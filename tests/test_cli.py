@@ -139,7 +139,9 @@ def test_oversized_function_file_exits_1_fast(capsys, tmp_path):
 
 def test_oversized_sizes_exit_1_fast(capsys, tmp_path):
     # Every case is over a cap.  The 861-point file is big enough that an
-    # uncapped envelope sweep before the DP size check would take seconds.
+    # uncapped envelope sweep before the DP size check would take seconds;
+    # the 5151-point file is over the envelope cap only, and its DP alone
+    # would take seconds if it ran before the envelope cap was checked.
     path = tmp_path / "f.json"
     save_function(make_random(2, 40, seed=1), path)
     big = tmp_path / "big.json"
@@ -150,6 +152,8 @@ def test_oversized_sizes_exit_1_fast(capsys, tmp_path):
         ["extremal", "--k", "3", "--N", "100000"],
         ["random", "--k", "6", "--N", "1000"],
         ["envelope", "--input", str(big)],
+        ["verify-t1", "--input", str(big), "--n", "2"],
+        ["verify-t4", "--f", str(big), "--g", str(big)],
     ):
         start = time.perf_counter()
         assert main(argv) == 1

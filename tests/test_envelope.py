@@ -13,6 +13,7 @@ from supconvex import (
     normalize_to_simplex_form,
     sampled_function,
 )
+from supconvex.exactlp import ExactSimplexSolver
 
 
 def _func(k, resolution, values):
@@ -52,6 +53,79 @@ def test_matches_bruteforce_k2():
         assert list(concave_envelope(f).values) == envelope_bruteforce(f)
     f = make_random(2, 6, seed=13)
     assert list(concave_envelope(f).values) == envelope_bruteforce(f)
+
+
+def _general(k, resolution, seed):
+    """Seeded general function, unlike make_random's normal form: nonzero
+    vertex values (an affine part) plus either a concave bump with noise
+    (even seeds) or a noisy floor with random spikes (odd seeds), over
+    denominators 1 to 7.  Its envelope lies above the vertex plane, so
+    the warm-started envelope LP pivots."""
+    rng = SplitMix64(seed)
+
+    def draw(lo, hi):
+        return lo + rng.next_below(hi - lo + 1)
+
+    verts = [Fraction((-1) ** draw(0, 1) * draw(1, 8), draw(1, 5)) for _ in range(k + 1)]
+    height = Fraction(draw(2, 9), draw(1, 3))
+    lat = lattice(k, resolution)
+    values = []
+    for ints in lat.int_points:
+        z = [Fraction(c, resolution) for c in ints]
+        value = sum(a * zi for a, zi in zip(verts, z))
+        if resolution not in ints:
+            noise = Fraction(draw(0, 6), draw(1, 7))
+            if seed % 2 == 0:
+                value += height * sum(zi * (1 - zi) for zi in z) - noise
+            elif rng.next_below(4) == 0:
+                value += 4 * noise + 1
+            else:
+                value -= noise
+        values.append(value)
+    return sampled_function(lat, values)
+
+
+def _solve_routines(monkeypatch):
+    """Per ExactSimplexSolver.solve call, the simplex routines it ran; an
+    empty list is a basis already proved optimal and feasible, returned
+    without pricing."""
+    solves = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            solves[-1].append(name)
+            return fn(*args)
+
+        return wrapped
+
+    for name in ("_primal", "_dual", "_two_phase"):
+        monkeypatch.setattr(ExactSimplexSolver, name, spy(name, getattr(ExactSimplexSolver, name)))
+    solve = ExactSimplexSolver.solve
+
+    def solve_spy(self, rhs, basis=None):
+        solves.append([])
+        return solve(self, rhs, basis)
+
+    monkeypatch.setattr(ExactSimplexSolver, "solve", solve_spy)
+    return solves
+
+
+@pytest.mark.parametrize(
+    "k, resolution, seeds", [(2, 3, (1, 2)), (2, 4, (3, 4)), (2, 5, (5,)), (3, 2, (7, 8)), (3, 3, (9,))]
+)
+def test_general_family_matches_bruteforce_and_pivots(monkeypatch, k, resolution, seeds):
+    solves = _solve_routines(monkeypatch)
+    for seed in seeds:
+        f = _general(k, resolution, seed)
+        res = concave_envelope(f)
+        assert list(res.values) == envelope_bruteforce(f)
+        assert all(f.values[i] != 0 for i in f.lattice.vertex_indices())
+        assert len({v.denominator for v in f.values}) > 2
+        for i, p in enumerate(f.lattice.points):
+            point, value, total = evaluate_certificate(res, i)
+            assert (point, value, total) == (p, res.values[i], 1)
+    assert any("_dual" in routines for routines in solves)
+    assert [] in solves  # a kept basis, feasible again, skips pricing
 
 
 def test_idempotent():

@@ -1,10 +1,10 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
-from oracles import _invert
+from oracles import _invert, lp_bruteforce
 
-from supconvex import SplitMix64
+from supconvex import SplitMix64, exactlp
 from supconvex.exactlp import ExactSimplexSolver, eliminate, solve_lp
 
 
@@ -252,3 +252,211 @@ def test_dual_simplex_reports_infeasible(monkeypatch):
     assert taken == ["_dual"]
     assert warm == ("infeasible", None, None, None)
     _assert_matches_cold(columns, objective, [-1, 2], warm)
+
+
+# -- integer pricing ---------------------------------------------------------
+
+
+def _rational(rng):
+    return Fraction(int(rng.next_below(9)) - 4, 1 + rng.next_below(6))
+
+
+def _rational_lp(rng, m, n):
+    """Random LP over denominators up to 6 (so e_j > 1 in pricing).  Row 0
+    has positive entries and a positive right-hand side, so x is bounded."""
+    columns = [
+        [Fraction(1 + rng.next_below(5), 1 + rng.next_below(6))]
+        + [_rational(rng) for _ in range(m - 1)]
+        for _ in range(n)
+    ]
+    objective = [_rational(rng) for _ in range(n)]
+    return columns, objective
+
+
+def _rational_rhs(rng, m):
+    return [Fraction(1 + rng.next_below(4), 1 + rng.next_below(3))] + [
+        _rational(rng) for _ in range(m - 1)
+    ]
+
+
+def test_rational_columns_match_the_vertex_oracle():
+    rng = SplitMix64(31)
+    statuses = set()
+    for trial in range(120):
+        m = 1 + trial % 3
+        columns, objective = _rational_lp(rng, m, m + 2 + trial % 3)
+        rhs = _rational_rhs(rng, m)
+        best = lp_bruteforce(columns, objective, rhs)
+        expected = ("infeasible", None) if best is None else ("optimal", best)
+        assert solve_lp(columns, objective, rhs)[:2] == expected
+        statuses.add(expected[0])
+        solver = ExactSimplexSolver(columns, objective)
+        for basis in combinations(range(len(columns)), m):
+            try:
+                sol = solver.solve(rhs, basis)
+            except ValueError:
+                continue  # singular starting basis
+            assert (sol.status, sol.value) == expected
+    assert statuses == {"optimal", "infeasible"}
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def _fraction_reduced_costs(columns, objective, basis, binv):
+    m = len(basis)
+    y = [sum(Fraction(objective[j]) * binv[r][i] for r, j in enumerate(basis)) for i in range(m)]
+    return [
+        Fraction(c) - sum(y[i] * Fraction(col[i]) for i in range(m))
+        for c, col in zip(objective, columns)
+    ]
+
+
+def test_integer_reduced_costs_have_the_signs_of_the_fraction_ones():
+    rng = SplitMix64(5)
+    for trial in range(60):
+        m = 1 + trial % 3
+        columns, objective = _rational_lp(rng, m, m + 3)
+        solver = ExactSimplexSolver(columns, objective)
+        for basis in combinations(range(len(columns)), m):
+            binv = _invert([[Fraction(columns[j][i]) for j in basis] for i in range(m)])
+            if binv is None:
+                continue
+            expected = _fraction_reduced_costs(columns, objective, basis, binv)
+            got = solver._reduced_costs(binv, list(basis), solver._pricing, len(columns))
+            assert list(map(_sign, got)) == list(map(_sign, expected))
+
+
+def test_dual_ratio_tie_goes_to_the_smallest_index(monkeypatch):
+    # From basis (0, 1) at rhs (-1, 1) row 0 leaves.  Columns 2 and 3,
+    # over denominators 2 and 3, tie at r_j / w_j = 2 with different
+    # integer R_j (-4, -8) and W_j (-1, -2); column 4's ratio is 3.
+    columns = [
+        [1, 0], [0, 1], [Fraction(-1, 2), 0], [Fraction(-2, 3), 0], [-1, Fraction(1, 5)]
+    ]
+    objective = [1, 0, Fraction(-3, 2), -2, -4]
+    basis, rhs = (0, 1), [-1, 1]
+    # The ratios recomputed in Fraction arithmetic.
+    cols = [[Fraction(v) for v in col] for col in columns]
+    binv = _invert([[cols[j][i] for j in basis] for i in range(2)])
+    reduced = _fraction_reduced_costs(columns, objective, basis, binv)
+    ratios = {}
+    for j, col in enumerate(cols):
+        w = sum(binv[0][i] * col[i] for i in range(2))
+        if w < 0:
+            ratios[j] = reduced[j] / w
+    ties = [j for j, v in ratios.items() if v == min(ratios.values())]
+    assert ties == [2, 3] and cols[2][0].denominator != cols[3][0].denominator
+
+    solver = ExactSimplexSolver(columns, objective)
+    priced = solver._reduced_costs(binv, list(basis), solver._pricing, len(columns))
+    assert list(map(_sign, priced)) == list(map(_sign, reduced))
+    taken = _record_paths(solver, monkeypatch)
+    entered = []
+    pivot = solver._pivot
+    monkeypatch.setattr(
+        solver, "_pivot", lambda *a: entered.append(a[-1]) or pivot(*a)
+    )
+    sol = solver.solve(rhs, basis)
+    assert taken == ["_dual"] and entered == [min(ties)]
+    assert sol.basis == (2, 1) and sol.x == {2: 2, 1: 1} and sol.value == -3
+    _assert_matches_cold(columns, objective, rhs, sol)
+
+
+# -- reuse of the basis last proved optimal ----------------------------------
+
+
+def _outcome(solver, rhs, basis):
+    try:
+        return solver.solve(rhs, basis)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _replayer(columns, objective, monkeypatch):
+    """run(rhs, basis) solves on one solver, asserts that the outcome
+    equals that of a solver which has never solved, and returns it with
+    (routines run, bases inverted, pivots) of the first solver."""
+    solver = ExactSimplexSolver(columns, objective)
+    taken = _record_paths(solver, monkeypatch)
+    inverted, pivots = [], []
+    pivot = solver._pivot
+    monkeypatch.setattr(solver, "_pivot", lambda *a: pivots.append(a) or pivot(*a))
+    monkeypatch.setattr(exactlp, "eliminate", lambda *a: inverted.append(a) or eliminate(*a))
+
+    def run(rhs, basis):
+        for log in (taken, inverted, pivots):
+            log.clear()
+        got = _outcome(solver, rhs, basis)
+        trace = (tuple(taken), len(inverted), len(pivots))
+        assert got == _outcome(ExactSimplexSolver(columns, objective), rhs, basis)
+        return got, trace
+
+    return run
+
+
+def test_reuse_after_a_dual_pivot(monkeypatch):
+    # The k = 1, N = 2 envelope LP of f = (0, 1, 0).
+    run = _replayer([[0, 2], [1, 1], [2, 0]], [0, 1, 0], monkeypatch)
+    assert run([1, 1], (1, 2))[1] == (("_primal",), 1, 0)
+    got, trace = run([0, 2], (1, 2))  # the kept basis, with x_2 = -1
+    assert trace == (("_dual",), 0, 1) and got.basis == (1, 0)
+    assert run([1, 1], (1, 0))[1] == ((), 0, 0)  # kept and feasible: no pricing
+    assert run([2, 0], (1, 2))[1] == (("_primal",), 1, 0)  # no longer kept
+
+
+def test_reuse_after_a_two_phase_solve(monkeypatch):
+    run = _replayer([[1, 0], [0, 1], [-1, 1], [1, 1]], [0, 0, 1, 0], monkeypatch)
+    got, trace = run([1, 1], (2, 1))
+    assert trace[0] == ("_dual", "_two_phase")
+    assert run([1, 2], got.basis)[1] == (("_primal",), 1, 0)  # two-phase keeps none
+    assert run([1, 3], got.basis)[1] == ((), 0, 0)
+
+
+def test_reuse_after_a_singular_basis_error(monkeypatch):
+    run = _replayer([[1, 0], [0, 1], [2, 0]], [1, 1, 1], monkeypatch)
+    assert run([1, 1], (0, 1))[1] == (("_primal",), 1, 0)
+    assert run([1, 1], (0, 2))[0] == "ValueError: starting basis is singular"
+    assert run([2, 1], (0, 1))[1] == ((), 0, 0)
+
+
+def test_the_kept_basis_is_matched_in_order(monkeypatch):
+    run = _replayer([[1, 0], [0, 1], [2, 0]], [1, 1, 1], monkeypatch)
+    run([1, 3], (0, 1))
+    got, trace = run([1, 3], (1, 0))  # same columns, other order: inverted afresh
+    assert trace == (("_primal",), 1, 0)
+    assert got.basis == (1, 0) and got.x == {0: 1, 1: 3}
+
+
+def test_kept_inverse_survives_a_dual_simplex_that_ends_infeasible(monkeypatch):
+    columns = [[1, -3], [Fraction(-1, 2), 3], [1, 2], [1, 3]]
+    run = _replayer(columns, [-1, -3, 3, 3], monkeypatch)
+    assert run([3, 3], (0, 2))[0].basis == (0, 2)
+    got, trace = run([-1, 0], (0, 2))  # pivots on the kept inverse's copy
+    assert got.status == "infeasible" and trace == (("_dual",), 0, 2)
+    assert run([3, 3], (0, 2))[1] == ((), 0, 0)
+
+
+def test_warm_solve_sequences_match_fresh_solvers(monkeypatch):
+    rng = SplitMix64(11)
+    kept_hits = pivoted_hits = 0
+    for trial in range(120):
+        m = 1 + trial % 3
+        columns, objective = _rational_lp(rng, m, m + 2 + trial % 3)
+        run = _replayer(columns, objective, monkeypatch)
+        kept = None
+        for _ in range(8):
+            choice = rng.next_below(4)
+            if kept is None or choice == 0:
+                pool = list(range(len(columns)))
+                basis = tuple(pool.pop(rng.next_below(len(pool))) for _ in range(m))
+            else:
+                basis = kept[::-1] if choice == 1 else kept
+            got, (_, inverted, pivots) = run(_rational_rhs(rng, m), basis)
+            if not inverted and not isinstance(got, str):
+                kept_hits += 1
+                pivoted_hits += pivots > 0
+            if not isinstance(got, str) and got.status == "optimal":
+                kept = got.basis
+    assert kept_hits >= 300 and pivoted_hits >= 40, (kept_hits, pivoted_hits)
