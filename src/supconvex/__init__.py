@@ -13,7 +13,7 @@ lower bounds.
 # provenance, and pyproject.toml reads it as the package version.
 __version__ = "0.1.0"
 
-from ._rational import Rat, as_fraction, format_rat, parse_rat, rat
+from ._rational import Rat, format_rat, parse_rat
 from .averageable import (
     AffinePiece,
     AverageabilityCertificate,

@@ -1,61 +1,34 @@
-"""Exact rational arithmetic backend.
+"""Exact rational arithmetic.
 
 Every quantity in this package (coordinates, volumes, function values,
-integrals, constants) is an exact rational number.  We prefer gmpy2.mpq
-when it is installed and fall back to fractions.Fraction otherwise.  The
-hottest loops, the sup-convolution DP and the simplex pricing, run on
-plain ints from ``scaled`` whichever backend is active, so the backend
-only matters for the rational work around them (basis inverse updates,
-file and report values); how much gmpy2 still gains there has not been
-measured since those loops moved to integers.  Both types are
-registered with numbers.Rational, always store a reduced value with
-positive denominator, hash identically, and mix freely with ints, so
-the rest of the code never needs to know which backend is active.
+integrals, constants) is an exact rational number, a
+fractions.Fraction; ``Rat`` names the type.  The hottest loops, the
+sup-convolution DP and the exact simplex, run on plain ints from
+``scaled``: the DP on numerators over one denominator, the simplex on
+integer columns with a fraction-free basis (see exactlp).  Rationals
+remain at the boundary: function files, reports and certificates.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Rat = Fraction
+from fractions import Fraction as Rat
 
 ZERO = Rat(0)
 ONE = Rat(1)
 
 
-def rat(numerator, denominator=1):
-    """Build an exact rational from ints, strings, or rational values."""
-    return Rat(numerator, denominator)
-
-
-def as_fraction(x) -> Fraction:
-    """Convert any rational-like value to a stdlib Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x.numerator, x.denominator)
-
-
 def scaled(values):
     """(integer numerators, common denominator) of rational values, so
     that values[i] == nums[i] / den with den the lcm of the denominators.
-
-    int() keeps the results plain Python ints whichever backend is active.
     """
-    den = math.lcm(*(int(v.denominator) for v in values))
-    return [int(v.numerator) * (den // int(v.denominator)) for v in values], den
-
-
-def rat_floor(x) -> int:
-    return math.floor(x)
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def parse_rat(text: str):
     """Parse 'p/q', an integer literal, or a decimal like '0.25' exactly."""
-    return Rat(Fraction(text.strip()))
+    return Rat(text.strip())
 
 
 def format_rat(x) -> str:

@@ -4,7 +4,7 @@ exact elimination routine.
 Solves max c.x subject to A x = b, x >= 0 where every entry is an exact
 rational.  The systems in this package are tiny (at most about nine
 rows) but are solved many times, so the solver keeps an explicit basis
-inverse and supports warm starts:
+inverse, in integers, and supports warm starts:
 
 - a caller-supplied basis that is primal feasible for the new right
   hand side starts the primal simplex (zero pivots when it is already
@@ -22,26 +22,31 @@ Bland's smallest-index rule is used for both entering and leaving
 choices (and its dual analogue), so every loop terminates despite the
 heavy degeneracy typical of these geometric LPs.
 
-Pricing runs on plain integers.  The constructor writes each column as
-an integer vector A_j over a positive integer e_j, and an objective as
-integer numerators C_j over one denominator D.  A pricing pass forms
-the dual vector y = c_B B^-1 in rationals (one entry per row), scales
-it to integers Y / D_y, and prices column j as
+The basis is held in plain integers.  Column j, an integer vector A_j
+over a positive integer e_j, enters as A_j with cost C_j e_j, where
+C / D is the objective (D > 0 changes no sign and is dropped), and the
+right hand side as integers b / s.  A basis B is kept as det = |det B|,
+adj = det B^-1 and xb = adj b.  Column j is priced as
 
-    R_j = C_j D_y e_j - D (Y . A_j) = r_j D D_y e_j,
+    R_j = C_j e_j det - (c_B adj) . A_j = r_j D e_j det,
 
-the reduced cost r_j = c_j - y . col_j times a positive integer.  Only
-signs of R_j are read, except in the dual ratio test, which scales the
-leaving row of B^-1 to integers as well: W_j = w_j D_b e_j, so R_j / W_j
-is r_j / w_j times one positive factor common to all j, and ratios are
-compared by cross-multiplication.  The primal simplex prices columns in
-index order and stops at the first one that may enter.
+so only signs of R_j are read, except in the ratio tests: W_j =
+adj[row] . A_j is w_j times a positive factor common to all j, and so
+is xb[r] / d[r], so both tests cross-multiply.  The primal simplex
+prices columns in index order and stops at the first one that may
+enter.  A pivot on d = adj A_enter at p = d[row] is Edmonds' update:
+every row r other than row becomes (p adj[r] - d[r] adj[row]) // det,
+xb[r] likewise, and |p| is the new det (adj and xb change sign when p
+< 0, as in every dual pivot).  The division is exact because p times
+the new inverse is the new basis's adjugate up to sign, an integer
+matrix.  Rationals appear only where a basis is first inverted and in
+the returned x_j = e_j xb[r] / (det s).
 
 Reduced costs do not depend on the right hand side, so a basis once
 proved optimal stays dual feasible, and it is optimal again for every
 right hand side on which it is primal feasible.  The solver therefore
 keeps the last basis a warm solve proved optimal, in its order, with
-its inverse.  Handed that basis again, it copies the inverse instead of
+its adj and det.  Handed that basis again, it copies them instead of
 eliminating, and returns at once when the new basic solution is
 nonnegative: the primal simplex would find no entering column there.
 
@@ -107,109 +112,101 @@ class ExactSimplexSolver:
         if not columns:
             raise ValueError("need at least one column")
         self.m = len(columns[0])
-        self.cols = [tuple(Rat(v) for v in col) for col in columns]
-        for col in self.cols:
+        cols = [tuple(Rat(v) for v in col) for col in columns]
+        for col in cols:
             if len(col) != self.m:
                 raise ValueError("ragged column lengths")
-        if len(objective) != len(self.cols):
+        if len(objective) != len(cols):
             raise ValueError("objective length mismatch")
         self.obj = [Rat(v) for v in objective]
-        self._ints, dens = zip(*map(scaled, self.cols))
-        nums, den = scaled(self.obj)
-        # (c, C_j e_j, D) with c = C / D: what a pricing pass needs.
-        self._pricing = (self.obj, [c * e for c, e in zip(nums, dens)], den)
-        self._identity = [
-            [ONE if c == r else ZERO for c in range(self.m)] for r in range(self.m)
-        ]
-        self._proved = None  # (basis, inverse) of the last warm solve proved optimal
+        self._ints, self._dens = zip(*map(scaled, cols))
+        nums, _ = scaled(self.obj)
+        self._costs = [c * e for c, e in zip(nums, self._dens)]
+        self._identity = [[int(c == r) for c in range(self.m)] for r in range(self.m)]
+        self._proved = None  # (basis, adj, det) of the last warm solve proved optimal
 
     # -- basis linear algebra -------------------------------------------
 
     @staticmethod
     def _mat_vec(rows, vec):
-        return [sum((r[i] * vec[i] for i in range(len(vec))), ZERO) for r in rows]
+        return [sum(map(mul, row, vec)) for row in rows]
 
     @staticmethod
-    def _pivot(binv, xb, basis, row, direction, entering):
-        piv = direction[row]
-        inv = ONE / piv
-        binv[row] = [v * inv for v in binv[row]]
-        xb[row] *= inv
-        for r in range(len(binv)):
-            if r != row and direction[r] != 0:
-                f = direction[r]
-                base = binv[row]
-                target = binv[r]
-                for c in range(len(base)):
-                    target[c] -= f * base[c]
-                xb[r] -= f * xb[row]
+    def _pivot(adj, det, xb, basis, row, direction, entering):
+        """Edmonds' update of (adj, xb) in place; returns the new det."""
+        p = direction[row]
+        div = det if p > 0 else -det  # a negative divisor keeps det > 0
+        base, x_row = adj[row], xb[row]
+        for r, f in enumerate(direction):
+            if r != row:
+                adj[r] = [(p * a - f * b) // div for a, b in zip(adj[r], base)]
+                xb[r] = (p * xb[r] - f * x_row) // div
+            elif p < 0:
+                adj[r] = [-a for a in base]
+                xb[r] = -x_row
         basis[row] = entering
+        return abs(p)
 
     # -- simplex phases --------------------------------------------------
 
-    def _reduced_costs(self, binv, basis, pricing, allowed):
+    def _reduced_costs(self, adj, det, basis, costs, allowed):
         """R_j for the columns j < allowed, lazily and in index order.
 
-        R_j is the reduced cost r_j times the positive integer D D_y e_j,
+        R_j is the reduced cost r_j times the positive integer D e_j det,
         so it is 0 on every basic column.
         """
-        obj, ce, den = pricing
-        y = [
-            sum((obj[j] * row[i] for j, row in zip(basis, binv)), ZERO)
-            for i in range(self.m)
-        ]
-        ys, dy = scaled(y)
+        cb = [costs[j] for j in basis]
+        y = [sum(map(mul, cb, col)) for col in zip(*adj)]
         return (
-            cj * dy - den * sum(map(mul, ys, a))
-            for cj, a in zip(islice(ce, allowed), self._ints)
+            cj * det - sum(map(mul, y, a))
+            for cj, a in zip(islice(costs, allowed), self._ints)
         )
 
-    def _primal(self, binv, xb, basis, pricing, allowed):
+    def _primal(self, adj, det, xb, basis, costs, allowed):
+        """Returns (status, det)."""
         while True:
-            reduced = self._reduced_costs(binv, basis, pricing, allowed)
+            reduced = self._reduced_costs(adj, det, basis, costs, allowed)
             entering = next((j for j, rj in enumerate(reduced) if rj > 0), None)
             if entering is None:
-                return "optimal"
-            d = self._mat_vec(binv, self.cols[entering])
+                return "optimal", det
+            d = self._mat_vec(adj, self._ints[entering])
             row = None
-            best = None
             for r in range(self.m):
-                if d[r] > 0:
-                    ratio = xb[r] / d[r]
-                    if best is None or ratio < best or (
-                        ratio == best and basis[r] < basis[row]
-                    ):
-                        best = ratio
-                        row = r
+                # xb[r] / d[r] below xb[row] / d[row], or tied at a
+                # smaller basis index.
+                if d[r] > 0 and (
+                    row is None
+                    or (xb[r] * d[row], basis[r]) < (xb[row] * d[r], basis[row])
+                ):
+                    row = r
             if row is None:
-                return "unbounded"
-            self._pivot(binv, xb, basis, row, d, entering)
+                return "unbounded", det
+            det = self._pivot(adj, det, xb, basis, row, d, entering)
 
-    def _dual(self, binv, xb, basis):
+    def _dual(self, adj, det, xb, basis):
+        """Returns (status, det); status None when not dual feasible."""
         while True:
             row = None
             for r in range(self.m):
                 if xb[r] < 0 and (row is None or basis[r] < basis[row]):
                     row = r
             if row is None:
-                return "optimal"
-            reduced = list(self._reduced_costs(binv, basis, self._pricing, len(self.cols)))
+                return "optimal", det
+            reduced = list(self._reduced_costs(adj, det, basis, self._costs, len(self._ints)))
             if any(rj > 0 for rj in reduced):
-                return None  # not dual feasible (only possible before a pivot)
-            # Entering: the smallest j minimising r_j / w_j over w_j < 0.
-            # W_j = w_j D_b e_j, so for W_j, W_b < 0 that ratio is below
-            # r_b / w_b exactly when R_j W_b < R_b W_j.  W_j >= 0 on
-            # every basic column.
-            brow, _ = scaled(binv[row])
+                return None, det  # not dual feasible (only possible before a pivot)
+            # Entering: the smallest j minimising r_j / w_j over w_j < 0,
+            # which for W_j, W_b < 0 is below r_b / w_b exactly when
+            # R_j W_b < R_b W_j.  W_j >= 0 on every basic column.
             entering = None
             for j, (rj, a) in enumerate(zip(reduced, self._ints)):
-                wj = sum(map(mul, brow, a))
+                wj = sum(map(mul, adj[row], a))
                 if wj < 0 and (entering is None or rj * wb < rb * wj):
                     entering, rb, wb = j, rj, wj
             if entering is None:
-                return "infeasible"
-            d = self._mat_vec(binv, self.cols[entering])
-            self._pivot(binv, xb, basis, row, d, entering)
+                return "infeasible", det
+            d = self._mat_vec(adj, self._ints[entering])
+            det = self._pivot(adj, det, xb, basis, row, d, entering)
 
     # -- public entry points ----------------------------------------------
 
@@ -217,44 +214,51 @@ class ExactSimplexSolver:
         rhs = [Rat(v) for v in rhs]
         if len(rhs) != self.m:
             raise ValueError("rhs length mismatch")
+        b, s = scaled(rhs)
         if basis is not None:
             basis = list(basis)
+            if len(basis) != self.m:
+                raise ValueError("basis length mismatch")
             proved = self._proved is not None and self._proved[0] == tuple(basis)
             if proved:
-                binv = [row[:] for row in self._proved[1]]
+                adj, det = [row[:] for row in self._proved[1]], self._proved[2]
             else:
                 # The transposed basis (its columns as rows) eliminated
                 # against the identity yields the rows of the inverse.
-                _, binv = eliminate([self.cols[j] for j in basis], self._identity)
-                if binv is None:
+                det, inverse = eliminate([self._ints[j] for j in basis], self._identity)
+                if inverse is None:
                     raise ValueError("starting basis is singular")
-            xb = self._mat_vec(binv, rhs)
+                det = abs(int(det))
+                adj = [[int(v * det) for v in row] for row in inverse]
+            xb = self._mat_vec(adj, b)
             if any(v < 0 for v in xb):
-                status = self._dual(binv, xb, basis)
+                status, det = self._dual(adj, det, xb, basis)
             elif proved:
                 status = "optimal"
             else:
-                status = self._primal(binv, xb, basis, self._pricing, len(self.cols))
+                status, det = self._primal(adj, det, xb, basis, self._costs, len(self._ints))
             if status == "optimal":
-                # binv belongs to this call, and nothing changes it after
+                # adj belongs to this call, and nothing changes it after
                 # the return; a later hit works on a copy.
-                self._proved = (tuple(basis), binv)
+                self._proved = (tuple(basis), adj, det)
             if status is not None:
-                return self._solution(status, xb, basis)
-        return self._two_phase(rhs)
+                return self._solution(status, xb, det, s, basis)
+        return self._two_phase(b, s)
 
-    def _two_phase(self, rhs) -> Solution:
+    def _two_phase(self, b, s) -> Solution:
         m = self.m
-        n_real = len(self.cols)
-        signs = [ONE if v >= 0 else -ONE for v in rhs]
-        art_cols = [
-            tuple(signs[i] if r == i else ZERO for r in range(m)) for i in range(m)
-        ]
-        phase1 = ExactSimplexSolver(self.cols + art_cols, [ZERO] * n_real + [-ONE] * m)
+        n_real = len(self._ints)
+        art_cols = tuple(
+            tuple((1 if b[i] >= 0 else -1) if r == i else 0 for r in range(m))
+            for i in range(m)
+        )
+        # Integer columns plus artificials need no conversion: skip __init__.
+        phase1 = ExactSimplexSolver.__new__(ExactSimplexSolver)
+        phase1.m, phase1._ints = m, self._ints + art_cols
         basis = list(range(n_real, n_real + m))
-        binv = [list(col) for col in art_cols]  # diag(signs) is its own inverse
-        xb = [abs(v) for v in rhs]
-        status = phase1._primal(binv, xb, basis, phase1._pricing, n_real + m)
+        adj = [list(col) for col in art_cols]  # diag(signs) is its own inverse
+        xb = [abs(v) for v in b]
+        status, det = phase1._primal(adj, 1, xb, basis, [0] * n_real + [-1] * m, n_real + m)
         if status != "optimal":  # pragma: no cover - phase 1 is bounded
             return Solution(status, None, None, None)
         if any(xb[r] != 0 for r in range(m) if basis[r] >= n_real):
@@ -263,26 +267,21 @@ class ExactSimplexSolver:
         # (w_j is 0 on the real columns already basic).
         for r in range(m):
             if basis[r] >= n_real:
-                brow, _ = scaled(binv[r])
                 for j, a in enumerate(self._ints):
-                    if sum(map(mul, brow, a)) != 0:
-                        d = self._mat_vec(binv, self.cols[j])
-                        self._pivot(binv, xb, basis, r, d, j)
+                    if sum(map(mul, adj[r], a)) != 0:
+                        d = self._mat_vec(adj, a)
+                        det = self._pivot(adj, det, xb, basis, r, d, j)
                         break
         # Phase 2 prices the real columns only; basic artificials cost 0.
-        obj, ce, den = self._pricing
-        status = phase1._primal(binv, xb, basis, (obj + [ZERO] * m, ce, den), n_real)
-        return self._solution(status, xb, basis)
+        status, det = phase1._primal(adj, det, xb, basis, self._costs + [0] * m, n_real)
+        return self._solution(status, xb, det, s, basis)
 
-    def _solution(self, status, xb, basis) -> Solution:
+    def _solution(self, status, xb, det, s, basis) -> Solution:
         if status != "optimal":
             return Solution(status, None, None, None)
-        x = {}
-        value = ZERO
-        for r, j in enumerate(basis):
-            if j < len(self.cols):
-                x[j] = xb[r]
-                value += self.obj[j] * xb[r]
+        n_real = len(self._ints)
+        x = {j: Rat(self._dens[j] * v, det * s) for j, v in zip(basis, xb) if j < n_real}
+        value = sum((self.obj[j] * v for j, v in x.items()), ZERO)
         return Solution("optimal", value, x, tuple(basis))
 
 

@@ -321,8 +321,11 @@ def extremal_grid_report(k: int, n: int, resolution: int) -> ExtremalGridReport:
     """Cell-accounted integrals for the extremal function.
 
     Needs every subdivision cell to contain a strictly interior lattice
-    point of the given resolution (a multiple of lcm(1..max(n, k+1))
-    always works); raises ValueError otherwise.
+    point of the given resolution N, and raises ValueError otherwise.
+    A multiple N of n with N / n >= k + 1 always suffices: scaled by n,
+    a level-m cell is a slice of a unit cube, whose interior points on
+    the 1/(N/n) grid need N / n >= (k + 1) / min(m, k + 1 - m).  Many
+    other N work as well.
     """
     f = make_extremal(k, resolution)
     _check_caps(f.lattice, n)

@@ -26,9 +26,9 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from math import comb
+from math import comb, floor
 
-from ._rational import ONE, Rat, rat_floor
+from ._rational import ONE, Rat
 from .exactlp import eliminate
 from .geometry import DIM_CAP, BaryPoint, _check_dim, compositions
 
@@ -190,7 +190,7 @@ def classify_point(k: int, n: int, point: BaryPoint) -> CellLocation:
     boundary = False
     for c in point.coords:
         y = n * c
-        f = int(rat_floor(y))  # plain int so shifts serialize and compare
+        f = floor(y)  # an int, so shifts serialize and compare
         if y == f:
             boundary = True
         floors.append(f)

@@ -2,8 +2,8 @@
 
 Everything here is deliberately written against fractions.Fraction and
 plain itertools enumeration, sharing no code path with the package
-(which may run on gmpy2 rationals and uses LPs / DP / recurrences), so
-agreement between the two is meaningful.
+(which uses integer kernels, LPs, DP and recurrences), so agreement
+between the two is meaningful.
 """
 
 from fractions import Fraction

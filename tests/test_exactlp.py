@@ -1,3 +1,6 @@
+import math
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -97,6 +100,10 @@ def test_input_validation():
     solver = ExactSimplexSolver([[Fraction(1)]], [Fraction(1)])
     with pytest.raises(ValueError):
         solver.solve([Fraction(1), Fraction(2)])
+    solver = ExactSimplexSolver([[1, 0], [0, 1], [1, 1]], [1, 1, 3])
+    for basis in ((2,), (0, 1, 2)):
+        with pytest.raises(ValueError, match="basis length mismatch"):
+            solver.solve([1, 1], basis)
 
 
 # -- eliminate ---------------------------------------------------------------
@@ -254,7 +261,7 @@ def test_dual_simplex_reports_infeasible(monkeypatch):
     _assert_matches_cold(columns, objective, [-1, 2], warm)
 
 
-# -- integer pricing ---------------------------------------------------------
+# -- integer basis and pricing -----------------------------------------------
 
 
 def _rational(rng):
@@ -313,6 +320,18 @@ def _fraction_reduced_costs(columns, objective, basis, binv):
     ]
 
 
+def _integer_basis(columns, basis):
+    """(adj, det) = (det B^-1, |det B|) for the basis B of integer
+    columns, from the oracle inverse and the Leibniz determinant; None
+    when B is singular."""
+    matrix = [[Fraction(columns[j][i]) for j in basis] for i in range(len(columns[0]))]
+    inverse = _invert(matrix)
+    if inverse is None:
+        return None
+    det = abs(_det_by_permutations(matrix))
+    return [[int(det * v) for v in row] for row in inverse], int(det)
+
+
 def test_integer_reduced_costs_have_the_signs_of_the_fraction_ones():
     rng = SplitMix64(5)
     for trial in range(60):
@@ -324,7 +343,8 @@ def test_integer_reduced_costs_have_the_signs_of_the_fraction_ones():
             if binv is None:
                 continue
             expected = _fraction_reduced_costs(columns, objective, basis, binv)
-            got = solver._reduced_costs(binv, list(basis), solver._pricing, len(columns))
+            adj, det = _integer_basis(solver._ints, basis)
+            got = solver._reduced_costs(adj, det, list(basis), solver._costs, len(columns))
             assert list(map(_sign, got)) == list(map(_sign, expected))
 
 
@@ -350,7 +370,8 @@ def test_dual_ratio_tie_goes_to_the_smallest_index(monkeypatch):
     assert ties == [2, 3] and cols[2][0].denominator != cols[3][0].denominator
 
     solver = ExactSimplexSolver(columns, objective)
-    priced = solver._reduced_costs(binv, list(basis), solver._pricing, len(columns))
+    adj, det = _integer_basis(solver._ints, basis)
+    priced = solver._reduced_costs(adj, det, list(basis), solver._costs, len(columns))
     assert list(map(_sign, priced)) == list(map(_sign, reduced))
     taken = _record_paths(solver, monkeypatch)
     entered = []
@@ -362,6 +383,45 @@ def test_dual_ratio_tie_goes_to_the_smallest_index(monkeypatch):
     assert taken == ["_dual"] and entered == [min(ties)]
     assert sol.basis == (2, 1) and sol.x == {2: 2, 1: 1} and sol.value == -3
     _assert_matches_cold(columns, objective, rhs, sol)
+
+
+def test_every_pivot_keeps_the_integer_adjugate_and_determinant(monkeypatch):
+    # After each pivot, det = |det B| and adj = det B^-1 over the integer
+    # columns the solver pivots on (the artificials of a two-phase solve
+    # are sign(b_i) e_i), and xb = adj b for the rhs scaled to integers.
+    pivot = ExactSimplexSolver._pivot
+    kinds = Counter()
+    lp = {}
+
+    def checked_pivot(adj, det, xb, basis, row, direction, entering):
+        caller = sys._getframe(1).f_code.co_name
+        new_det = pivot(adj, det, xb, basis, row, direction, entering)
+        kinds["drive-out" if caller == "_two_phase" else caller] += 1
+        kinds["negative p"] += direction[row] < 0
+        assert all(type(v) is int for v in [new_det, *xb, *(a for r in adj for a in r)])
+        assert (adj, new_det) == _integer_basis(lp["columns"], basis)
+        assert xb == [sum(map(lambda a, v: a * v, r, lp["b"])) for r in adj]
+        return new_det
+
+    monkeypatch.setattr(ExactSimplexSolver, "_pivot", staticmethod(checked_pivot))
+    rng = SplitMix64(17)
+    for trial in range(60):
+        m = 1 + trial % 3
+        columns, objective = _rational_lp(rng, m, m + 2 + trial % 3)
+        solver = ExactSimplexSolver(columns, objective)
+        for rhs in (_rational_rhs(rng, m), [Fraction(1)] + [Fraction(0)] * (m - 1)):
+            s = math.lcm(*(v.denominator for v in rhs))
+            lp["b"] = [int(v * s) for v in rhs]
+            units = [[int(r == i) * (1 if v >= 0 else -1) for r in range(m)] for i, v in enumerate(rhs)]
+            lp["columns"] = list(solver._ints) + units
+            solver.solve(rhs)
+            for basis in combinations(range(len(columns)), m):
+                try:
+                    solver.solve(rhs, basis)
+                except ValueError:
+                    continue  # singular starting basis
+    assert kinds["_primal"] >= 2000 and kinds["_dual"] >= 100, kinds
+    assert kinds["drive-out"] >= 20 and kinds["negative p"] >= 100, kinds
 
 
 # -- reuse of the basis last proved optimal ----------------------------------

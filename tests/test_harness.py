@@ -240,6 +240,19 @@ def test_extremal_grid_missing_representative():
         extremal_grid_report(2, 2, 4)
 
 
+@pytest.mark.parametrize("k, n, resolution", [(2, 3, 6), (3, 4, 12)])
+def test_extremal_grid_multiples_of_lcm_can_miss_a_representative(k, n, resolution):
+    # Both resolutions are multiples of lcm(1..max(n, k+1)), but N / n
+    # < k + 1 leaves the level-1 cells without a strictly interior point.
+    with pytest.raises(ValueError, match="no interior lattice representative"):
+        extremal_grid_report(k, n, resolution)
+
+
+def test_extremal_grid_at_n_times_k_plus_1():
+    rep = extremal_grid_report(2, 3, 9)  # N / n = k + 1
+    assert rep.ratio == Fraction(5, 9) == sharp_constant(2, 3)
+
+
 def test_subdivision_svg_counts():
     svg = subdivision_svg(4)
     assert svg.count('class="up"') == 10
