@@ -324,7 +324,8 @@ def verify_certificate(
     integrates by equal-weight lattice quadrature and therefore uses
     the tolerance; it runs on the provided functions, or on
     make_random(k, TRANSPORT_RESOLUTION, seed + t) for t < trials (0 at
-    vertices, values in [-1, 0]).
+    vertices, values in [-1, 0]).  Target membership does not depend on
+    the function, so it is computed once per distinct lattice.
     """
     checks = []
     tri = standard_simplex(cert.k)
@@ -391,9 +392,13 @@ def verify_certificate(
         ]
     transport_ok = True
     witness = ""
+    target_masks = {}  # lattice -> per-point membership, independent of f
     for t, f in enumerate(functions):
         conv = sup_convolve_n(f, cert.m)
-        inside = [v for v, p in zip(conv.values, f.lattice.points) if cert.target.member(p)]
+        mask = target_masks.get(f.lattice)
+        if mask is None:
+            mask = target_masks[f.lattice] = [cert.target.member(p) for p in f.lattice.points]
+        inside = [v for v, keep in zip(conv.values, mask) if keep]
         if not inside:
             transport_ok = False
             witness = "no lattice points inside the target"

@@ -28,17 +28,23 @@ translates covering T with |A| < n^(l(k+1)), which yields the positive
 derived constant (1 - |A|/n^(l(k+1))) / sum of constants.
 
 Cover certification subdivides T into hypersimplex cells and requires
-every cell to sit inside one chosen translate.  Some coverable regions
-need cells finer than the translate scale (a reversed middle cell never
-fits in an upright translate of its own size), so certification may
-refine the cell resolution a bounded number of times before giving up;
-a cell with a vertex or barycenter outside every candidate translate is
-a proof that no refinement can help, and the search reports failure.
+every cell to sit inside one chosen translate.  The test is exact and
+needs only integers: cell (m, s) at resolution R has the vertices
+(u + s)/R over 0/1 vectors u with m <= k ones, so its coordinatewise
+minimum is s/R, and the translate o + T/n^level is {p in T : p >= o};
+hence the cell lies in the translate iff s_i >= ceil(R*o_i) for every
+i.  Some coverable regions need cells finer than the translate scale
+(a reversed middle cell never fits in an upright translate of its own
+size), so certification may refine the cell resolution a bounded
+number of times before giving up; a cell with a vertex or barycenter
+outside every candidate translate is a proof that no refinement can
+help, and the search reports failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ceil
 
 from ._rational import ONE, ZERO, Rat
 from .geometry import BaryPoint, Simplex, _check_dim, standard_simplex
@@ -46,6 +52,10 @@ from .subdivision import cell_vertices, enumerate_shifts, subdivide
 
 # Cell refinements find_cover tries beyond the translate scale.
 MAX_REFINE = 2
+
+# Blends one closure may build; a round that would pass it raises
+# ValueError before it starts.
+BLEND_CAP = 450_000
 
 
 @dataclass(frozen=True)
@@ -88,11 +98,15 @@ def _root_translate(k: int, n: int) -> GoodTranslate:
     return GoodTranslate(k, n, 0, tuple(ZERO for _ in range(k + 1)), ZERO, ("root",))
 
 
+def _mix(n: int, p, q):
+    """((n-1)*p + q)/n for rationals p and q, normalised once."""
+    pd, qd = p.denominator, q.denominator
+    return Rat((n - 1) * p.numerator * qd + q.numerator * pd, pd * qd * n)
+
+
 def _corner_child(t: GoodTranslate, i: int) -> GoodTranslate:
     n = t.n
-    offset = tuple(
-        (Rat(n - 1) * (ONE if j == i else ZERO) + o) / n for j, o in enumerate(t.offset)
-    )
+    offset = tuple(_mix(n, ONE if j == i else ZERO, o) for j, o in enumerate(t.offset))
     constant = 1 + t.constant / Rat(n) ** (t.k + 1)
     return GoodTranslate(t.k, n, t.level + 1, offset, constant, ("corner", i, t.derivation))
 
@@ -101,8 +115,8 @@ def _blend(a: GoodTranslate, b: GoodTranslate) -> GoodTranslate:
     if a.level != b.level:
         raise ValueError("blending requires equal levels")
     n = a.n
-    offset = tuple((Rat(n - 1) * oa + ob) / n for oa, ob in zip(a.offset, b.offset))
-    constant = 1 + (Rat(n - 1) * a.constant + b.constant) / n
+    offset = tuple(_mix(n, oa, ob) for oa, ob in zip(a.offset, b.offset))
+    constant = 1 + _mix(n, a.constant, b.constant)
     return GoodTranslate(a.k, n, a.level, offset, constant, ("blend", a.derivation, b.derivation))
 
 
@@ -127,7 +141,10 @@ def closure_good(
     deterministic: corner children of all previous-level translates,
     then a fixed number of blend rounds over the sorted current level.
     When the node budget is hit the result is returned with
-    truncated=True rather than failing.
+    truncated=True rather than failing.  The budget is checked only
+    between blend rounds, and a round over s translates builds
+    s*(s-1) blends, so a closure whose blends would pass BLEND_CAP
+    raises ValueError before the round that would pass it.
     """
     _check_dim(k)
     if n < 2:
@@ -137,6 +154,7 @@ def closure_good(
     levels = [{(ZERO,) * (k + 1): _root_translate(k, n)}]
     truncated = False
     total = 1
+    blends = 0
     for _ in range(max_level):
         current: dict = {}
 
@@ -153,14 +171,13 @@ def closure_good(
                 truncated = True
                 break
             snapshot = [current[o] for o in sorted(current)]
-            fresh = []
+            blends += len(snapshot) * (len(snapshot) - 1)
+            if blends > BLEND_CAP:
+                raise ValueError(f"closure needs at least {blends} blends (cap {BLEND_CAP})")
             for a in snapshot:
                 for b in snapshot:
-                    if a.offset == b.offset:
-                        continue
-                    fresh.append(_blend(a, b))
-            for t in fresh:
-                consider(t)
+                    if a is not b:
+                        consider(_blend(a, b))
         total += len(current)
         levels.append(current)
         if total > budget:
@@ -193,14 +210,41 @@ class CoverCertificate:
         return len(self.family)
 
 
+def coverage_masks(translates, cells, resolution: int):
+    """For each translate, the bitmask of the cells lying inside it.
+
+    Bit idx stands for cells[idx], a cell of subdivide(k, resolution).
+    at_least[i][c] holds the cells with shift[i] >= c; a translate's
+    mask is the AND of at_least[i][ceil(resolution*o_i)] over its offset
+    o.  Offsets are below 1, so every threshold is at most resolution,
+    where the mask is empty (no cell has a shift entry that large).
+    """
+    at_least = [[0] * (resolution + 1) for _ in range(cells[0].k + 1)]
+    for idx, cell in enumerate(cells):
+        bit = 1 << idx
+        for row, s in zip(at_least, cell.shift):
+            row[s] |= bit
+    for row in at_least:
+        for c in range(resolution - 1, -1, -1):
+            row[c] |= row[c + 1]
+    masks = []
+    for t in translates:
+        mask = -1
+        for row, o in zip(at_least, t.offset):
+            mask &= row[ceil(resolution * o)]
+        masks.append(mask)
+    return masks
+
+
 def find_cover(k: int, n: int, level: int, translates=None):
     """Select a covering family among level-`level` good translates.
 
     Certification subdivides T at resolution n^(level+r) for
     r = 0..MAX_REFINE and requires each cell inside a single chosen
-    translate; a greedy set cover picks the family.  Returns None when
-    no admissible cover exists (some point provably uncovered, or the
-    family is not smaller than the trivial count).
+    translate, tested by integer thresholds (coverage_masks); a greedy
+    set cover picks the family.  Returns None when no admissible cover
+    exists (some point provably uncovered, or the family is not smaller
+    than the trivial count).
     """
     if level < 1:
         raise ValueError("cover level must be >= 1")
@@ -216,49 +260,40 @@ def find_cover(k: int, n: int, level: int, translates=None):
     for extra in range(MAX_REFINE + 1):
         resolution = n ** (level + extra)
         cells = subdivide(k, resolution)
-        cell_tests = []
-        for cell in cells:
-            verts = cell_vertices(cell)
-            d = len(verts)
-            bary = BaryPoint(
-                tuple(sum((v.coords[i] for v in verts), ZERO) / d for i in range(k + 1))
-            )
-            cell_tests.append((verts, bary))
-        coverage = []
-        for t in pool:
-            covered = frozenset(
-                idx
-                for idx, (verts, _) in enumerate(cell_tests)
-                if all(t.contains_point(v) for v in verts)
-            )
-            coverage.append(covered)
-        all_cells = frozenset(range(len(cells)))
-        union = frozenset().union(*coverage) if coverage else frozenset()
+        coverage = coverage_masks(pool, cells, resolution)
+        all_cells = (1 << len(cells)) - 1
+        union = 0
+        for cov in coverage:
+            union |= cov
         if union != all_cells:
-            for idx in sorted(all_cells - union):
-                verts, bary = cell_tests[idx]
-                for p in list(verts) + [bary]:
+            missed = all_cells & ~union
+            for idx, cell in enumerate(cells):
+                if not missed >> idx & 1:
+                    continue
+                verts = cell_vertices(cell)
+                d = len(verts)
+                bary = BaryPoint(
+                    tuple(sum((v.coords[i] for v in verts), ZERO) / d for i in range(k + 1))
+                )
+                for p in verts + [bary]:
                     if not any(t.contains_point(p) for t in pool):
                         return None  # provably uncoverable, refinement useless
             continue  # coverable but cells too coarse; refine
-        uncovered = set(all_cells)
+        uncovered = all_cells
         chosen = []
-        chosen_idx = set()
         while uncovered:
+            # Chosen translates gain nothing more, so they are never picked again.
             best_i = None
             best_gain = 0
             for i, cov in enumerate(coverage):
-                if i in chosen_idx:
-                    continue
-                gain = len(cov & uncovered)
+                gain = (cov & uncovered).bit_count()
                 if gain > best_gain:
                     best_gain = gain
                     best_i = i
             if best_i is None:  # pragma: no cover - union covers all cells
                 return None
-            chosen_idx.add(best_i)
             chosen.append(pool[best_i])
-            uncovered -= coverage[best_i]
+            uncovered &= ~coverage[best_i]
         if len(chosen) >= bound:
             return None
         total_constant = sum((t.constant for t in chosen), ZERO)

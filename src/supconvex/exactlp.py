@@ -219,6 +219,11 @@ class ExactSimplexSolver:
             basis = list(basis)
             if len(basis) != self.m:
                 raise ValueError("basis length mismatch")
+            n_cols = len(self._ints)
+            for j in basis:
+                # Negative indices would wrap to the last columns.
+                if type(j) is not int or not 0 <= j < n_cols:
+                    raise ValueError(f"basis index {j!r} is not a column index in range({n_cols})")
             proved = self._proved is not None and self._proved[0] == tuple(basis)
             if proved:
                 adj, det = [row[:] for row in self._proved[1]], self._proved[2]

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -189,3 +190,29 @@ def test_explicit_functions_accepted():
     )
     report = verify_certificate(cert, functions=[f])
     assert report.passed
+
+
+def test_target_membership_is_computed_once_per_lattice():
+    cert = averaging_certificate(2, 2)
+    asked = Counter()
+
+    def member(p):
+        asked[p.coords] += 1
+        return cert.target.member(p)
+
+    counted = dataclasses.replace(cert, target=dataclasses.replace(cert.target, member=member))
+    verify_certificate(counted, functions=[])
+    structural = asked.copy()  # the image-tiling check asks about vertices
+    asked.clear()
+    lattices = (lattice(2, 4), lattice(2, 6))
+    functions = [
+        sampled_function(
+            lat, [0 if lat.resolution in pt else Fraction(-1, 2) for pt in lat.int_points]
+        )
+        for lat in lattices
+    ]
+    report = verify_certificate(counted, functions=functions + functions)
+    assert report.passed
+    transport = asked - structural
+    # Each lattice gets its own mask, asked once per point and reused.
+    assert transport == Counter(p.coords for lat in lattices for p in lat.points)

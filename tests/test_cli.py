@@ -161,6 +161,16 @@ def test_oversized_sizes_exit_1_fast(capsys, tmp_path):
         assert "cap" in capsys.readouterr().err
 
 
+def test_oversized_closures_exit_1_fast(capsys):
+    # Uncapped, (2, 3, 2) would build 7,966,506 blends in one round and
+    # (3, 2, 2) 2,655,270; the cap refuses each before that round starts.
+    for k, n in ((2, 3), (3, 2)):
+        start = time.perf_counter()
+        assert main(["cover", "--k", str(k), "--n", str(n), "--max-level", "2"]) == 1
+        assert time.perf_counter() - start < 2
+        assert "blends (cap" in capsys.readouterr().err
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     out = tmp_path / "payload.json"
     code, shown = run(

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import comb
 
@@ -7,13 +8,17 @@ from supconvex import (
     GoodTranslate,
     bary_point,
     best_cover,
+    cell_vertices,
     closure_good,
     contains,
     find_cover,
     relative_volume,
     replay_derivation,
     scaled_simplex_cover,
+    subdivide,
 )
+from supconvex.cli import main
+from supconvex.cover import MAX_REFINE, coverage_masks
 
 
 def test_closure_k1_n2_level1():
@@ -145,3 +150,48 @@ def test_scaled_simplex_cover_validation():
         scaled_simplex_cover(2, 2)
     with pytest.raises(ValueError):
         scaled_simplex_cover(3, 3)
+
+
+@pytest.mark.parametrize(
+    "k, n, level",
+    [(1, 2, 1), (1, 3, 1), (1, 4, 1), (2, 2, 1), (2, 3, 1), (3, 2, 1), (1, 2, 2)],
+)
+def test_coverage_masks_match_the_vertex_oracle(k, n, level):
+    # A cell lies in a translate iff all its vertices do.
+    pool = closure_good(k, n, level).at_level(level)
+    for extra in range(MAX_REFINE + 1):
+        resolution = n ** (level + extra)
+        cells = subdivide(k, resolution)
+        verts = [cell_vertices(cell) for cell in cells]
+        for t, mask in zip(pool, coverage_masks(pool, cells, resolution), strict=True):
+            oracle = sum(
+                1 << idx
+                for idx, vs in enumerate(verts)
+                if all(t.contains_point(v) for v in vs)
+            )
+            assert mask == oracle, (t.offset, resolution)
+
+
+# sha256 of the `cover --k K --n N --max-level L` output, recorded with the
+# earlier certification that tested every cell vertex in Fraction arithmetic.
+COVER_OUTPUTS = [
+    (1, 2, 1, 0, "88dfddfc701ab3fc376162392c01937c548bc5a0e663013d6cfb452ffc5be364"),
+    (1, 3, 1, 0, "1c35ebf6f06c0bdd0b18116523f5ac0c53163c9249d089d8740132053fabc1b5"),
+    (1, 4, 1, 0, "4b2d24acf1da0a70197412a125b79a6fe671bac3789a89700101d967369845a0"),
+    (2, 2, 1, 0, "983c8fb69184c1935d2563e1bee6d409701934b4539c43749ddccf4a621439c9"),
+    (2, 3, 1, 0, "2a1f61e8b2f3e7078279a0f79cf9fb8fc19274649f4ff8b0e95a85356660cbd2"),
+    (3, 2, 1, 2, "bc9c9ca587edffa3ff95baf348a0af95e141e2b4557da005a7f98a8cc90b2cd1"),
+    (1, 2, 2, 0, "9fe46dccf0f7ae276c87dbf4f2763e80cddc2b3c8f649879beb50056a0b9fe88"),
+    (2, 4, 1, 2, "3b9aa3efc9ef8a701815b14553e202dcd7aef5c2631cedcd2458594889a76069"),
+    (3, 3, 1, 2, "f683d9ddd1adcf2e103210d0732af3485dbca68055e060063854701cb245b072"),
+    (1, 3, 2, 0, "a09774b33276b893ae56737e590f017d9ef44f15ab8bbdc045dfc5ab61f93ffd"),
+    (2, 2, 2, 0, "12e587cc94987d812801d424b9f87315587fb5e462210eaf0dc1ae4abfa63adb"),
+    (2, 2, 3, 0, "f72ea1147e26f7f8bfeb49d0d5fc480dc398a024ae842afaef37acc991bed44d"),
+]
+
+
+@pytest.mark.parametrize("k, n, level, code, digest", COVER_OUTPUTS)
+def test_cover_output_bytes_are_pinned(capsys, k, n, level, code, digest):
+    assert main(["cover", "--k", str(k), "--n", str(n), "--max-level", str(level)]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -104,6 +104,9 @@ def test_input_validation():
     for basis in ((2,), (0, 1, 2)):
         with pytest.raises(ValueError, match="basis length mismatch"):
             solver.solve([1, 1], basis)
+    for basis in ((-1, 1), (0, 3), (0, 1.0), (True, 1)):
+        with pytest.raises(ValueError, match="not a column index in range\\(3\\)"):
+            solver.solve([1, 2], basis)
 
 
 # -- eliminate ---------------------------------------------------------------
