@@ -49,6 +49,10 @@ from .supconvolve import sup_convolve_n
 
 # Lattice resolution of the transport check's sampled functions.
 TRANSPORT_RESOLUTION = 4
+# Cap on the transport check's random trials.  On a 2-vCPU host the
+# slowest trial, that of the (4, 4) certificate, takes 3-4.5 ms, and
+# `averageable --k 4 --m 4` at the cap takes 15 s.
+TRIALS_CAP = 5000
 
 
 class UnsupportedCertificateError(ValueError):
@@ -324,9 +328,12 @@ def verify_certificate(
     integrates by equal-weight lattice quadrature and therefore uses
     the tolerance; it runs on the provided functions, or on
     make_random(k, TRANSPORT_RESOLUTION, seed + t) for t < trials (0 at
-    vertices, values in [-1, 0]).  Target membership does not depend on
-    the function, so it is computed once per distinct lattice.
+    vertices, values in [-1, 0]), each drawn as the loop reaches it;
+    trials must lie in 1..TRIALS_CAP.  Target membership does not depend
+    on the function, so it is computed once per distinct lattice.
     """
+    if functions is None and not 1 <= trials <= TRIALS_CAP:
+        raise ValueError(f"trials must be in 1..{TRIALS_CAP} (cap), got {trials}")
     checks = []
     tri = standard_simplex(cert.k)
 
@@ -387,9 +394,9 @@ def verify_certificate(
     )
 
     if functions is None:
-        functions = [
+        functions = (
             make_random(cert.k, TRANSPORT_RESOLUTION, seed + t) for t in range(trials)
-        ]
+        )
     transport_ok = True
     witness = ""
     target_masks = {}  # lattice -> per-point membership, independent of f

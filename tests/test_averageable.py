@@ -17,6 +17,7 @@ from supconvex import (
     simplex,
     verify_certificate,
 )
+from supconvex import averageable
 
 EXPECTED_JACOBIANS = {
     (1, 1): Fraction(1),
@@ -216,3 +217,21 @@ def test_target_membership_is_computed_once_per_lattice():
     transport = asked - structural
     # Each lattice gets its own mask, asked once per point and reused.
     assert transport == Counter(p.coords for lat in lattices for p in lat.points)
+
+
+def test_transport_draws_each_function_as_it_is_checked(monkeypatch):
+    events = []
+    draw, convolve = averageable.make_random, averageable.sup_convolve_n
+    monkeypatch.setattr(averageable, "make_random", lambda *a: events.append("draw") or draw(*a))
+    monkeypatch.setattr(
+        averageable, "sup_convolve_n", lambda *a: events.append("convolve") or convolve(*a)
+    )
+    assert verify_certificate(averaging_certificate(2, 2), trials=3, seed=7).passed
+    assert events == ["draw", "convolve"] * 3
+
+
+def test_trial_counts_outside_the_cap_are_refused():
+    cert = averaging_certificate(2, 2)
+    for trials in (0, -3, averageable.TRIALS_CAP + 1):
+        with pytest.raises(ValueError, match="trials"):
+            verify_certificate(cert, trials=trials)

@@ -11,6 +11,7 @@ from supconvex import (
     sup_convolve_n,
     sup_convolve_pair,
 )
+from supconvex.averageable import TRIALS_CAP
 from supconvex.cli import main
 
 
@@ -154,6 +155,11 @@ def test_oversized_sizes_exit_1_fast(capsys, tmp_path):
         ["envelope", "--input", str(big)],
         ["verify-t1", "--input", str(big), "--n", "2"],
         ["verify-t4", "--f", str(big), "--g", str(big)],
+        ["subdivide", "--k", "2", "--n", "3000"],
+        ["extremal", "--k", "3", "--n", "1000"],
+        ["averageable", "--k", "2", "--m", "2", "--trials", "0"],
+        ["averageable", "--k", "2", "--m", "2", "--trials", "-3"],
+        ["averageable", "--k", "2", "--m", "2", "--trials", str(TRIALS_CAP + 1)],
     ):
         start = time.perf_counter()
         assert main(argv) == 1

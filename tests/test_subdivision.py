@@ -23,6 +23,7 @@ from supconvex import (
     simplices_interior_intersect,
     subdivide,
 )
+from supconvex.subdivision import CELL_CAP, cell_count
 
 
 def test_enumerate_shifts_counts_and_order():
@@ -209,6 +210,15 @@ def test_profile_counts_are_binomials():
             prof = extremal_profile(k, n)
             for row in prof.per_m:
                 assert row.cell_count == comb(n + k - row.m, k)
+            assert cell_count(k, n) == len(subdivide(k, n))
+
+
+def test_cell_cap_refuses_before_listing():
+    # (2, 500) has exactly CELL_CAP cells and (2, 501) has 251,001.
+    assert cell_count(2, 500) == CELL_CAP
+    for call in (subdivide, extremal_profile):
+        with pytest.raises(ValueError, match="251001 cells"):
+            call(2, 501)
 
 
 def test_invalid_inputs():

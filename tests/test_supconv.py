@@ -57,19 +57,30 @@ def _mixed(k, resolution, seed):
 
 
 def test_matches_bruteforce():
+    # n = 5 and 6 put two or more functions in each half, and odd n grows
+    # the right half by one more step; k = 3 at N = 4 or 5 with n = 3 or 2
+    # (N not a multiple of n) makes the residue buckets uneven.
     cases = [
         (make_random(k, resolution, seed=10 * k + n), n)
-        for k, resolution, n in ((1, 4, 2), (1, 4, 3), (2, 3, 2), (2, 3, 3), (2, 4, 2))
+        for k, resolution, n in (
+            (1, 4, 2), (1, 4, 3), (2, 3, 2), (2, 3, 3), (2, 4, 2),
+            (1, 4, 5), (1, 3, 6), (2, 3, 5), (2, 2, 6), (3, 4, 3),
+        )
     ]
     cases += [
         (_mixed(k, resolution, seed=100 * k + n), n)
-        for k, resolution, n in ((1, 5, 2), (1, 3, 4), (2, 3, 3), (2, 4, 4), (3, 2, 4), (3, 3, 3))
+        for k, resolution, n in (
+            (1, 5, 2), (1, 3, 4), (2, 3, 3), (2, 4, 4), (3, 2, 4), (3, 3, 3),
+            (1, 5, 5), (2, 3, 6), (3, 5, 2), (3, 4, 3),
+        )
     ]
     for f, n in cases:
         conv = sup_convolve_n(f, n)
         assert list(conv.values) == supconv_bruteforce(f, n)
         k, resolution = f.k, f.resolution
-        for g in (_mixed(k, resolution, seed=7 + k), make_random(k, resolution, seed=n)):
+        # The last g equals f in value but is a distinct object.
+        twin = sampled_function(f.lattice, list(f.values))
+        for g in (_mixed(k, resolution, seed=7 + k), make_random(k, resolution, seed=n), twin):
             assert list(sup_convolve_pair(f, g).values) == pair_bruteforce(f, g)
             assert list(sup_convolve_pair(g, f).values) == pair_bruteforce(g, f)
 
