@@ -329,8 +329,9 @@ def verify_certificate(
     the tolerance; it runs on the provided functions, or on
     make_random(k, TRANSPORT_RESOLUTION, seed + t) for t < trials (0 at
     vertices, values in [-1, 0]), each drawn as the loop reaches it;
-    trials must lie in 1..TRIALS_CAP.  Target membership does not depend
-    on the function, so it is computed once per distinct lattice.
+    trials must lie in 1..TRIALS_CAP.  Transport fails when no function
+    was checked.  Target membership does not depend on the function, so
+    it is computed once per distinct lattice.
     """
     if functions is None and not 1 <= trials <= TRIALS_CAP:
         raise ValueError(f"trials must be in 1..{TRIALS_CAP} (cap), got {trials}")
@@ -400,6 +401,7 @@ def verify_certificate(
     transport_ok = True
     witness = ""
     target_masks = {}  # lattice -> per-point membership, independent of f
+    t = -1
     for t, f in enumerate(functions):
         conv = sup_convolve_n(f, cert.m)
         mask = target_masks.get(f.lattice)
@@ -416,6 +418,9 @@ def verify_certificate(
             transport_ok = False
             witness = f"function {t}: {lhs} < {rhs} minus tolerance"
             break
+    if t < 0:
+        transport_ok = False
+        witness = "no function checked"
     checks.append(CheckResult("transport", transport_ok, witness))
 
     return VerificationReport(all(c.passed for c in checks), tuple(checks))

@@ -5,12 +5,18 @@ flattened CSV, printed to stdout or written with --out.  Exit codes:
 0 success, 2 a verification/inequality check failed, 1 usage or input
 error.  All numbers in payloads are exact rationals rendered as
 "p/q" strings; no floats.
+
+``main`` builds its argument parser on the first call and reuses it for
+every later call in the process: each ``parse_args`` returns a fresh
+namespace, and usage errors raise instead of exiting, so no state is
+carried from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -79,8 +85,10 @@ def _add_common(parser, suppress: bool) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="supconvex", description=__doc__)
+    # --help leaves out the docstring's last paragraph, on parser reuse.
+    parser = _Parser(prog="supconvex", description=__doc__.rsplit("\n\n", 1)[0])
     _add_common(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

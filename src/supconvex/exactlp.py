@@ -24,9 +24,10 @@ heavy degeneracy typical of these geometric LPs.
 
 The basis is held in plain integers.  Column j, an integer vector A_j
 over a positive integer e_j, enters as A_j with cost C_j e_j, where
-C / D is the objective (D > 0 changes no sign and is dropped), and the
-right hand side as integers b / s.  A basis B is kept as det = |det B|,
-adj = det B^-1 and xb = adj b.  Column j is priced as
+C / D is the objective (D > 0 changes no sign, so only the optimal
+value reads it), and the right hand side as integers b / s.  A basis B
+is kept as det = |det B|, adj = det B^-1 and xb = adj b.  Column j is
+priced as
 
     R_j = C_j e_j det - (c_B adj) . A_j = r_j D e_j det,
 
@@ -40,7 +41,8 @@ xb[r] likewise, and |p| is the new det (adj and xb change sign when p
 < 0, as in every dual pivot).  The division is exact because p times
 the new inverse is the new basis's adjugate up to sign, an integer
 matrix.  Rationals appear only where a basis is first inverted and in
-the returned x_j = e_j xb[r] / (det s).
+the returned x_j = e_j xb[r] / (det s) and value
+sum_r C_j e_j xb[r] / (D det s), j = B_r, one integer dot product.
 
 Reduced costs do not depend on the right hand side, so a basis once
 proved optimal stays dual feasible, and it is optimal again for every
@@ -120,7 +122,7 @@ class ExactSimplexSolver:
             raise ValueError("objective length mismatch")
         self.obj = [Rat(v) for v in objective]
         self._ints, self._dens = zip(*map(scaled, cols))
-        nums, _ = scaled(self.obj)
+        nums, self._obj_den = scaled(self.obj)
         self._costs = [c * e for c, e in zip(nums, self._dens)]
         self._identity = [[int(c == r) for c in range(self.m)] for r in range(self.m)]
         self._proved = None  # (basis, adj, det) of the last warm solve proved optimal
@@ -286,8 +288,8 @@ class ExactSimplexSolver:
             return Solution(status, None, None, None)
         n_real = len(self._ints)
         x = {j: Rat(self._dens[j] * v, det * s) for j, v in zip(basis, xb) if j < n_real}
-        value = sum((self.obj[j] * v for j, v in x.items()), ZERO)
-        return Solution("optimal", value, x, tuple(basis))
+        value = sum(self._costs[j] * v for j, v in zip(basis, xb) if j < n_real)
+        return Solution("optimal", Rat(value, self._obj_den * det * s), x, tuple(basis))
 
 
 def solve_lp(columns, objective, rhs):

@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import comb
 
 from . import __version__
-from ._rational import Rat, format_rat
+from ._rational import Rat, format_rat, scaled
 from .combinat import sharp_constant
 from .envelope import SampledFunction, check_envelope_cap, concave_envelope
 # Unused here; kept because benchmarks/tracing.py wraps this name in
@@ -163,12 +163,10 @@ def make_random(k: int, resolution: int, seed: int, roughness=1) -> SampledFunct
 
 
 def mean_value(values):
-    total = Rat(0)
-    count = 0
-    for v in values:
-        total += v
-        count += 1
-    return total / count
+    """Exact mean of rational values (any iterable): one integer sum over
+    their common denominator."""
+    nums, den = scaled(tuple(values))
+    return Rat(sum(nums), den * len(nums))
 
 
 # -- inequality reports -------------------------------------------------------
@@ -252,8 +250,9 @@ def verify_nfold(
     _check_caps(f.lattice, n)
     conv = sup_convolve_n(f, n)
     env = concave_envelope(f)
-    lhs = mean_value(conv.values) - mean_value(f.values)
-    rhs = mean_value(env.values) - mean_value(f.values)
+    mean_f = mean_value(f.values)
+    lhs = mean_value(conv.values) - mean_f
+    rhs = mean_value(env.values) - mean_f
     constant = sharp_constant(f.k, n)
     verdict, ratio = _verdict(lhs, rhs, constant, tol_rel, tol_abs)
     prov = {"f": function_digest(f), "version": __version__}
@@ -279,9 +278,10 @@ def verify_pair(
         raise ValueError("f and g must share a lattice")
     _check_caps(f.lattice, 2)
     conv = sup_convolve_pair(f, g)
-    lhs = mean_value(conv.values) - (mean_value(f.values) + mean_value(g.values)) / Rat(2)
+    mean_f = mean_value(f.values)
+    lhs = mean_value(conv.values) - (mean_f + mean_value(g.values)) / Rat(2)
     env = concave_envelope(f)
-    rhs = mean_value(env.values) - mean_value(f.values)
+    rhs = mean_value(env.values) - mean_f
     k = f.k
     constant = Rat(k + 1, 2 ** (k + 1))
     verdict, ratio = _verdict(lhs, rhs, constant, tol_rel, tol_abs)

@@ -230,6 +230,16 @@ def test_transport_draws_each_function_as_it_is_checked(monkeypatch):
     assert events == ["draw", "convolve"] * 3
 
 
+def test_transport_fails_when_no_function_is_checked():
+    report = verify_certificate(averaging_certificate(2, 2), functions=[])
+    transport = report.checks[-1]
+    assert transport.name == "transport"
+    assert not transport.passed
+    assert transport.witness == "no function checked"
+    assert not report.passed
+    assert all(c.passed for c in report.checks[:-1])
+
+
 def test_trial_counts_outside_the_cap_are_refused():
     cert = averaging_certificate(2, 2)
     for trials in (0, -3, averageable.TRIALS_CAP + 1):

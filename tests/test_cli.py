@@ -11,6 +11,7 @@ from supconvex import (
     sup_convolve_n,
     sup_convolve_pair,
 )
+from supconvex import cli
 from supconvex.averageable import TRIALS_CAP
 from supconvex.cli import main
 
@@ -299,3 +300,72 @@ def test_global_flags_before_subcommand(capsys, tmp_path):
     assert code == 0
     assert shown == ""
     assert json.loads(out.read_text())["k"] == 1
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    assert main(["constants", "--k", "1", "--n", "2"]) == 0
+    assert main(["random", "--k", "1", "--N", "3"]) == 0
+    assert main(["no-such-command"]) == 1
+    assert main(["--format", "csv", "constants", "--k", "2", "--n", "2"]) == 0
+    capsys.readouterr()
+    # one top-level parser plus one subparser per subcommand, all from
+    # the first call
+    assert built.count("supconvex") == 1
+    assert len(built) == 1 + len(cli._COMMANDS)
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_reused_parser_prints_json_after_csv_to_file(capsys, tmp_path):
+    out = tmp_path / "payload.csv"
+    argv = ["constants", "--k", "1", "--n", "2"]
+    code, shown = run(capsys, *argv, "--format", "csv", "--out", str(out))
+    assert code == 0
+    assert shown == ""
+    assert out.read_text().startswith("key,value\n")
+    code, payload = run_json(capsys, *argv)
+    assert code == 0
+    assert payload["descent_sum"] == "1/2"
+
+
+def test_usage_error_leaves_the_reused_parser_clean(capsys):
+    argv = ["random", "--k", "2", "--N", "4"]
+    cli._build_parser.cache_clear()
+    # each fails after argparse has already taken some values
+    assert main(["--seed", "9", "--format", "csv", *argv, "--bogus"]) == 1
+    assert main([*argv, "--seed", "x"]) == 1
+    assert main(["--out", "unused.json", *argv, "--roughness"]) == 1
+    assert main(["--format", "xml", *argv]) == 1
+    capsys.readouterr()
+    assert main(argv) == 0
+    after_errors = capsys.readouterr().out
+    cli._build_parser.cache_clear()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == after_errors
+
+
+def test_common_flag_before_subcommand_does_not_carry_over(capsys, tmp_path):
+    argv = ["random", "--k", "2", "--N", "4"]
+    code, payload = run_json(capsys, "--seed", "7", *argv)
+    assert code == 0
+    assert payload == function_payload(make_random(2, 4, seed=7))
+    code, payload = run_json(capsys, *argv)
+    assert code == 0
+    assert payload == function_payload(make_random(2, 4, seed=1))
+
+    out = tmp_path / "o.csv"
+    code, shown = run(capsys, "--format", "csv", "--out", str(out), *argv)
+    assert code == 0
+    assert shown == ""
+    assert out.read_text().startswith("key,value\n")
+    code, payload = run_json(capsys, *argv)
+    assert code == 0
+    assert payload == function_payload(make_random(2, 4, seed=1))

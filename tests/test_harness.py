@@ -151,6 +151,16 @@ def test_make_random_roughness():
 
 def test_mean_value():
     assert mean_value([Fraction(1), Fraction(0), Fraction(1, 2)]) == Fraction(1, 2)
+    # pairwise coprime denominators, with a negative value and an int
+    values = [Fraction(1, 3), Fraction(-1, 4), Fraction(2, 5), Fraction(3, 7), 2]
+    expected = (Fraction(1, 3) - Fraction(1, 4) + Fraction(2, 5) + Fraction(3, 7) + 2) / 5
+    assert mean_value(values) == expected
+    assert type(mean_value(values)) is Fraction
+    # any iterable, consumed once
+    assert mean_value(v for v in values) == expected
+    assert mean_value(iter([Fraction(5, 6)])) == Fraction(5, 6)
+    with pytest.raises(ZeroDivisionError):
+        mean_value(v for v in ())
 
 
 def test_frozen_extremal_report():
