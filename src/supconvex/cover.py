@@ -141,10 +141,12 @@ def closure_good(
     deterministic: corner children of all previous-level translates,
     then a fixed number of blend rounds over the sorted current level.
     When the node budget is hit the result is returned with
-    truncated=True rather than failing.  The budget is checked only
-    between blend rounds, and a round over s translates builds
-    s*(s-1) blends, so a closure whose blends would pass BLEND_CAP
-    raises ValueError before the round that would pass it.
+    truncated=True rather than failing.  The budget is checked before
+    each blend round and after the blends of each translate within
+    it, so a truncated level passes the budget by less than one
+    snapshot.  A round over s translates builds s*(s-1) blends, so a
+    closure whose blends would pass BLEND_CAP raises ValueError before
+    the round that would pass it.
     """
     _check_dim(k)
     if n < 2:
@@ -178,6 +180,12 @@ def closure_good(
                 for b in snapshot:
                     if a is not b:
                         consider(_blend(a, b))
+                # current only grows, so the level ends over budget.
+                if total + len(current) > budget:
+                    truncated = True
+                    break
+            if truncated:
+                break
         total += len(current)
         levels.append(current)
         if total > budget:

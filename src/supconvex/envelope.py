@@ -15,9 +15,11 @@ hand side moves.  Where it is still primal feasible it is optimal
 again, and the solver returns it without pricing or re-inverting (at
 every point after the first when the envelope is affine, as for a
 normalised input); elsewhere the dual simplex repairs it in a handful
-of pivots.  The solver keeps each basis fraction-free, as integers
-adj = det B^-1 and det, so its pricing, ratio tests and pivots run in
-plain integers (see exactlp).
+of pivots.  Being the basis the solver last proved optimal, it skips
+the dual simplex's dual-feasibility pass, and each pivot prices only
+the columns the ratio test reads.  The solver keeps each basis
+fraction-free, as integers adj = det B^-1 and det, so its pricing,
+ratio tests and pivots run in plain integers (see exactlp).
 Every envelope value comes with a certificate: the supporting lattice
 points and exact weights realising it.
 """
@@ -30,11 +32,14 @@ from ._rational import Rat
 from .exactlp import ExactSimplexSolver
 from .geometry import BaryLattice, BaryPoint
 
-# Cap on the lattice size C(N + k, k) of one sweep, whose worst case
-# prices every column at every point, O(|L|^2) exact work.  On a 2-vCPU
-# host the largest accepted sweeps (k = 1..6 at the largest N under the
-# cap, general inputs that pivot) take 0.01-0.75 s.
-ENVELOPE_CAP = 460
+# Cap on the lattice size C(N + k, k) of one sweep, one LP per point
+# over every column, O(|L|^2) exact work.  It admits k = 3, N = 20
+# (1771 points).  On a busy 2-vCPU host the largest accepted sweeps of
+# general (pivoting) inputs take at most 0.2 s (k = 1, N = 1770),
+# 2.5 s (k = 2, N = 58), 8.4 s (k = 3, N = 20), 10.2 s (k = 4,
+# N = 11), 12.7 s (k = 5, N = 8) and 33.5 s (k = 6, N = 7, 1716
+# points; 20-21 s adjusted for the host's speed).
+ENVELOPE_CAP = 1771
 
 
 @dataclass(frozen=True)

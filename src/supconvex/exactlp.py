@@ -9,8 +9,8 @@ inverse, in integers, and supports warm starts:
 - a caller-supplied basis that is primal feasible for the new right
   hand side starts the primal simplex (zero pivots when it is already
   optimal);
-- any other caller-supplied basis starts the dual simplex, which checks
-  dual feasibility on the reduced costs of its first pricing pass; a
+- any other caller-supplied basis starts the dual simplex, which first
+  checks dual feasibility on the reduced costs of every column; a
   previously optimal basis that went primal infeasible after a right
   hand side change passes, and is repaired in a few pivots (the dual
   simplex keeps every reduced cost <= 0, so its result is optimal);
@@ -35,12 +35,18 @@ so only signs of R_j are read, except in the ratio tests: W_j =
 adj[row] . A_j is w_j times a positive factor common to all j, and so
 is xb[r] / d[r], so both tests cross-multiply.  The primal simplex
 prices columns in index order and stops at the first one that may
-enter.  A pivot on d = adj A_enter at p = d[row] is Edmonds' update:
-every row r other than row becomes (p adj[r] - d[r] adj[row]) // det,
-xb[r] likewise, and |p| is the new det (adj and xb change sign when p
-< 0, as in every dual pivot).  The division is exact because p times
-the new inverse is the new basis's adjugate up to sign, an integer
-matrix.  Rationals appear only where a basis is first inverted and in
+enter.  The dual simplex forms the leaving row W = adj[row] . A for
+every column at once, as a sum of the rows of A weighted by adj[row],
+and prices only the columns its ratio test reads, those with W_j < 0,
+from y = c_B adj formed once per pivot.  Its dual-feasibility check
+is the one pass over every R_j, made before the first pivot (a dual
+pivot keeps every R_j <= 0) and skipped for the basis the solver last
+proved optimal (see below).  A pivot on d = adj A_enter at p = d[row]
+is Edmonds' update: every row r other than row becomes
+(p adj[r] - d[r] adj[row]) // det, xb[r] likewise, and |p| is the new
+det (adj and xb change sign when p < 0, as in every dual pivot).  The
+division is exact because p times the new inverse is the new basis's
+adjugate up to sign, an integer matrix.  Rationals appear only where a basis is first inverted and in
 the returned x_j = e_j xb[r] / (det s) and value
 sum_r C_j e_j xb[r] / (D det s), j = B_r, one integer dot product.
 
@@ -51,6 +57,8 @@ keeps the last basis a warm solve proved optimal, in its order, with
 its adj and det.  Handed that basis again, it copies them instead of
 eliminating, and returns at once when the new basic solution is
 nonnegative: the primal simplex would find no entering column there.
+Where it is not, the dual simplex starts without its dual-feasibility
+check, since the basis passed it when it was proved optimal.
 
 ``eliminate`` computes the basis inverse, and also serves the geometry
 (volumes, point-in-simplex weights) and the averageable map matrices.
@@ -60,11 +68,17 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import islice
-from operator import mul
+from operator import add, mul
 
 from ._rational import ONE, ZERO, Rat, scaled
 
 Solution = namedtuple("Solution", "status value x basis")
+
+
+def _exact(values):
+    """values as exact numbers for ``scaled``: ints as they are, the
+    rest as rationals."""
+    return [v if type(v) is int else Rat(v) for v in values]
 
 
 def eliminate(rows, rhs=()):
@@ -114,7 +128,7 @@ class ExactSimplexSolver:
         if not columns:
             raise ValueError("need at least one column")
         self.m = len(columns[0])
-        cols = [tuple(Rat(v) for v in col) for col in columns]
+        cols = [_exact(col) for col in columns]
         for col in cols:
             if len(col) != self.m:
                 raise ValueError("ragged column lengths")
@@ -122,6 +136,7 @@ class ExactSimplexSolver:
             raise ValueError("objective length mismatch")
         self.obj = [Rat(v) for v in objective]
         self._ints, self._dens = zip(*map(scaled, cols))
+        self._rows = tuple(zip(*self._ints))  # the integer columns, transposed
         nums, self._obj_den = scaled(self.obj)
         self._costs = [c * e for c, e in zip(nums, self._dens)]
         self._identity = [[int(c == r) for c in range(self.m)] for r in range(self.m)]
@@ -151,14 +166,19 @@ class ExactSimplexSolver:
 
     # -- simplex phases --------------------------------------------------
 
+    @staticmethod
+    def _prices(adj, basis, costs):
+        """y = c_B adj, the simplex multipliers times D det."""
+        cb = [costs[j] for j in basis]
+        return [sum(map(mul, cb, col)) for col in zip(*adj)]
+
     def _reduced_costs(self, adj, det, basis, costs, allowed):
         """R_j for the columns j < allowed, lazily and in index order.
 
         R_j is the reduced cost r_j times the positive integer D e_j det,
         so it is 0 on every basic column.
         """
-        cb = [costs[j] for j in basis]
-        y = [sum(map(mul, cb, col)) for col in zip(*adj)]
+        y = self._prices(adj, basis, costs)
         return (
             cj * det - sum(map(mul, y, a))
             for cj, a in zip(islice(costs, allowed), self._ints)
@@ -185,8 +205,13 @@ class ExactSimplexSolver:
                 return "unbounded", det
             det = self._pivot(adj, det, xb, basis, row, d, entering)
 
-    def _dual(self, adj, det, xb, basis):
-        """Returns (status, det); status None when not dual feasible."""
+    def _dual(self, adj, det, xb, basis, check):
+        """Returns (status, det); status None when not dual feasible.
+
+        With check false the caller vouches that the basis is dual
+        feasible, and no column is priced in full.
+        """
+        costs, ints = self._costs, self._ints
         while True:
             row = None
             for r in range(self.m):
@@ -194,26 +219,38 @@ class ExactSimplexSolver:
                     row = r
             if row is None:
                 return "optimal", det
-            reduced = list(self._reduced_costs(adj, det, basis, self._costs, len(self._ints)))
-            if any(rj > 0 for rj in reduced):
-                return None, det  # not dual feasible (only possible before a pivot)
+            if check:
+                # Only the handed-in basis can fail: every dual pivot
+                # keeps all reduced costs <= 0.
+                if any(rj > 0 for rj in self._reduced_costs(adj, det, basis, costs, len(ints))):
+                    return None, det
+                check = False
+            # W = adj[row] . A over all columns, as a sum of the rows of
+            # A; W_j >= 0 on every basic column.
+            w = None
+            for a, line in zip(adj[row], self._rows):
+                if a:
+                    term = [a * v for v in line]
+                    w = term if w is None else list(map(add, w, term))
+            y = self._prices(adj, basis, costs)
             # Entering: the smallest j minimising r_j / w_j over w_j < 0,
             # which for W_j, W_b < 0 is below r_b / w_b exactly when
-            # R_j W_b < R_b W_j.  W_j >= 0 on every basic column.
+            # R_j W_b < R_b W_j.  Only these columns are priced.
             entering = None
-            for j, (rj, a) in enumerate(zip(reduced, self._ints)):
-                wj = sum(map(mul, adj[row], a))
-                if wj < 0 and (entering is None or rj * wb < rb * wj):
-                    entering, rb, wb = j, rj, wj
+            for j, wj in enumerate(w):
+                if wj < 0:
+                    rj = costs[j] * det - sum(map(mul, y, ints[j]))
+                    if entering is None or rj * wb < rb * wj:
+                        entering, rb, wb = j, rj, wj
             if entering is None:
                 return "infeasible", det
-            d = self._mat_vec(adj, self._ints[entering])
+            d = self._mat_vec(adj, ints[entering])
             det = self._pivot(adj, det, xb, basis, row, d, entering)
 
     # -- public entry points ----------------------------------------------
 
     def solve(self, rhs, basis=None) -> Solution:
-        rhs = [Rat(v) for v in rhs]
+        rhs = _exact(rhs)
         if len(rhs) != self.m:
             raise ValueError("rhs length mismatch")
         b, s = scaled(rhs)
@@ -239,7 +276,7 @@ class ExactSimplexSolver:
                 adj = [[int(v * det) for v in row] for row in inverse]
             xb = self._mat_vec(adj, b)
             if any(v < 0 for v in xb):
-                status, det = self._dual(adj, det, xb, basis)
+                status, det = self._dual(adj, det, xb, basis, not proved)
             elif proved:
                 status = "optimal"
             else:

@@ -151,3 +151,45 @@ def vertex_usage_oracle(k: int, n: int, coords):
         if feasible:
             return j, set(feasible)
     raise AssertionError("unreachable: j = 0 is always feasible")
+
+
+def dual_simplex_bland(columns, objective, rhs, basis):
+    """Bland's dual simplex for max c.x over A x = b, x >= 0, from a
+    basis, with B^-1 recomputed from scratch at every step.
+
+    The leaving row holds the smallest basis index among the negative
+    basic values; the entering column is the smallest j minimising
+    r_j / w_j over w_j < 0, with r the reduced costs and w the leaving
+    row of B^-1 A.  Returns (status, pivots, basis, x, value); status is
+    None when the starting basis is not dual feasible, pivots lists
+    (row, entering), and x maps every basic column to its value.
+    """
+    m = len(rhs)
+    a = [[Fraction(v) for v in col] for col in columns]
+    c = [Fraction(v) for v in objective]
+    b = [Fraction(v) for v in rhs]
+    basis = list(basis)
+    pivots = []
+    while True:
+        inv = _invert([[a[j][i] for j in basis] for i in range(m)])
+        xb = [sum(inv[r][i] * b[i] for i in range(m)) for r in range(m)]
+        y = [sum(c[j] * inv[r][i] for r, j in enumerate(basis)) for i in range(m)]
+        reduced = [cj - sum(yi * v for yi, v in zip(y, col)) for cj, col in zip(c, a)]
+        if any(rj > 0 for rj in reduced):
+            return None, pivots, tuple(basis), None, None
+        negative = [r for r in range(m) if xb[r] < 0]
+        if not negative:
+            x = dict(zip(basis, xb))
+            return "optimal", pivots, tuple(basis), x, sum(c[j] * v for j, v in x.items())
+        row = min(negative, key=lambda r: basis[r])
+        ratios = {}
+        for j, col in enumerate(a):
+            w = sum(inv[row][i] * col[i] for i in range(m))
+            if w < 0:
+                ratios[j] = reduced[j] / w
+        if not ratios:
+            return "infeasible", pivots, tuple(basis), None, None
+        best = min(ratios.values())
+        entering = min(j for j, v in ratios.items() if v == best)
+        pivots.append((row, entering))
+        basis[row] = entering

@@ -178,6 +178,17 @@ def test_oversized_closures_exit_1_fast(capsys):
         assert "blends (cap" in capsys.readouterr().err
 
 
+def test_closure_over_budget_stops_within_its_blend_round(capsys):
+    # Level 2 of (3, 4) starts from 640 corner translates, so its first
+    # blend round alone would build 408,960 blends; the default budget
+    # stops it within that round.
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "cover", "--k", "3", "--n", "4", "--max-level", "2")
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert payload["truncated"] is True and payload["found"] is False
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     out = tmp_path / "payload.json"
     code, shown = run(

@@ -1,9 +1,10 @@
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import envelope_bruteforce
+from oracles import dual_simplex_bland, envelope_bruteforce
 from supconvex import (
     SplitMix64,
     concave_envelope,
@@ -126,6 +127,49 @@ def test_general_family_matches_bruteforce_and_pivots(monkeypatch, k, resolution
             assert (point, value, total) == (p, res.values[i], 1)
     assert any("_dual" in routines for routines in solves)
     assert [] in solves  # a kept basis, feasible again, skips pricing
+
+
+def test_warm_general_sweeps_dual_runs_match_the_oracle_and_never_price_in_full(monkeypatch):
+    # Every solve of a sweep after the first is handed the basis the
+    # solver last proved optimal, so its dual simplex skips the full
+    # dual-feasibility pass; its pivots match the Fraction oracle's.
+    runs, priced = [], []
+    solve, dual = ExactSimplexSolver.solve, ExactSimplexSolver._dual
+    pivot, reduced_costs = ExactSimplexSolver._pivot, ExactSimplexSolver._reduced_costs
+
+    def solve_spy(self, rhs, basis=None):
+        runs.append({"rhs": rhs, "basis": basis, "dual": False, "pivots": []})
+        return solve(self, rhs, basis)
+
+    def dual_spy(self, *args):
+        runs[-1]["dual"] = True
+        return dual(self, *args)
+
+    def pivot_spy(*args):
+        runs[-1]["pivots"].append((args[4], args[6]))
+        return pivot(*args)
+
+    def reduced_spy(self, *args):
+        priced.append(sys._getframe(1).f_code.co_name)
+        return reduced_costs(self, *args)
+
+    monkeypatch.setattr(ExactSimplexSolver, "solve", solve_spy)
+    monkeypatch.setattr(ExactSimplexSolver, "_dual", dual_spy)
+    monkeypatch.setattr(ExactSimplexSolver, "_pivot", staticmethod(pivot_spy))
+    monkeypatch.setattr(ExactSimplexSolver, "_reduced_costs", reduced_spy)
+    duals = pivots = 0
+    for k, resolution, seed in ((2, 6, 1), (2, 6, 2), (3, 4, 3), (3, 4, 4)):
+        f = _general(k, resolution, seed)
+        runs.clear()
+        res = concave_envelope(f)
+        for run, value in zip(runs, res.values):
+            if run["dual"]:
+                expected = dual_simplex_bland(f.lattice.int_points, f.values, run["rhs"], run["basis"])
+                assert expected[:2] == ("optimal", run["pivots"]) and expected[4] == value
+                duals += 1
+                pivots += len(run["pivots"])
+    assert duals >= 40 and pivots >= 90, (duals, pivots)
+    assert set(priced) == {"_primal"}  # the spy sees the primal simplex price
 
 
 def test_idempotent():

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from oracles import _invert, lp_bruteforce
+from oracles import _invert, dual_simplex_bland, lp_bruteforce
 
 from supconvex import SplitMix64, exactlp
 from supconvex.exactlp import ExactSimplexSolver, eliminate, solve_lp
@@ -523,3 +523,86 @@ def test_warm_solve_sequences_match_fresh_solvers(monkeypatch):
             if not isinstance(got, str) and got.status == "optimal":
                 kept = got.basis
     assert kept_hits >= 300 and pivoted_hits >= 40, (kept_hits, pivoted_hits)
+
+
+# -- the dual simplex against a Fraction oracle -----------------------------
+
+
+def _dual_spies(solver, monkeypatch):
+    """Logs of solver's routines, its pivots as (row, entering) and the
+    callers of its full pricing pass."""
+    taken = _record_paths(solver, monkeypatch)
+    pivots, priced = [], []
+    pivot, reduced_costs = solver._pivot, solver._reduced_costs
+    monkeypatch.setattr(solver, "_pivot", lambda *a: pivots.append((a[4], a[6])) or pivot(*a))
+
+    def reduced_spy(*args):
+        priced.append(sys._getframe(1).f_code.co_name)
+        return reduced_costs(*args)
+
+    monkeypatch.setattr(solver, "_reduced_costs", reduced_spy)
+    return taken, pivots, priced
+
+
+def _dual_matches_oracle(solver, spies, columns, objective, rhs, basis):
+    """Solves from basis, which the oracle says needs the dual simplex,
+    and compares everything with the oracle; returns the oracle's run."""
+    taken, pivots, priced = spies
+    for log in spies:
+        log.clear()
+    expected = dual_simplex_bland(columns, objective, rhs, basis)
+    status, sequence, end_basis, x, value = expected
+    sol = solver.solve(rhs, basis)
+    assert taken == ["_dual"] and pivots == sequence
+    if status == "optimal":
+        assert (sol.status, sol.basis, sol.x, sol.value) == (status, end_basis, x, value)
+    else:
+        assert status == "infeasible" and sol == (status, None, None, None)
+    return expected, priced
+
+
+def test_dual_simplex_pivots_like_the_fraction_oracle(monkeypatch):
+    # Every nonsingular basis that is dual but not primal feasible, handed
+    # in to a fresh solver (priced in full once), and every basis a solver
+    # kept as proved optimal, reused at a rhs where it is infeasible
+    # (never priced in full).
+    rng = SplitMix64(23)
+    handed = kept = pivots = infeasible = 0
+    for trial in range(120):
+        m = 1 + trial % 3
+        columns, objective = _rational_lp(rng, m, m + 2 + trial % 3)
+        rhs = _rational_rhs(rng, m)
+        for basis in combinations(range(len(columns)), m):
+            basis = basis[::(-1) ** trial]  # the leaving row's place varies
+            if _invert([[Fraction(columns[j][i]) for j in basis] for i in range(m)]) is None:
+                continue
+            status, sequence = dual_simplex_bland(columns, objective, rhs, basis)[:2]
+            if status is None or status == "optimal" and not sequence:
+                continue  # not dual feasible, or primal feasible already
+            solver = ExactSimplexSolver(columns, objective)
+            spies = _dual_spies(solver, monkeypatch)
+            (status, sequence, *_), priced = _dual_matches_oracle(
+                solver, spies, columns, objective, rhs, basis
+            )
+            assert priced == ["_dual"]
+            handed += 1
+            pivots += len(sequence)
+            infeasible += status == "infeasible"
+        solver = ExactSimplexSolver(columns, objective)
+        spies = _dual_spies(solver, monkeypatch)
+        for _ in range(6):
+            rhs = _rational_rhs(rng, m)
+            first = solver.solve(rhs)
+            if first.status != "optimal":
+                continue
+            solver.solve(rhs, first.basis)  # a two-phase solve keeps no basis
+            again = _rational_rhs(rng, m)
+            status, sequence = dual_simplex_bland(columns, objective, again, first.basis)[:2]
+            if status == "optimal" and not sequence:
+                continue  # still primal feasible: returned without pricing
+            _, priced = _dual_matches_oracle(solver, spies, columns, objective, again, first.basis)
+            assert priced == []
+            kept += 1
+            pivots += len(sequence)
+    assert handed >= 150 and kept >= 120, (handed, kept)
+    assert pivots >= 350 and infeasible >= 60, (pivots, infeasible)

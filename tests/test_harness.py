@@ -263,6 +263,12 @@ def test_extremal_grid_at_n_times_k_plus_1():
     assert rep.ratio == Fraction(5, 9) == sharp_constant(2, 3)
 
 
+def test_extremal_grid_k3_n4():
+    # 969 lattice points, so its envelope sweep needs ENVELOPE_CAP >= 969.
+    rep = extremal_grid_report(3, 4, 16)
+    assert rep.ratio == Fraction(9, 16) == sharp_constant(3, 4)
+
+
 def test_subdivision_svg_counts():
     svg = subdivision_svg(4)
     assert svg.count('class="up"') == 10
