@@ -21,10 +21,10 @@ This module builds explicit certificates for the families
 
 and verifies any certificate from scratch: domain tilings, per-piece
 measure preservation, the constant jacobian, the image tiling of the
-target, and a quadrature check of the transport inequality on sampled
-functions.  All geometric checks are exact; only the transport check
-uses a tolerance, because equal-weight lattice quadrature has O(1/N)
-bias.
+target, and a check of the transport inequality on sampled functions.
+All geometric checks are exact; only the transport check uses a
+tolerance, because it compares lattice means at the fixed resolution
+TRANSPORT_RESOLUTION, which stand in for the integrals over S and T.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .geometry import (
     simplices_interior_intersect,
     standard_simplex,
 )
-from .harness import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, make_random
+from .harness import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, make_random, mean_value
 from .subdivision import hypersimplex_vertices, hypersimplex_volume
 from .supconvolve import sup_convolve_n
 
@@ -107,7 +107,6 @@ class AverageabilityCertificate:
     m: int
     maps: tuple
     target: TargetRegion
-    average_pieces: tuple
     image_pieces: tuple
     jacobian: object
 
@@ -128,27 +127,8 @@ class VerificationReport:
 # -- explicit constructions -----------------------------------------------
 
 
-def _identity_matrix(k: int):
-    return tuple(
-        tuple(ONE if c == r else ZERO for c in range(k + 1)) for r in range(k + 1)
-    )
-
-
-def _zero_offset(k: int):
-    return tuple(ZERO for _ in range(k + 1))
-
-
-def _cycle_matrix(k: int, power: int):
-    """Coordinate rotation e_j -> e_(j+power mod k+1) as a matrix."""
-    d = k + 1
-    return tuple(
-        tuple(ONE if (r - power) % d == c else ZERO for c in range(d))
-        for r in range(d)
-    )
-
-
-def _matrix_from_vertex_images(domain: Simplex, images):
-    """The linear map sending each domain vertex to its image.
+def _piece_from_vertex_images(domain: Simplex, images) -> AffinePiece:
+    """The linear piece sending each domain vertex to its image.
 
     Vertices of a nondegenerate simplex in {sum = 1} are linearly
     independent, so a pure matrix (offset zero) always exists.
@@ -161,12 +141,15 @@ def _matrix_from_vertex_images(domain: Simplex, images):
     )
     if rows is None:
         raise ValueError("degenerate domain simplex")
-    return tuple(tuple(row) for row in rows)
+    return AffinePiece(domain, tuple(tuple(row) for row in rows), (ZERO,) * d)
 
 
-def _piece_from_vertex_images(domain: Simplex, images) -> AffinePiece:
-    matrix = _matrix_from_vertex_images(domain, images)
-    return AffinePiece(domain, matrix, _zero_offset(domain.k))
+def _identity_map(tri: Simplex) -> PLMap:
+    return PLMap("identity", (_piece_from_vertex_images(tri, tri.vertices),))
+
+
+def _in_simplex(p: BaryPoint) -> bool:
+    return all(c >= 0 for c in p.coords) and p.total == 1
 
 
 def _midpoint(a: BaryPoint, b: BaryPoint) -> BaryPoint:
@@ -233,27 +216,19 @@ def _finish(k, m, maps, target) -> AverageabilityCertificate:
     if len(jacobians) != 1:
         raise ValueError("average jacobian is not constant across pieces")
     (jac,) = jacobians
-    return AverageabilityCertificate(k, m, tuple(maps), target, avg, images, jac)
+    return AverageabilityCertificate(k, m, tuple(maps), target, images, jac)
 
 
 def _identity_certificate(k: int) -> AverageabilityCertificate:
-    tri = standard_simplex(k)
-    identity = PLMap("identity", (AffinePiece(tri, _identity_matrix(k), _zero_offset(k)),))
-
-    def member(p: BaryPoint) -> bool:
-        return all(c >= 0 for c in p.coords) and p.total == 1
-
-    target = TargetRegion("simplex", ONE, member)
-    return _finish(k, 1, (identity,), target)
+    target = TargetRegion("simplex", ONE, _in_simplex)
+    return _finish(k, 1, (_identity_map(standard_simplex(k)),), target)
 
 
 def _cyclic_certificate(k: int) -> AverageabilityCertificate:
     tri = standard_simplex(k)
+    e = tri.vertices
     maps = tuple(
-        PLMap(
-            f"rotate{i}",
-            (AffinePiece(tri, _cycle_matrix(k, i), _zero_offset(k)),),
-        )
+        PLMap(f"rotate{i}", (_piece_from_vertex_images(tri, e[i:] + e[:i]),))
         for i in range(k)
     )
     return _finish(k, k, maps, _scaled_slice_region(k, k))
@@ -264,14 +239,13 @@ def _wedge_certificate() -> AverageabilityCertificate:
     tri = standard_simplex(k)
     e = tri.vertices
     axis = (_midpoint(e[0], e[2]), _midpoint(e[1], e[3]))
-    identity = PLMap("identity", (AffinePiece(tri, _identity_matrix(k), _zero_offset(k)),))
     pieces = []
     for i in range(4):
         wedge = Simplex((e[i], e[(i + 1) % 4], axis[0], axis[1]))
         images = (e[(i + 1) % 4], e[(i + 2) % 4], axis[0], axis[1])
         pieces.append(_piece_from_vertex_images(wedge, images))
     rotation = PLMap("wedge-rotation", tuple(pieces))
-    return _finish(k, 2, (identity, rotation), _scaled_slice_region(k, 2))
+    return _finish(k, 2, (_identity_map(tri), rotation), _scaled_slice_region(k, 2))
 
 
 def medial_certificate() -> AverageabilityCertificate:
@@ -280,7 +254,6 @@ def medial_certificate() -> AverageabilityCertificate:
     k = 3
     tri = standard_simplex(k)
     e = tri.vertices
-    identity = PLMap("identity", (AffinePiece(tri, _identity_matrix(k), _zero_offset(k)),))
     images = (e[1], e[2], e[0], e[3])
     rotation = PLMap("three-cycle", (_piece_from_vertex_images(tri, images),))
     target_simplex = Simplex(
@@ -291,7 +264,7 @@ def medial_certificate() -> AverageabilityCertificate:
         return contains(target_simplex, p)
 
     target = TargetRegion("medial-cone", relative_volume(target_simplex), member)
-    return _finish(k, 2, (identity, rotation), target)
+    return _finish(k, 2, (_identity_map(tri), rotation), target)
 
 
 # -- verification ----------------------------------------------------------
@@ -324,27 +297,23 @@ def verify_certificate(
 ) -> VerificationReport:
     """Re-derive and check every claim of a certificate from its maps.
 
-    All structural checks are exact.  The final transport check
-    integrates by equal-weight lattice quadrature and therefore uses
-    the tolerance; it runs on the provided functions, or on
-    make_random(k, TRANSPORT_RESOLUTION, seed + t) for t < trials (0 at
-    vertices, values in [-1, 0]), each drawn as the loop reaches it;
-    trials must lie in 1..TRIALS_CAP.  Transport fails when no function
-    was checked.  Target membership does not depend on the function, so
-    it is computed once per distinct lattice.
+    All structural checks are exact.  The final transport check uses
+    the tolerance, because lattice means at the fixed resolution
+    TRANSPORT_RESOLUTION stand in for the integrals.  It runs on the
+    provided functions, or on make_random(k, TRANSPORT_RESOLUTION,
+    seed + t) for t < trials (0 at vertices, values in [-1, 0]), each
+    drawn as the loop reaches it; trials must lie in 1..TRIALS_CAP.
+    Transport fails when no function was checked.  Target membership
+    does not depend on the function, so it is computed once per
+    distinct lattice.
     """
     if functions is None and not 1 <= trials <= TRIALS_CAP:
         raise ValueError(f"trials must be in 1..{TRIALS_CAP} (cap), got {trials}")
     checks = []
-    tri = standard_simplex(cert.k)
-
-    def in_simplex(p):
-        return all(c >= 0 for c in p.coords) and p.total == 1
-
     for mp in cert.maps:
         checks.append(
             _simplices_tile(
-                tuple(p.domain for p in mp.pieces), ONE, in_simplex, f"domain-tiling:{mp.name}"
+                tuple(p.domain for p in mp.pieces), ONE, _in_simplex, f"domain-tiling:{mp.name}"
             )
         )
         ok = True
@@ -412,8 +381,8 @@ def verify_certificate(
             transport_ok = False
             witness = "no lattice points inside the target"
             break
-        lhs = cert.target.rel_volume * sum(inside, ZERO) / len(inside)
-        rhs = cert.target.rel_volume * sum(f.values, ZERO) / len(f.values)
+        lhs = cert.target.rel_volume * mean_value(inside)
+        rhs = cert.target.rel_volume * mean_value(f.values)
         if lhs < rhs - (tol_rel * abs(rhs) + tol_abs):
             transport_ok = False
             witness = f"function {t}: {lhs} < {rhs} minus tolerance"

@@ -125,10 +125,6 @@ class ConstantReport:
     closed_form: object  # None when k > 3
     covering_bound: object  # None when n < k+1
 
-    @property
-    def value(self):
-        return self.descent_sum
-
 
 def constant_report(k: int, n: int) -> ConstantReport:
     """Compute every applicable form of c(k, n) and cross-check them."""

@@ -35,10 +35,12 @@ from .geometry import BaryLattice, BaryPoint
 # Cap on the lattice size C(N + k, k) of one sweep, one LP per point
 # over every column, O(|L|^2) exact work.  It admits k = 3, N = 20
 # (1771 points).  On a busy 2-vCPU host the largest accepted sweeps of
-# general (pivoting) inputs take at most 0.2 s (k = 1, N = 1770),
-# 2.5 s (k = 2, N = 58), 8.4 s (k = 3, N = 20), 10.2 s (k = 4,
-# N = 11), 12.7 s (k = 5, N = 8) and 33.5 s (k = 6, N = 7, 1716
-# points; 20-21 s adjusted for the host's speed).
+# the benchmark's general (pivoting) family took 0.2 s (k = 1,
+# N = 1770), 2.5 s (k = 2, N = 58), 8.4 s (k = 3, N = 20), 10.2 s
+# (k = 4, N = 11), 12.7 s (k = 5, N = 8) and 33.5 s (k = 6, N = 7,
+# 1716 points; 20-21 s adjusted for the host's speed).  A strictly
+# concave f (-sum p_i^2) took 6.2 s (k = 2, N = 58), 11.2-12.0 s
+# (k = 3, N = 20) and 24.7 s (k = 6, N = 7).
 ENVELOPE_CAP = 1771
 
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from . import __version__
@@ -141,7 +140,7 @@ def make_random(k: int, resolution: int, seed: int, roughness=1) -> SampledFunct
     roughness in [0, 1] is the fraction of non-vertex points that get a
     random value; the rest stay 0.  Fully deterministic in the seed.
     """
-    rough = Rat(Fraction(str(roughness))) if isinstance(roughness, (str, float)) else Rat(roughness)
+    rough = Rat(str(roughness)) if isinstance(roughness, (str, float)) else Rat(roughness)
     if not 0 <= rough <= 1:
         raise ValueError("roughness must lie in [0, 1]")
     lat = lattice(k, resolution)
@@ -223,6 +222,24 @@ def _verdict(lhs, rhs, constant, tol_rel, tol_abs):
     return ("pass" if ok else "fail"), lhs / rhs
 
 
+def _report(kind: str, n: int, inputs, conv, tol_rel, tol_abs) -> InequalityReport:
+    """The report on mean(conv - average of the inputs) >= c(k, n) *
+    mean(env(f) - f), where f = inputs[0] and conv is their convolution.
+    Each input's mean is computed once."""
+    f = inputs[0]
+    means = [mean_value(h.values) for h in inputs]
+    lhs = mean_value(conv.values) - sum(means, Rat(0)) / len(means)
+    rhs = mean_value(concave_envelope(f).values) - means[0]
+    constant = sharp_constant(f.k, n)
+    verdict, ratio = _verdict(lhs, rhs, constant, tol_rel, tol_abs)
+    prov = {name: function_digest(h) for name, h in zip("fg", inputs)}
+    prov["version"] = __version__
+    return InequalityReport(
+        kind, f.k, n, f.resolution, constant, "sharp" if f.k <= 3 else "conjectured",
+        lhs, rhs, ratio, tol_rel, tol_abs, verdict, prov,
+    )
+
+
 def _check_caps(lat, m: int) -> None:
     """Both work budgets of a report (an m-function DP and an envelope
     sweep), checked before either kernel runs, so that an input over one
@@ -248,18 +265,7 @@ def verify_nfold(
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     _check_caps(f.lattice, n)
-    conv = sup_convolve_n(f, n)
-    env = concave_envelope(f)
-    mean_f = mean_value(f.values)
-    lhs = mean_value(conv.values) - mean_f
-    rhs = mean_value(env.values) - mean_f
-    constant = sharp_constant(f.k, n)
-    verdict, ratio = _verdict(lhs, rhs, constant, tol_rel, tol_abs)
-    prov = {"f": function_digest(f), "version": __version__}
-    return InequalityReport(
-        "nfold", f.k, n, f.resolution, constant, "sharp" if f.k <= 3 else "conjectured",
-        lhs, rhs, ratio, tol_rel, tol_abs, verdict, prov,
-    )
+    return _report("nfold", n, (f,), sup_convolve_n(f, n), tol_rel, tol_abs)
 
 
 def verify_pair(
@@ -277,23 +283,7 @@ def verify_pair(
     if f.lattice != g.lattice:
         raise ValueError("f and g must share a lattice")
     _check_caps(f.lattice, 2)
-    conv = sup_convolve_pair(f, g)
-    mean_f = mean_value(f.values)
-    lhs = mean_value(conv.values) - (mean_f + mean_value(g.values)) / Rat(2)
-    env = concave_envelope(f)
-    rhs = mean_value(env.values) - mean_f
-    k = f.k
-    constant = Rat(k + 1, 2 ** (k + 1))
-    verdict, ratio = _verdict(lhs, rhs, constant, tol_rel, tol_abs)
-    prov = {
-        "f": function_digest(f),
-        "g": function_digest(g),
-        "version": __version__,
-    }
-    return InequalityReport(
-        "pair", k, 2, f.resolution, constant, "sharp" if k <= 3 else "conjectured",
-        lhs, rhs, ratio, tol_rel, tol_abs, verdict, prov,
-    )
+    return _report("pair", 2, (f, g), sup_convolve_pair(f, g), tol_rel, tol_abs)
 
 
 # -- quadrature-free extremal pipeline ---------------------------------------

@@ -29,8 +29,7 @@ from itertools import combinations
 from math import comb, floor
 
 from ._rational import ONE, Rat
-from .exactlp import eliminate
-from .geometry import DIM_CAP, BaryPoint, _check_dim, compositions
+from .geometry import BaryPoint, _check_dim, compositions, relative_volume, simplex
 
 # Cap on the cells of one subdivision, checked before any is listed.
 # On a 2-vCPU host the largest accepted `supconvex subdivide` runs
@@ -87,19 +86,11 @@ def hypersimplex_triangulation(k: int, m: int):
     return tuple(out)
 
 
-def _int_simplex_volume(verts) -> object:
-    base = verts[0]
-    k = len(verts) - 1
-    rows = [[Rat(verts[i][j] - base[j]) for j in range(k)] for i in range(1, k + 1)]
-    det, _ = eliminate(rows)
-    return abs(det)
-
-
 @cache
 def hypersimplex_volume(k: int, m: int):
     """Relative volume of slice(k, m), from the exact triangulation."""
     return sum(
-        (_int_simplex_volume(s) for s in hypersimplex_triangulation(k, m)), Rat(0)
+        (relative_volume(simplex(s)) for s in hypersimplex_triangulation(k, m)), Rat(0)
     )
 
 

@@ -93,6 +93,27 @@ def test_cyclic_matrices_are_permutations():
         for row in piece.matrix:
             assert sorted(row) == [0, 0, 0, 1]
         assert all(o == 0 for o in piece.offset)
+    for k in range(1, 5):
+        d = k + 1
+        identity = tuple(tuple(int(r == c) for c in range(d)) for r in range(d))
+        (piece,) = averaging_certificate(k, 1).maps[0].pieces
+        assert piece.matrix == identity
+        assert all(o == 0 for o in piece.offset)
+        # (1, 1) is served by the identity family, so build the rotations directly.
+        maps = averageable._cyclic_certificate(k).maps
+        assert [mp.name for mp in maps] == [f"rotate{i}" for i in range(k)]
+        for i, mp in enumerate(maps):
+            # rotate{i} sends e_j to e_(j+i mod k+1).
+            rotation = tuple(
+                tuple(int((r - i) % d == c) for c in range(d)) for r in range(d)
+            )
+            (piece,) = mp.pieces
+            assert piece.matrix == rotation
+            assert all(o == 0 for o in piece.offset)
+    for cert in (averaging_certificate(3, 2), medial_certificate()):
+        (piece,) = cert.maps[0].pieces
+        assert cert.maps[0].name == "identity"
+        assert piece.matrix == tuple(tuple(int(r == c) for c in range(4)) for r in range(4))
 
 
 def test_corrupted_certificate_fails():

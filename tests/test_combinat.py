@@ -52,6 +52,9 @@ def test_constant_examples():
     assert sharp_constant(2, 4) == Fraction(21, 32)
     assert sharp_constant(3, 3) == Fraction(4, 9)
     assert sharp_constant(1, 1) == 0
+    # c(k, 2) is the pairwise inequality's constant (k+1)/2^(k+1).
+    for k in range(1, 7):
+        assert sharp_constant(k, 2) == power_sum_constant(k, 2) == Fraction(k + 1, 2 ** (k + 1))
 
 
 def test_all_forms_agree():

@@ -48,6 +48,9 @@ def test_lattice_vertex_indices():
     lat = lattice(2, 3)
     idx = lat.vertex_indices()
     assert [lat.int_points[i] for i in idx] == [(3, 0, 0), (0, 3, 0), (0, 0, 3)]
+    assert lat.index((1, 2, 0)) == lat.int_points.index((1, 2, 0))
+    with pytest.raises(ValueError, match="not a lattice point"):
+        lat.index((1, 1, 0))
 
 
 def test_dimension_cap():
@@ -115,6 +118,10 @@ def test_interior_intersection_basic():
     # Corner cells meeting only along lower-dimensional sets.
     assert not simplices_interior_intersect(a, b)
     assert simplices_interior_intersect(tri, a)
+    # Disjoint closed corners: the LP has no feasible point at all.
+    c = simplex([("1", "0", "0"), ("3/4", "1/4", "0"), ("3/4", "0", "1/4")])
+    d = simplex([("0", "1", "0"), ("1/4", "3/4", "0"), ("0", "3/4", "1/4")])
+    assert not simplices_interior_intersect(c, d)
 
 
 def test_interior_intersection_shared_facet():

@@ -39,6 +39,16 @@ GOLDEN_EXTREMAL_REPORT = (
     '"verdict":"pass"}'
 )
 
+# verify_pair(make_random(2, 3, seed=1), make_random(2, 3, seed=2)).
+GOLDEN_PAIR_REPORT = (
+    '{"constant":"3/8","constant_kind":"sharp","k":2,"kind":"pair",'
+    '"lhs":"367/1280","n":2,"provenance":{"f":"8a8a5fd8277d38ff392008afa4'
+    '167865b7c37dd2de5e81fac0ad981782a171fd","g":"8d66f38a4fee1947a08b5caf'
+    '4325309312e7997f3400d60ea67e35644acf4215","version":"0.1.0"},'
+    '"ratio":"367/474","resolution":3,"rhs":"237/640","tol_abs":"1/1000000000",'
+    '"tol_rel":"1/20","verdict":"pass"}'
+)
+
 
 def test_function_file_round_trip(tmp_path):
     f = make_random(2, 3, seed=42)
@@ -168,6 +178,11 @@ def test_frozen_extremal_report():
     assert report_json(rep) == GOLDEN_EXTREMAL_REPORT
     # byte reproducibility
     assert report_json(verify_nfold(make_extremal(1, 2), 2)) == GOLDEN_EXTREMAL_REPORT
+
+
+def test_frozen_pair_report():
+    f, g = make_random(2, 3, seed=1), make_random(2, 3, seed=2)
+    assert report_json(verify_pair(f, g)) == GOLDEN_PAIR_REPORT
 
 
 def test_degenerate_pass_for_constant_function():

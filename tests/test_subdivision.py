@@ -129,6 +129,8 @@ def test_classify_lattice_points_use_m1_cell():
     loc = classify_point(2, 2, mid)
     assert loc.m == 1 and loc.on_boundary
     assert cell_contains(SubdivisionCell(2, loc.m, loc.shift), mid)
+    # The closed cell at shift (1, 0, 0) ends where x_0 = 1/2.
+    assert not cell_contains(SubdivisionCell(2, 1, (1, 0, 0)), bary_point([0, 1, 0]))
 
 
 def test_classify_agrees_with_feasibility_oracle():
