@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._rational import ONE, ZERO, Rat
+from ._rational import ONE, ZERO, Rat, scaled
 from .exactlp import eliminate
 from .geometry import (
     BaryPoint,
@@ -42,9 +42,12 @@ from .geometry import (
     simplices_interior_intersect,
     standard_simplex,
 )
-from .harness import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, make_random, mean_value
+from .harness import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, RANDOM_DENOMINATOR, random_numerators
 from .subdivision import hypersimplex_vertices, hypersimplex_volume
-from .supconvolve import sup_convolve_n
+from .supconvolve import best_sums_n
+# Unused here; kept because benchmarks/tracing.py wraps this name in
+# this module, and its trace mode fails without it.
+from .supconvolve import sup_convolve_n  # noqa: F401
 
 
 # Lattice resolution of the transport check's sampled functions.
@@ -300,12 +303,14 @@ def verify_certificate(
     All structural checks are exact.  The final transport check uses
     the tolerance, because lattice means at the fixed resolution
     TRANSPORT_RESOLUTION stand in for the integrals.  It runs on the
-    provided functions, or on make_random(k, TRANSPORT_RESOLUTION,
-    seed + t) for t < trials (0 at vertices, values in [-1, 0]), each
-    drawn as the loop reaches it; trials must lie in 1..TRIALS_CAP.
-    Transport fails when no function was checked.  Target membership
-    does not depend on the function, so it is computed once per
-    distinct lattice.
+    provided functions, which must have the certificate's k (ValueError
+    otherwise), or on make_random(k, TRANSPORT_RESOLUTION, seed + t)
+    for t < trials (0 at vertices, values in [-1, 0]), each drawn as
+    the loop reaches it; trials must lie in 1..TRIALS_CAP.  Transport
+    fails when no function was checked.  It runs on integer numerators
+    over one denominator per function, and only the two compared means
+    are rationals.  Target membership does not depend on the function,
+    so it is computed once per distinct lattice.
     """
     if functions is None and not 1 <= trials <= TRIALS_CAP:
         raise ValueError(f"trials must be in 1..{TRIALS_CAP} (cap), got {trials}")
@@ -364,25 +369,33 @@ def verify_certificate(
     )
 
     if functions is None:
-        functions = (
-            make_random(cert.k, TRANSPORT_RESOLUTION, seed + t) for t in range(trials)
+        samples = (
+            (*random_numerators(cert.k, TRANSPORT_RESOLUTION, seed + t), RANDOM_DENOMINATOR)
+            for t in range(trials)
         )
+    else:
+        samples = ((f.lattice, *scaled(f.values)) for f in functions)
+    vol = cert.target.rel_volume
     transport_ok = True
     witness = ""
     target_masks = {}  # lattice -> per-point membership, independent of f
     t = -1
-    for t, f in enumerate(functions):
-        conv = sup_convolve_n(f, cert.m)
-        mask = target_masks.get(f.lattice)
+    for t, (lat, nums, den) in enumerate(samples):
+        if lat.k != cert.k:
+            raise ValueError(f"function {t} has k = {lat.k}, certificate has k = {cert.k}")
+        best = best_sums_n(lat, nums, cert.m)
+        mask = target_masks.get(lat)
         if mask is None:
-            mask = target_masks[f.lattice] = [cert.target.member(p) for p in f.lattice.points]
-        inside = [v for v, keep in zip(conv.values, mask) if keep]
+            mask = target_masks[lat] = [cert.target.member(p) for p in lat.points]
+        inside = [b for b, keep in zip(best, mask) if keep]
         if not inside:
             transport_ok = False
             witness = "no lattice points inside the target"
             break
-        lhs = cert.target.rel_volume * mean_value(inside)
-        rhs = cert.target.rel_volume * mean_value(f.values)
+        # vol * mean over S of conv_m(f) = sum(best) / (m * den), and
+        # vol * mean over L of f = sum(nums) / den.
+        lhs = Rat(vol.numerator * sum(inside), vol.denominator * cert.m * den * len(inside))
+        rhs = Rat(vol.numerator * sum(nums), vol.denominator * den * len(nums))
         if lhs < rhs - (tol_rel * abs(rhs) + tol_abs):
             transport_ok = False
             witness = f"function {t}: {lhs} < {rhs} minus tolerance"

@@ -134,14 +134,23 @@ def _best_sums(lat, nums):
     return [best[m * c] for c in codes]
 
 
-def sup_convolve_n(f: SampledFunction, n: int) -> SampledFunction:
-    """n-fold discrete sup-convolution, exact."""
+def best_sums_n(lat, nums, n: int):
+    """n-fold best sums of integer numerators: for every lattice point z
+    in order, the max of nums[x_1] + ... + nums[x_n] over lattice points
+    with x_1 + ... + x_n = n * z.  For n = 1 this is nums itself."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n == 1:
+        return nums
+    return _best_sums(lat, [nums] * n)
+
+
+def sup_convolve_n(f: SampledFunction, n: int) -> SampledFunction:
+    """n-fold discrete sup-convolution, exact."""
+    if n == 1:
         return f
     nums, den = scaled(f.values)
-    best = _best_sums(f.lattice, [nums] * n)
+    best = best_sums_n(f.lattice, nums, n)
     return SampledFunction(f.lattice, tuple(Rat(b, n * den) for b in best))
 
 

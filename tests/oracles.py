@@ -193,3 +193,33 @@ def dual_simplex_bland(columns, objective, rhs, basis):
         entering = min(j for j, v in ratios.items() if v == best)
         pivots.append((row, entering))
         basis[row] = entering
+
+
+def make_random_values(int_points, resolution: int, seed: int, roughness=1):
+    """make_random's values computed directly as Fractions, with a
+    private splitmix64: one gate word and one draw per non-vertex point,
+    in the given (lattice) order."""
+    rough = Fraction(str(roughness)) if isinstance(roughness, (str, float)) else Fraction(roughness)
+    mask = (1 << 64) - 1
+    state = seed & mask
+
+    def next_u64():
+        nonlocal state
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    values = []
+    for ints in int_points:
+        if resolution in ints:
+            values.append(Fraction(0))
+            continue
+        gate = next_u64()
+        draw = next_u64() % 65
+        if gate * rough.denominator < rough.numerator * (1 << 64):
+            values.append(-Fraction(draw, 64))
+        else:
+            values.append(Fraction(0))
+    return values

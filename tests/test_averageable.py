@@ -11,10 +11,13 @@ from supconvex import (
     averaging_certificate,
     bary_point,
     lattice,
+    make_random,
+    mean_value,
     medial_certificate,
     relative_volume,
     sampled_function,
     simplex,
+    sup_convolve_n,
     verify_certificate,
 )
 from supconvex import averageable
@@ -242,10 +245,12 @@ def test_target_membership_is_computed_once_per_lattice():
 
 def test_transport_draws_each_function_as_it_is_checked(monkeypatch):
     events = []
-    draw, convolve = averageable.make_random, averageable.sup_convolve_n
-    monkeypatch.setattr(averageable, "make_random", lambda *a: events.append("draw") or draw(*a))
+    draw, convolve = averageable.random_numerators, averageable.best_sums_n
     monkeypatch.setattr(
-        averageable, "sup_convolve_n", lambda *a: events.append("convolve") or convolve(*a)
+        averageable, "random_numerators", lambda *a: events.append("draw") or draw(*a)
+    )
+    monkeypatch.setattr(
+        averageable, "best_sums_n", lambda *a: events.append("convolve") or convolve(*a)
     )
     assert verify_certificate(averaging_certificate(2, 2), trials=3, seed=7).passed
     assert events == ["draw", "convolve"] * 3
@@ -266,3 +271,57 @@ def test_trial_counts_outside_the_cap_are_refused():
     for trials in (0, -3, averageable.TRIALS_CAP + 1):
         with pytest.raises(ValueError, match="trials"):
             verify_certificate(cert, trials=trials)
+
+
+def test_functions_of_another_dimension_are_refused():
+    cases = (
+        (averaging_certificate(2, 2), make_random(3, 4, 1)),
+        (averaging_certificate(1, 1), make_random(2, 4, 1)),
+        (medial_certificate(), make_random(2, 4, 1)),
+        (medial_certificate(), make_random(4, 3, 1)),
+    )
+    for cert, f in cases:
+        with pytest.raises(ValueError, match=f"k = {f.k}, certificate has k = {cert.k}"):
+            verify_certificate(cert, functions=[f])
+
+
+def _fraction_transport(cert, functions, tol_rel, tol_abs=Fraction(1, 10**9)):
+    """The transport check on Fractions: sup_convolve_n, then the means."""
+    vol = cert.target.rel_volume
+    for t, f in enumerate(functions):
+        conv = sup_convolve_n(f, cert.m)
+        inside = [v for v, p in zip(conv.values, f.lattice.points) if cert.target.member(p)]
+        if not inside:
+            return False, "no lattice points inside the target"
+        lhs, rhs = vol * mean_value(inside), vol * mean_value(f.values)
+        if lhs < rhs - (tol_rel * abs(rhs) + tol_abs):
+            return False, f"function {t}: {lhs} < {rhs} minus tolerance"
+    return True, ""
+
+
+def test_integer_transport_matches_the_fraction_route():
+    # Values over mixed coprime denominators, nonzero at the vertices,
+    # on two lattices per certificate; the tolerances give both verdicts.
+    certs = [averaging_certificate(k, m) for k, m in EXPECTED_JACOBIANS]
+    certs += [medial_certificate(), _inner_points_only(averaging_certificate(2, 1))]
+    dens = (1, 2, 3, 5, 7, 11)
+    verdicts = Counter()
+    for cert in certs:
+        functions = []
+        for s, resolution in enumerate((3, 4, 3)):
+            lat = lattice(cert.k, resolution)
+            functions.append(
+                sampled_function(
+                    lat,
+                    [
+                        Fraction((5 * i + 3 * s) % 13 - 7, dens[(i + s) % len(dens)])
+                        for i in range(len(lat))
+                    ],
+                )
+            )
+        for tol_rel in (Fraction(1, 20), Fraction(-1, 2), Fraction(-2)):
+            transport = verify_certificate(cert, functions=functions, tol_rel=tol_rel).checks[-1]
+            want = _fraction_transport(cert, functions, tol_rel)
+            assert (transport.passed, transport.witness) == want
+            verdicts[want[0]] += 1
+    assert verdicts[True] and verdicts[False], verdicts

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import supconvex
+from oracles import make_random_values
 from supconvex import (
     SplitMix64,
     extremal_grid_report,
@@ -26,6 +27,7 @@ from supconvex import (
     verify_nfold,
     verify_pair,
 )
+from supconvex.harness import RANDOM_DENOMINATOR, random_numerators
 
 GOLDEN_RANDOM_DIGEST = (
     "6ac230f4e21d453efeb15c9f464a9946e29bfc86492f3306204b573705ed5491"
@@ -159,6 +161,22 @@ def test_make_random_roughness():
         make_random(1, 2, seed=1, roughness=2)
 
 
+@pytest.mark.parametrize("roughness", [0, Fraction(1, 3), "0.5", 1])
+def test_make_random_and_its_numerators_match_the_oracle(roughness):
+    for k in range(1, 5):
+        for resolution in range(1, 7):
+            for seed in (0, 1, 7, 2024):
+                lat = lattice(k, resolution)
+                want = make_random_values(lat.int_points, resolution, seed, roughness)
+                f = make_random(k, resolution, seed, roughness)
+                assert f.lattice is lat
+                assert list(f.values) == want
+                got_lat, nums = random_numerators(k, resolution, seed, roughness)
+                assert got_lat is lat
+                assert all(type(v) is int for v in nums)
+                assert [Fraction(v, RANDOM_DENOMINATOR) for v in nums] == want
+
+
 def test_mean_value():
     assert mean_value([Fraction(1), Fraction(0), Fraction(1, 2)]) == Fraction(1, 2)
     # pairwise coprime denominators, with a negative value and an int
@@ -191,6 +209,25 @@ def test_degenerate_pass_for_constant_function():
     assert rep.verdict == "pass-degenerate"
     assert rep.ratio is None
     assert rep.passed
+
+
+def test_lattice_oscillation_fails_below_the_continuum_constant():
+    # Documented behaviour, not a defect of the tolerance: lattice
+    # witnesses cannot smooth an f that alternates at lattice scale, and
+    # the ratio N / (3N - 4) tends to 1/3, not to c(1, 2) = 1/2.
+    lat = lattice(1, 16)
+    f = sampled_function(
+        lat, [0] + [Fraction(-17, 22 if i % 2 else 11) for i in range(1, 16)] + [0]
+    )
+    rep = verify_nfold(f, 2)
+    assert (rep.verdict, rep.ratio, rep.lhs, rep.rhs) == ("fail", Fraction(4, 11), Fraction(4, 11), 1)
+    assert rep.constant == Fraction(1, 2)
+    for resolution in range(4, 21, 2):
+        values = [Fraction(-1, 2) if i % 2 else -1 for i in range(1, resolution)]
+        alternating = sampled_function(lattice(1, resolution), [0] + values + [0])
+        rep = verify_nfold(alternating, 2)
+        assert rep.ratio == Fraction(resolution, 3 * resolution - 4)
+        assert rep.verdict == ("pass" if resolution == 4 else "fail")
 
 
 def test_verify_pair_failure_is_reported():
