@@ -8,6 +8,13 @@ lattice point: maximise sum(w_p f(p)) over weights w with
 sum(w_p p) = z, w >= 0, solved on integer coordinates N p and N z (the
 weight-sum-1 constraint is implied because they all sum to N).
 
+The LPs run over the hull candidates only: a point p with
+2 f(p) < f(p + d) + f(p - d) for some d = e_a - e_b lies strictly below
+the envelope, so an optimal LP never weighs it, and its column is
+dropped before the sweep (see hull_candidates).  The kept columns stay
+in lattice order, so Bland's rule picks among them as before, and
+certificate indices are mapped back to the lattice.
+
 The k+1 vertex columns form a diagonal basis that is feasible for
 every z, so the first point solves from there; subsequent points reuse
 the previous optimal basis, which stays dual feasible when the right
@@ -27,20 +34,24 @@ points and exact weights realising it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from ._rational import Rat
+from ._rational import Rat, scaled
 from .exactlp import ExactSimplexSolver
 from .geometry import BaryLattice, BaryPoint
 
 # Cap on the lattice size C(N + k, k) of one sweep, one LP per point
-# over every column, O(|L|^2) exact work.  It admits k = 3, N = 20
-# (1771 points).  On a busy 2-vCPU host the largest accepted sweeps of
-# the benchmark's general (pivoting) family took 0.2 s (k = 1,
-# N = 1770), 2.5 s (k = 2, N = 58), 8.4 s (k = 3, N = 20), 10.2 s
-# (k = 4, N = 11), 12.7 s (k = 5, N = 8) and 33.5 s (k = 6, N = 7,
-# 1716 points; 20-21 s adjusted for the host's speed).  A strictly
-# concave f (-sum p_i^2) took 6.2 s (k = 2, N = 58), 11.2-12.0 s
-# (k = 3, N = 20) and 24.7 s (k = 6, N = 7).
+# over the hull candidates, O(|L| |candidates|) exact work.  It admits
+# k = 3, N = 20 (1771 points).  On a 2-vCPU host the largest accepted
+# sweeps of the benchmark's general (pivoting) family, which keep 27-51%
+# of their columns, took 0.11 and 0.05 s (concave and spikes; k = 1,
+# N = 1770), 0.8 and 0.2 s (k = 2, N = 58), 2.3 and 0.6 s (k = 3,
+# N = 20), 3.4 and 0.7 s (k = 4, N = 11), 4.2 and 1.0 s (k = 5, N = 8)
+# and 9.6 and 3.2 s (k = 6, N = 7, 1716 points).  A strictly concave f
+# (-sum p_i^2) passes every midpoint test and keeps every column, so its
+# sweeps still bound the cap: 1.8 s (k = 1), 7.1 s (k = 2), 12.6 s
+# (k = 3), 10.3 s (k = 4), 12.2 s (k = 5) and 23-27 s (k = 6; 15-18 s
+# adjusted for the host's speed).
 ENVELOPE_CAP = 1771
 
 
@@ -96,11 +107,41 @@ def check_envelope_cap(lat: BaryLattice) -> None:
         raise ValueError(f"envelope over {len(lat)} lattice points (cap {ENVELOPE_CAP})")
 
 
+@lru_cache(maxsize=8)
+def _midpoint_triples(lat: BaryLattice):
+    """(p, p + d, p - d) as lattice indices, for every point p and every
+    d = e_a - e_b with both ends in the lattice."""
+    triples = []
+    for i, p in enumerate(lat.int_points):
+        for b in range(lat.k + 1):
+            for a in range(b):
+                if p[a] and p[b]:
+                    d = [(t == a) - (t == b) for t in range(lat.k + 1)]
+                    hi = lat.index([x + y for x, y in zip(p, d)])
+                    triples.append((i, hi, lat.index([x - y for x, y in zip(p, d)])))
+    return tuple(triples)
+
+
+def hull_candidates(f: SampledFunction):
+    """Ascending lattice indices of the points p with 2 f(p) >=
+    f(p + d) + f(p - d) for every d of _midpoint_triples.
+
+    A point failing that midpoint test lies strictly below the envelope,
+    so no optimal LP weighs it, and its column has a negative reduced
+    cost in every dual feasible basis, so no dual pivot enters it.  The
+    vertices have no such d and are always kept.
+    """
+    nums, _ = scaled(f.values)
+    below = {p for p, hi, lo in _midpoint_triples(f.lattice) if 2 * nums[p] < nums[hi] + nums[lo]}
+    return [i for i in range(len(nums)) if i not in below]
+
+
 def concave_envelope(f: SampledFunction) -> EnvelopeResult:
     lat = f.lattice
     check_envelope_cap(lat)
-    solver = ExactSimplexSolver(lat.int_points, list(f.values))
-    basis = lat.vertex_indices()
+    kept = hull_candidates(f)
+    solver = ExactSimplexSolver([lat.int_points[j] for j in kept], [f.values[j] for j in kept])
+    basis = [kept.index(j) for j in lat.vertex_indices()]
     env_values = []
     certificates = []
     for i, ints in enumerate(lat.int_points):
@@ -110,7 +151,7 @@ def concave_envelope(f: SampledFunction) -> EnvelopeResult:
         assert sol.value >= f.values[i], "envelope fell below the function"
         env_values.append(sol.value)
         certificates.append(
-            tuple((j, w) for j, w in sorted(sol.x.items()) if w > 0)
+            tuple((kept[c], w) for c, w in sorted(sol.x.items()) if w > 0)
         )
         basis = sol.basis
     return EnvelopeResult(f, tuple(env_values), tuple(certificates))

@@ -3,7 +3,10 @@
 Everything here is deliberately written against fractions.Fraction and
 plain itertools enumeration, sharing no code path with the package
 (which uses integer kernels, LPs, DP and recurrences), so agreement
-between the two is meaningful.
+between the two is meaningful.  The one exception is
+envelope_full_sweep, which runs the package's own solver over every
+lattice column: it checks that the envelope's column prune changes
+nothing, not the solver.
 """
 
 from fractions import Fraction
@@ -90,6 +93,24 @@ def envelope_bruteforce(f):
                 if cand > best[z_idx]:
                     best[z_idx] = cand
     return best
+
+
+def envelope_full_sweep(f):
+    """(values, certificates) of the envelope sweep with one LP per
+    lattice point over every lattice column, warm-started from the
+    vertex basis and then from each point's optimal basis."""
+    from supconvex.exactlp import ExactSimplexSolver
+
+    lat = f.lattice
+    solver = ExactSimplexSolver(lat.int_points, list(f.values))
+    basis = lat.vertex_indices()
+    values, certificates = [], []
+    for ints in lat.int_points:
+        sol = solver.solve(ints, basis=basis)
+        values.append(sol.value)
+        certificates.append(tuple((j, w) for j, w in sorted(sol.x.items()) if w > 0))
+        basis = sol.basis
+    return tuple(values), tuple(certificates)
 
 
 def supconv_bruteforce(f, n: int):

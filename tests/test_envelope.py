@@ -4,16 +4,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dual_simplex_bland, envelope_bruteforce
+from oracles import dual_simplex_bland, envelope_bruteforce, envelope_full_sweep
 from supconvex import (
     SplitMix64,
     concave_envelope,
     evaluate_certificate,
     lattice,
+    make_extremal,
     make_random,
     normalize_to_simplex_form,
     sampled_function,
 )
+from supconvex.envelope import hull_candidates
 from supconvex.exactlp import ExactSimplexSolver
 
 
@@ -133,9 +135,15 @@ def test_warm_general_sweeps_dual_runs_match_the_oracle_and_never_price_in_full(
     # Every solve of a sweep after the first is handed the basis the
     # solver last proved optimal, so its dual simplex skips the full
     # dual-feasibility pass; its pivots match the Fraction oracle's.
-    runs, priced = [], []
-    solve, dual = ExactSimplexSolver.solve, ExactSimplexSolver._dual
+    # The solver sees the hull candidates only; the oracle sees every
+    # lattice column, with basis and entering positions mapped back.
+    runs, priced, solvers = [], [], []
+    init, solve, dual = ExactSimplexSolver.__init__, ExactSimplexSolver.solve, ExactSimplexSolver._dual
     pivot, reduced_costs = ExactSimplexSolver._pivot, ExactSimplexSolver._reduced_costs
+
+    def init_spy(self, columns, objective):
+        solvers.append(columns)
+        init(self, columns, objective)
 
     def solve_spy(self, rhs, basis=None):
         runs.append({"rhs": rhs, "basis": basis, "dual": False, "pivots": []})
@@ -153,6 +161,7 @@ def test_warm_general_sweeps_dual_runs_match_the_oracle_and_never_price_in_full(
         priced.append(sys._getframe(1).f_code.co_name)
         return reduced_costs(self, *args)
 
+    monkeypatch.setattr(ExactSimplexSolver, "__init__", init_spy)
     monkeypatch.setattr(ExactSimplexSolver, "solve", solve_spy)
     monkeypatch.setattr(ExactSimplexSolver, "_dual", dual_spy)
     monkeypatch.setattr(ExactSimplexSolver, "_pivot", staticmethod(pivot_spy))
@@ -162,14 +171,92 @@ def test_warm_general_sweeps_dual_runs_match_the_oracle_and_never_price_in_full(
         f = _general(k, resolution, seed)
         runs.clear()
         res = concave_envelope(f)
+        kept = [f.lattice.index(column) for column in solvers[-1]]
+        assert len(kept) < len(f.lattice)
         for run, value in zip(runs, res.values):
             if run["dual"]:
-                expected = dual_simplex_bland(f.lattice.int_points, f.values, run["rhs"], run["basis"])
-                assert expected[:2] == ("optimal", run["pivots"]) and expected[4] == value
+                basis = [kept[c] for c in run["basis"]]
+                expected = dual_simplex_bland(f.lattice.int_points, f.values, run["rhs"], basis)
+                mapped = [(row, kept[c]) for row, c in run["pivots"]]
+                assert expected[:2] == ("optimal", mapped) and expected[4] == value
                 duals += 1
                 pivots += len(run["pivots"])
     assert duals >= 40 and pivots >= 90, (duals, pivots)
     assert set(priced) == {"_primal"}  # the spy sees the primal simplex price
+
+
+# (k, N) per family of the prune tests: k = 1..4, several N each.
+_PRUNE_SIZES = ((1, 2), (1, 5), (1, 9), (1, 16), (2, 3), (2, 6), (2, 8), (3, 2), (3, 4), (3, 5), (4, 2), (4, 3))
+
+
+def _ties(k, resolution, seed):
+    """Degenerate ties: values in {-1, 0, 1} (even seeds), or a concave
+    min of two integer affine functions plus a 0/1 bump (odd seeds)."""
+    rng = SplitMix64(seed)
+    lat = lattice(k, resolution)
+    if seed % 2 == 0:
+        return sampled_function(lat, [rng.next_below(3) - 1 for _ in lat.int_points])
+    return sampled_function(
+        lat, [min(p[0] - p[1], p[1] + 2 * p[-1] - resolution) + rng.next_below(2) for p in lat.int_points]
+    )
+
+
+_PRUNE_FAMILIES = {
+    "general": _general,
+    "make_random": lambda k, resolution, seed: make_random(k, resolution, seed=seed, roughness=Fraction(seed % 4 + 1, 4)),
+    "normalised": lambda k, resolution, seed: normalize_to_simplex_form(_general(k, resolution, seed)),
+    "extremal": lambda k, resolution, seed: make_extremal(k, resolution),
+    "ties": _ties,
+}
+
+
+def _midpoint_dropped(f):
+    """Lattice indices failing the midpoint test, straight from the
+    Fraction values and the coordinate tuples."""
+    index = {p: i for i, p in enumerate(f.lattice.int_points)}
+    dropped = set()
+    for i, p in enumerate(f.lattice.int_points):
+        for a in range(len(p)):
+            for b in range(len(p)):
+                hi = tuple(x + (t == a) - (t == b) for t, x in enumerate(p))
+                lo = tuple(x - (t == a) + (t == b) for t, x in enumerate(p))
+                if a != b and hi in index and lo in index:
+                    if 2 * f.values[i] < f.values[index[hi]] + f.values[index[lo]]:
+                        dropped.add(i)
+    return dropped
+
+
+@pytest.mark.parametrize("family", sorted(_PRUNE_FAMILIES))
+def test_pruned_sweep_matches_the_full_sweep_byte_for_byte(family):
+    dropped = total = 0
+    for k, resolution in _PRUNE_SIZES:
+        for seed in range(1, 5):
+            f = _PRUNE_FAMILIES[family](k, resolution, seed)
+            res = concave_envelope(f)
+            assert repr((res.values, res.certificates)) == repr(envelope_full_sweep(f))
+            dropped += len(f.lattice) - len(hull_candidates(f))
+            total += len(f.lattice)
+    assert 0 < dropped < total  # the prune bites on every family
+
+
+def _check_prune(f):
+    res = concave_envelope(f)
+    kept = hull_candidates(f)
+    dropped = set(range(len(f.lattice))) - set(kept)
+    assert kept == sorted(kept) and dropped == _midpoint_dropped(f)
+    assert set(f.lattice.vertex_indices()) <= set(kept)
+    for i in dropped:
+        assert res.values[i] > f.values[i]
+    assert not dropped & {j for cert in res.certificates for j, _ in cert}
+    # The envelope passes every midpoint test, so its sweep drops nothing.
+    assert hull_candidates(res.as_function()) == list(range(len(f.lattice)))
+
+
+def test_dropped_points_lie_strictly_below_the_envelope_and_support_nothing():
+    for family in _PRUNE_FAMILIES.values():
+        for k, resolution in _PRUNE_SIZES[::2]:
+            for seed in (1, 2):
+                _check_prune(family(k, resolution, seed))
 
 
 def test_idempotent():
@@ -289,6 +376,7 @@ def test_envelope_properties_hypothesis(f):
         assert env[vi] == f.values[vi]
     again = concave_envelope(res.as_function())
     assert list(again.values) == list(env)
+    _check_prune(f)
 
 
 def test_length_mismatch_raises():
