@@ -5,8 +5,11 @@ integrals, constants) is an exact rational number, a
 fractions.Fraction; ``Rat`` names the type.  The hottest loops, the
 sup-convolution DP and the exact simplex, run on plain ints from
 ``scaled``: the DP on numerators over one denominator, the simplex on
-integer columns with a fraction-free basis (see exactlp).  Rationals
-remain at the boundary: function files, reports and certificates.
+integer columns with a fraction-free basis (see exactlp), and the
+geometry on integer vertex coordinates over one denominator.  Bases,
+volumes and containment are inverted fraction-free; rationals remain
+at the boundary: returned weights, values and volumes, function files,
+reports and certificates.
 """
 
 from __future__ import annotations

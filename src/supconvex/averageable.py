@@ -25,17 +25,24 @@ target, and a check of the transport inequality on sampled functions.
 All geometric checks are exact; only the transport check uses a
 tolerance, because it compares lattice means at the fixed resolution
 TRANSPORT_RESOLUTION, which stand in for the integrals over S and T.
+Pieces are solved, applied and compared on integer numerators over one
+denominator, and the transport check compares its means with the
+tolerance by cross-multiplication; the rational matrices, volumes and
+witness values are formed only for the certificate and its report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 
 from ._rational import ONE, ZERO, Rat, scaled
 from .exactlp import eliminate
 from .geometry import (
     BaryPoint,
     Simplex,
+    _integer_points,
     contains,
     lattice,  # noqa: F401 - unused here; benchmarks/tracing.py wraps averageable.lattice
     relative_volume,
@@ -71,12 +78,19 @@ class AffinePiece:
     matrix: tuple  # rows, each a tuple of rationals
     offset: tuple
 
+    @cached_property
+    def _numerators(self):
+        """(rows of [matrix | offset] as integers over den, den)."""
+        d = len(self.offset)
+        nums, den = scaled([*(v for row in self.matrix for v in row), *self.offset])
+        return [nums[r * d:(r + 1) * d] + [nums[d * d + r]] for r in range(d)], den
+
     def apply(self, p: BaryPoint) -> BaryPoint:
-        coords = tuple(
-            sum((row[i] * p.coords[i] for i in range(len(row))), ZERO) + o
-            for row, o in zip(self.matrix, self.offset)
-        )
-        return BaryPoint(coords)
+        rows, den = self._numerators
+        nums, p_den = scaled(p.coords)
+        nums.append(p_den)  # the offset column's coordinate
+        den *= p_den
+        return BaryPoint(tuple(Rat(sum(map(mul, row, nums)), den) for row in rows))
 
     def image_simplex(self) -> Simplex:
         return Simplex(tuple(self.apply(v) for v in self.domain.vertices))
@@ -137,14 +151,13 @@ def _piece_from_vertex_images(domain: Simplex, images) -> AffinePiece:
     independent, so a pure matrix (offset zero) always exists.
     """
     d = domain.k + 1
-    # Row r of the matrix solves (vertex j) . row = (image j)[r] for all j.
-    _, rows = eliminate(
-        [v.coords for v in domain.vertices],
-        [[images[j].coords[r] for j in range(d)] for r in range(d)],
-    )
+    # Row r of the matrix solves (vertex j) . row = (image j)[r] for all j,
+    # on integer coordinates over one denominator; rows[r] is det * row r.
+    points, _ = _integer_points(domain.vertices + tuple(images))
+    det, rows = eliminate(points[:d], [[image[r] for image in points[d:]] for r in range(d)])
     if rows is None:
         raise ValueError("degenerate domain simplex")
-    return AffinePiece(domain, tuple(tuple(row) for row in rows), (ZERO,) * d)
+    return AffinePiece(domain, tuple(tuple(Rat(v, det) for v in row) for row in rows), (ZERO,) * d)
 
 
 def _identity_map(tri: Simplex) -> PLMap:
@@ -179,23 +192,14 @@ def _average_pieces(maps, m: int):
     multi = [mp for mp in maps if len(mp.pieces) > 1]
     if len(multi) > 1:
         raise UnsupportedCertificateError("more than one multi-piece map")
-    inv_m = Rat(1, m)
-    domains = multi[0].pieces if multi else (maps[0].pieces[0],)
     out = []
-    for dom_piece in domains:
-        d = dom_piece.domain.k + 1
-        rows = [[ZERO] * d for _ in range(d)]
-        offs = [ZERO] * d
-        for mp in maps:
-            piece = dom_piece if len(mp.pieces) > 1 else mp.pieces[0]
-            for r in range(d):
-                prow = piece.matrix[r]
-                orow = rows[r]
-                for c in range(d):
-                    orow[c] += prow[c]
-                offs[r] += piece.offset[r]
-        matrix = tuple(tuple(v * inv_m for v in row) for row in rows)
-        offset = tuple(v * inv_m for v in offs)
+    for dom_piece in multi[0].pieces if multi else (maps[0].pieces[0],):
+        pieces = [dom_piece if len(mp.pieces) > 1 else mp.pieces[0] for mp in maps]
+        matrix = tuple(
+            tuple(sum(cells, ZERO) / m for cells in zip(*rows))
+            for rows in zip(*(p.matrix for p in pieces))
+        )
+        offset = tuple(sum(offs, ZERO) / m for offs in zip(*(p.offset for p in pieces)))
         out.append(AffinePiece(dom_piece.domain, matrix, offset))
     return tuple(out)
 
@@ -321,48 +325,27 @@ def verify_certificate(
                 tuple(p.domain for p in mp.pieces), ONE, _in_simplex, f"domain-tiling:{mp.name}"
             )
         )
-        ok = True
         for idx, piece in enumerate(mp.pieces):
             ratio = relative_volume(piece.image_simplex()) / relative_volume(piece.domain)
             if ratio != 1:
-                checks.append(
-                    CheckResult(
-                        f"piece-measure:{mp.name}",
-                        False,
-                        f"piece {idx} scales volume by {ratio}",
-                    )
-                )
-                ok = False
+                witness = f"piece {idx} scales volume by {ratio}"
                 break
-        if ok:
-            checks.append(CheckResult(f"piece-measure:{mp.name}", True))
+        else:
+            witness = ""
+        checks.append(CheckResult(f"piece-measure:{mp.name}", not witness, witness))
 
     avg = _average_pieces(cert.maps, cert.m)
     images = tuple(p.image_simplex() for p in avg)
-    jac_ok = True
     for idx, (piece, img) in enumerate(zip(avg, images)):
         ratio = relative_volume(img) / relative_volume(piece.domain)
         if ratio != cert.jacobian:
-            checks.append(
-                CheckResult(
-                    "average-jacobian",
-                    False,
-                    f"piece {idx} has jacobian {ratio}, certificate says {cert.jacobian}",
-                )
-            )
-            jac_ok = False
+            witness = f"piece {idx} has jacobian {ratio}, certificate says {cert.jacobian}"
             break
-    if jac_ok:
+    else:
+        witness = ""
         if cert.jacobian != cert.target.rel_volume:
-            checks.append(
-                CheckResult(
-                    "average-jacobian",
-                    False,
-                    f"jacobian {cert.jacobian} differs from |S|/|T| = {cert.target.rel_volume}",
-                )
-            )
-        else:
-            checks.append(CheckResult("average-jacobian", True))
+            witness = f"jacobian {cert.jacobian} differs from |S|/|T| = {cert.target.rel_volume}"
+    checks.append(CheckResult("average-jacobian", not witness, witness))
 
     checks.append(
         _simplices_tile(images, cert.target.rel_volume, cert.target.member, "image-tiling")
@@ -375,7 +358,9 @@ def verify_certificate(
         )
     else:
         samples = ((f.lattice, *scaled(f.values)) for f in functions)
-    vol = cert.target.rel_volume
+    vol_n, vol_d = cert.target.rel_volume.numerator, cert.target.rel_volume.denominator
+    rel_n, rel_d = Rat(tol_rel).as_integer_ratio()
+    abs_n, abs_d = Rat(tol_abs).as_integer_ratio()
     transport_ok = True
     witness = ""
     target_masks = {}  # lattice -> per-point membership, independent of f
@@ -392,13 +377,15 @@ def verify_certificate(
             transport_ok = False
             witness = "no lattice points inside the target"
             break
-        # vol * mean over S of conv_m(f) = sum(best) / (m * den), and
-        # vol * mean over L of f = sum(nums) / den.
-        lhs = Rat(vol.numerator * sum(inside), vol.denominator * cert.m * den * len(inside))
-        rhs = Rat(vol.numerator * sum(nums), vol.denominator * den * len(nums))
-        if lhs < rhs - (tol_rel * abs(rhs) + tol_abs):
+        # lhs = vol * mean over S of conv_m(f) = a / b, with sum(best) over
+        # m * den, and rhs = vol * mean over L of f = c / e, with sum(nums)
+        # over den.  lhs < rhs - (tol_rel |rhs| + tol_abs), multiplied
+        # through by the positive b * e * rel_d * abs_d:
+        a, b = vol_n * sum(inside), vol_d * cert.m * den * len(inside)
+        c, e = vol_n * sum(nums), vol_d * den * len(nums)
+        if (a * e - c * b) * rel_d * abs_d < -(rel_n * abs(c) * b * abs_d + abs_n * b * e * rel_d):
             transport_ok = False
-            witness = f"function {t}: {lhs} < {rhs} minus tolerance"
+            witness = f"function {t}: {Rat(a, b)} < {Rat(c, e)} minus tolerance"
             break
     if t < 0:
         transport_ok = False

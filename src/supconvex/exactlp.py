@@ -46,8 +46,9 @@ is Edmonds' update: every row r other than row becomes
 (p adj[r] - d[r] adj[row]) // det, xb[r] likewise, and |p| is the new
 det (adj and xb change sign when p < 0, as in every dual pivot).  The
 division is exact because p times the new inverse is the new basis's
-adjugate up to sign, an integer matrix.  Rationals appear only where a basis is first inverted and in
-the returned x_j = e_j xb[r] / (det s) and value
+adjugate up to sign, an integer matrix.  A basis is first inverted
+fraction-free too, by ``eliminate``, so rationals appear only in the
+returned x_j = e_j xb[r] / (det s) and value
 sum_r C_j e_j xb[r] / (D det s), j = B_r, one integer dot product.
 
 Reduced costs do not depend on the right hand side, so a basis once
@@ -60,8 +61,11 @@ nonnegative: the primal simplex would find no entering column there.
 Where it is not, the dual simplex starts without its dual-feasibility
 check, since the basis passed it when it was proved optimal.
 
-``eliminate`` computes the basis inverse, and also serves the geometry
-(volumes, point-in-simplex weights) and the averageable map matrices.
+``eliminate``, the package's one elimination routine, works on
+integers only and returns det A and det A times A^-1 b.  Besides the
+basis inverse it serves the geometry (volumes, point-in-simplex
+weights) and the averageable map matrices, on integer coordinates over
+a common denominator.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ from collections import namedtuple
 from itertools import islice
 from operator import add, mul
 
-from ._rational import ONE, ZERO, Rat, scaled
+from ._rational import Rat, scaled
 
 Solution = namedtuple("Solution", "status value x basis")
 
@@ -82,43 +86,38 @@ def _exact(values):
 
 
 def eliminate(rows, rhs=()):
-    """Exact Gauss-Jordan elimination of the square matrix A = rows.
+    """Fraction-free Gauss-Jordan elimination of the square integer
+    matrix A = rows.
 
-    rhs holds zero or more right-hand-side columns b_j.  Returns
-    (det(A), X) where X[j] solves A x = b_j; X is None exactly when A
-    is singular.  The pivot is the first nonzero entry of its column
-    (exact arithmetic needs no magnitude pivoting), and rows with a zero
-    there are skipped, which pays off on the sparse simplex bases.  With
+    rhs holds zero or more integer right-hand-side columns b_j.  Returns
+    (det(A), X) with X[j] = det(A) A^-1 b_j, an integer vector, or
+    (0, None) when A is singular.  Each step pivots on p, the first
+    nonzero entry of its column (exact arithmetic needs no magnitude
+    pivoting), and replaces every other row r by
+    (p row_r - row_r[col] row_pivot) // q, q the previous pivot; the
+    division is exact, every entry being a minor of the augmented matrix
+    (Bareiss 1968, Edmonds 1967), and the last pivot is +-det(A).  With
     no rhs only the rows below each pivot are reduced, as det needs.
     """
     n = len(rows)
-    width = n + len(rhs)
     aug = [list(row) + [b[i] for b in rhs] for i, row in enumerate(rows)]
-    det = ONE
+    sign = prev = 1
     for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot_row is None:
-            return ZERO, None
+            return 0, None
         if pivot_row != col:
             aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-            det = -det
-        row_c = aug[col]
-        pivot = row_c[col]
-        det *= pivot
-        inv = ONE / pivot
-        for c in range(col, width):
-            row_c[c] *= inv
+            sign = -sign
+        tail = aug[col][col + 1:]
+        p = aug[col][col]
         for r in range(0 if rhs else col + 1, n):
             row_r = aug[r]
             f = row_r[col]
-            if r != col and f != 0:
-                for c in range(col, width):
-                    row_r[c] -= f * row_c[c]
-    return det, [[row[n + j] for row in aug] for j in range(len(rhs))]
+            if r != col and (f or p != prev):
+                row_r[col + 1:] = [(p * a - f * b) // prev for a, b in zip(row_r[col + 1:], tail)]
+        prev = p
+    return sign * prev, [[sign * row[n + j] for row in aug] for j in range(len(rhs))]
 
 
 class ExactSimplexSolver:
@@ -269,11 +268,11 @@ class ExactSimplexSolver:
             else:
                 # The transposed basis (its columns as rows) eliminated
                 # against the identity yields the rows of the inverse.
-                det, inverse = eliminate([self._ints[j] for j in basis], self._identity)
-                if inverse is None:
+                det, adj = eliminate([self._ints[j] for j in basis], self._identity)
+                if adj is None:
                     raise ValueError("starting basis is singular")
-                det = abs(int(det))
-                adj = [[int(v * det) for v in row] for row in inverse]
+                if det < 0:
+                    det, adj = -det, [[-v for v in row] for row in adj]
             xb = self._mat_vec(adj, b)
             if any(v < 0 for v in xb):
                 status, det = self._dual(adj, det, xb, basis, not proved)

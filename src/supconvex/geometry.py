@@ -13,7 +13,11 @@ the standard simplex itself has volume exactly 1.  Parallel hyperplanes
 of simplices with different coordinate totals remain directly
 comparable.
 
-Everything is exact; there is no floating point in this module.
+Everything is exact, with no floating point.  Volumes, containment and
+overlap scale a simplex's vertices, and the query point, to integers
+over one common denominator D and eliminate fraction-free
+(exactlp.eliminate); only the returned volumes, |det| / D**k, are
+rational.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from ._rational import ONE, ZERO, Rat
+from ._rational import ONE, ZERO, Rat, scaled
 from .exactlp import eliminate
 
 # Hard cap on the simplex dimension k.  Enumeration sizes grow like
@@ -109,44 +113,50 @@ def barycenter(k: int) -> BaryPoint:
     return BaryPoint(tuple(Rat(1, k + 1) for _ in range(k + 1)))
 
 
-def _chart_rows(verts):
-    """Rows of vertex differences in the drop-last-coordinate chart."""
-    base = verts[0].coords
-    k = len(verts) - 1
-    return [
-        [verts[i].coords[j] - base[j] for j in range(k)]
-        for i in range(1, k + 1)
-    ]
+def _integer_points(points):
+    """Coordinates of points as integers over one common denominator D:
+    (rows, D), rows[i][j] = D * points[i].coords[j]."""
+    nums, den = scaled([c for p in points for c in p.coords])
+    d = len(points[0].coords)
+    return [nums[i:i + d] for i in range(0, len(nums), d)], den
+
+
+def _chart_det(verts) -> int:
+    """det of the integer vertex differences in the drop-last-coordinate
+    chart; nonzero exactly when the simplex is nondegenerate."""
+    base, k = verts[0], len(verts) - 1
+    det, _ = eliminate([[v[j] - base[j] for j in range(k)] for v in verts[1:]])
+    if det == 0:
+        raise DegenerateSimplexError("zero-volume simplex")
+    return det
 
 
 def relative_volume(s: Simplex):
     """Volume of s divided by the volume of the standard simplex.
 
-    Computed as |det| of the chart matrix of vertex differences; the
-    chart is chosen so the standard simplex has determinant exactly 1.
+    |det| of the chart matrix of vertex differences, whose chart is
+    chosen so the standard simplex has determinant exactly 1; computed
+    on integer coordinates over D, it is |det| / D**k.
     """
-    det, _ = eliminate(_chart_rows(s.vertices))
-    if det == 0:
-        raise DegenerateSimplexError("zero-volume simplex")
-    return abs(det)
+    verts, den = _integer_points(s.vertices)
+    return Rat(abs(_chart_det(verts)), den ** s.k)
 
 
 def contains(s: Simplex, p: BaryPoint) -> bool:
     """Exact membership test: p lies in s (boundary included).
 
-    Solves for the barycentric weights of p with respect to the
-    vertices of s and checks they are a convex combination.
+    Solves for the barycentric weights w of p with respect to the
+    vertices of s, as X = det * w on integer coordinates over one
+    denominator, and checks they are a convex combination.
     """
     if p.dim != s.k:
         raise ValueError("point and simplex dimensions differ")
-    rows = list(zip(*(v.coords for v in s.vertices)))  # vertices as columns
-    _, solution = eliminate(rows, [p.coords])
+    (*verts, point), _ = _integer_points(s.vertices + (p,))
+    det, solution = eliminate(list(zip(*verts)), [point])  # vertices as columns
     if solution is None:
         raise DegenerateSimplexError("zero-volume simplex")
     weights = solution[0]
-    if sum(weights, ZERO) != 1:
-        return False
-    return all(w >= 0 for w in weights)
+    return sum(weights) == det and all(w * det >= 0 for w in weights)
 
 
 def simplices_interior_intersect(a: Simplex, b: Simplex) -> bool:
@@ -155,7 +165,8 @@ def simplices_interior_intersect(a: Simplex, b: Simplex) -> bool:
     Maximises t subject to: a point with all barycentric weights >= t in
     both simplices exists.  The optimum is positive exactly when the
     open interiors meet; infeasibility means even the closed simplices
-    are disjoint.
+    are disjoint.  The coordinate rows, scaled by the common denominator
+    D of both vertex sets, make every column an integer vector.
     """
     # Looked up at call time, so that a wrapper installed on
     # exactlp.solve_lp (as benchmarks/tracing.py does) sees these solves.
@@ -163,33 +174,16 @@ def simplices_interior_intersect(a: Simplex, b: Simplex) -> bool:
 
     if a.k != b.k:
         raise ValueError("simplex dimensions differ")
-    relative_volume(a)
-    relative_volume(b)
-    k = a.k
-    rows = k + 3  # k+1 coordinate equations, two weight-sum equations
-    cols = []
-    # Column for t: weights t on every vertex of a minus every vertex of b.
-    t_col = [ZERO] * rows
-    for v in a.vertices:
-        for i in range(k + 1):
-            t_col[i] += v.coords[i]
-    for v in b.vertices:
-        for i in range(k + 1):
-            t_col[i] -= v.coords[i]
-    t_col[k + 1] = Rat(k + 1)
-    t_col[k + 2] = Rat(k + 1)
-    cols.append(tuple(t_col))
-    # Slack weights on a's vertices.
-    for v in a.vertices:
-        col = list(v.coords) + [ONE, ZERO]
-        cols.append(tuple(col))
-    # Slack weights on b's vertices, negated in the coordinate rows.
-    for v in b.vertices:
-        col = [-c for c in v.coords] + [ZERO, ONE]
-        cols.append(tuple(col))
-    objective = [ONE] + [ZERO] * (2 * (k + 1))
-    rhs = [ZERO] * (k + 1) + [ONE, ONE]
-    status, value, _ = solve_lp(cols, objective, rhs)
+    d = a.k + 1
+    verts, _ = _integer_points(a.vertices + b.vertices)
+    _chart_det(verts[:d])
+    _chart_det(verts[d:])
+    # Column for t: weights t on every vertex of a minus every vertex of b,
+    # then the two weight-sum equations; then a's slack weights, and b's,
+    # negated in the coordinate rows.
+    t_col = [sum(col[:d]) - sum(col[d:]) for col in zip(*verts)] + [d, d]
+    cols = [t_col] + [v + [1, 0] for v in verts[:d]] + [[-c for c in v] + [0, 1] for v in verts[d:]]
+    status, value, _ = solve_lp(cols, [1] + [0] * (2 * d), [0] * d + [1, 1])
     if status == "infeasible":
         return False
     if status != "optimal":  # pragma: no cover - t is bounded by 1/(k+1)

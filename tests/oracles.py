@@ -6,7 +6,9 @@ plain itertools enumeration, sharing no code path with the package
 between the two is meaningful.  The one exception is
 envelope_full_sweep, which runs the package's own solver over every
 lattice column: it checks that the envelope's column prune changes
-nothing, not the solver.
+nothing, not the solver.  Likewise fraction_interior_intersect hands
+Fraction columns to the package's solve_lp: it checks the integer LP
+columns of geometry.simplices_interior_intersect, not the solver.
 """
 
 from fractions import Fraction
@@ -244,3 +246,79 @@ def make_random_values(int_points, resolution: int, seed: int, roughness=1):
         else:
             values.append(Fraction(0))
     return values
+
+
+# -- the Fraction geometry: volumes, containment and overlap ---------------
+
+
+def fraction_eliminate(rows, rhs=()):
+    """Gauss-Jordan elimination in Fraction arithmetic: (det(A), X) with
+    X[j] solving A x = b_j, or (0, None) when A is singular."""
+    n = len(rows)
+    aug = [[Fraction(v) for v in row] + [Fraction(b[i]) for b in rhs] for i, row in enumerate(rows)]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0), None
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            det = -det
+        det *= aug[col][col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return det, [[row[n + j] for row in aug] for j in range(len(rhs))]
+
+
+def fraction_relative_volume(s):
+    """|det| of the vertex differences in the drop-last-coordinate chart."""
+    from supconvex.geometry import DegenerateSimplexError
+
+    base, k = s.vertices[0].coords, s.k
+    det, _ = fraction_eliminate(
+        [[v.coords[j] - base[j] for j in range(k)] for v in s.vertices[1:]]
+    )
+    if det == 0:
+        raise DegenerateSimplexError("zero-volume simplex")
+    return abs(det)
+
+
+def fraction_contains(s, p):
+    """Whether the barycentric weights of p in s are a convex combination."""
+    from supconvex.geometry import DegenerateSimplexError
+
+    if p.dim != s.k:
+        raise ValueError("point and simplex dimensions differ")
+    rows = list(zip(*(v.coords for v in s.vertices)))  # vertices as columns
+    _, solution = fraction_eliminate(rows, [p.coords])
+    if solution is None:
+        raise DegenerateSimplexError("zero-volume simplex")
+    return sum(solution[0]) == 1 and all(w >= 0 for w in solution[0])
+
+
+def fraction_interior_intersect(a, b):
+    """Whether max t, over points with every barycentric weight >= t in
+    both simplices, is positive; the LP on Fraction columns."""
+    from supconvex.exactlp import solve_lp
+
+    if a.k != b.k:
+        raise ValueError("simplex dimensions differ")
+    fraction_relative_volume(a)
+    fraction_relative_volume(b)
+    d = a.k + 1
+    t_col = [
+        sum(v.coords[i] for v in a.vertices) - sum(v.coords[i] for v in b.vertices)
+        for i in range(d)
+    ] + [Fraction(d), Fraction(d)]
+    cols = [t_col]
+    cols += [list(v.coords) + [Fraction(1), Fraction(0)] for v in a.vertices]
+    cols += [[-c for c in v.coords] + [Fraction(0), Fraction(1)] for v in b.vertices]
+    objective = [Fraction(1)] + [Fraction(0)] * (2 * d)
+    status, value, _ = solve_lp(cols, objective, [Fraction(0)] * d + [Fraction(1)] * 2)
+    if status == "infeasible":
+        return False
+    assert status == "optimal", status
+    return value > 0

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from supconvex import (
     verify_certificate,
 )
 from supconvex import averageable
+from supconvex.cli import main
 
 EXPECTED_JACOBIANS = {
     (1, 1): Fraction(1),
@@ -117,6 +119,25 @@ def test_cyclic_matrices_are_permutations():
         (piece,) = cert.maps[0].pieces
         assert cert.maps[0].name == "identity"
         assert piece.matrix == tuple(tuple(int(r == c) for c in range(4)) for r in range(4))
+
+
+def test_piece_apply_matches_the_rational_formula():
+    # Int and Fraction entries mixed, a distinct offset per row, and
+    # points over mixed denominators.
+    matrix = (
+        (1, Fraction(1, 2), 0),
+        (Fraction(-2, 3), 3, Fraction(1, 5)),
+        (0, 0, Fraction(7, 4)),
+    )
+    offset = (Fraction(1, 3), -1, Fraction(2, 7))
+    piece = AffinePiece(simplex([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), matrix, offset)
+    points = [*lattice(2, 3).points, bary_point(["1/6", "5/12", "5/12"]), bary_point([2, -1, 0])]
+    for p in points:
+        want = tuple(
+            sum(a * x for a, x in zip(row, p.coords)) + o for row, o in zip(matrix, offset)
+        )
+        assert piece.apply(p).coords == want
+        assert all(type(c) is Fraction for c in piece.apply(p).coords)
 
 
 def test_corrupted_certificate_fails():
@@ -325,3 +346,34 @@ def test_integer_transport_matches_the_fraction_route():
             assert (transport.passed, transport.witness) == want
             verdicts[want[0]] += 1
     assert verdicts[True] and verdicts[False], verdicts
+
+
+# sha256 of the CLI output for these arguments, each with --trials 8
+# --seed 3, recorded when volumes, containment and map pieces were still
+# computed by Fraction elimination.
+AVERAGEABLE_OUTPUTS = [
+    ("--k 1 --m 1", "3fe7fd3c89effeeac92c8bf8c103306d2e549fde303c9624f44868fb8096f3a3"),
+    ("--k 2 --m 1", "12bbf42450ca45bcfb5ed07fa891f97a4d7ee7dea5a19736343c0c13bef0175b"),
+    ("--k 2 --m 2", "3421cb6937ace55e99305d452dd8ab96a0cb496bbb90a608d8f6d452588bdbe7"),
+    ("--k 3 --m 1", "c81f119d854116d3781564b727dad2e059dd03df3fd99debbd5147b4539f92b7"),
+    ("--k 3 --m 3", "75ddccba7f66bc81d0b84d52d2bec8bd894cf591f48b3cd1b7aafd502b2fe5ee"),
+    ("--k 4 --m 1", "226eed05fbe94e36d5ef394870b460e0899c34e4f526ecac3733c57e0065128a"),
+    ("--k 4 --m 4", "75e02f0fbdf4db08a8da74a6511e01df24b8d0650e80460bc022a197132a9065"),
+    ("--k 3 --m 2", "384d8daa74e07eac5d25332554db5462e4eabd0752bb5b07bf8be7823f19abbb"),
+    ("--medial", "f91e40a7fabf947691eb7b41727239aa53fdfe4809da84acc1e46aec9aa95845"),
+]
+
+
+@pytest.mark.parametrize("args, digest", AVERAGEABLE_OUTPUTS)
+def test_averageable_output_bytes_are_pinned(capsys, args, digest):
+    assert main(["averageable", *args.split(), "--trials", "8", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_subdivide_output_bytes_are_pinned(capsys):
+    assert main(["subdivide", "--k", "3", "--n", "3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e89fbe4f1c4dd0a1103fcfc0310dd446804d33400b06a117b43fecf76b9ea29f"
+    )

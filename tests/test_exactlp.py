@@ -134,19 +134,19 @@ def _det_by_permutations(a):
 
 
 def _random_matrix(rng, n):
-    """Small sparse Fraction matrix; about every fourth one is made
+    """Small sparse integer matrix; about every fourth one is made
     singular by overwriting a row with a multiple of the next row."""
     a = [
         [
-            Fraction(0) if rng.next_below(3) == 0
-            else Fraction(int(rng.next_below(9)) - 4, 1 + rng.next_below(3))
+            0 if rng.next_below(3) == 0
+            else (int(rng.next_below(9)) - 4) * (1 + rng.next_below(3))
             for _ in range(n)
         ]
         for _ in range(n)
     ]
     if n >= 2 and rng.next_below(4) == 0:
         i = rng.next_below(n)
-        c = Fraction(int(rng.next_below(5)) - 2, 2)
+        c = int(rng.next_below(5)) - 2
         a[i] = [c * x for x in a[(i + 1) % n]]
     return a
 
@@ -157,30 +157,33 @@ def test_eliminate_matches_oracle_inverse_and_leibniz_determinant():
     for trial in range(240):
         n = 1 + trial % 4
         a = _random_matrix(rng, n)
-        identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
         det, cols = eliminate(a, identity)
-        inv = _invert(a)
+        inv = _invert([[Fraction(v) for v in row] for row in a])
         assert det == _det_by_permutations(a)
         if inv is None:
             singular += 1
             assert det == 0 and cols is None
             assert eliminate(a) == (0, None)
             continue
-        # cols[j] solves a x = e_j: column j of the inverse.
-        assert cols == [[inv[i][j] for i in range(n)] for j in range(n)]
+        # cols[j] is det times column j of the inverse, in integers.
+        assert all(type(v) is int for col in cols for v in col)
+        assert [[Fraction(v, det) for v in col] for col in cols] == [
+            [inv[i][j] for i in range(n)] for j in range(n)
+        ]
         assert eliminate(a) == (det, [])
-        b = [[Fraction(int(rng.next_below(7)) - 3, 1 + rng.next_below(4)) for _ in range(n)] for _ in range(2)]
+        b = [[(int(rng.next_below(7)) - 3) * (1 + rng.next_below(4)) for _ in range(n)] for _ in range(2)]
         _, xs = eliminate(a, b)
         for x, rhs in zip(xs, b):
-            assert [sum(a[i][c] * x[c] for c in range(n)) for i in range(n)] == rhs
+            assert [sum(a[i][c] * x[c] for c in range(n)) for i in range(n)] == [det * v for v in rhs]
     assert 40 <= singular <= 160, singular  # both branches well covered
 
 
 def test_eliminate_determinant_sign_under_row_swaps():
     a = [
-        [Fraction(0), Fraction(2), Fraction(1)],
-        [Fraction(3), Fraction(0), Fraction(-1)],
-        [Fraction(1, 2), Fraction(1), Fraction(0)],
+        [0, 2, 1],
+        [3, 0, -1],
+        [1, 2, 0],
     ]
     base = _det_by_permutations(a)
     assert base != 0
@@ -188,8 +191,9 @@ def test_eliminate_determinant_sign_under_row_swaps():
         rows = [a[p] for p in perm]
         det, _ = eliminate(rows)
         assert det == _perm_sign(perm) * base
+        assert eliminate(rows, [[1, 0, 0]])[0] == det  # the Gauss-Jordan path too
     for perm in permutations(range(4)):
-        rows = [[Fraction(int(perm[i] == j)) for j in range(4)] for i in range(4)]
+        rows = [[int(perm[i] == j) for j in range(4)] for i in range(4)]
         assert eliminate(rows)[0] == _perm_sign(perm)
 
 

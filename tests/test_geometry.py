@@ -1,11 +1,14 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import comb
 
 import pytest
+from oracles import fraction_contains, fraction_interior_intersect, fraction_relative_volume
 
 from supconvex import (
     DegenerateSimplexError,
+    SplitMix64,
     bary_point,
     barycenter,
     contains,
@@ -134,3 +137,99 @@ def test_interior_intersection_rejects_degenerate():
     flat = simplex([("1", "0", "0"), ("0", "1", "0"), ("1/2", "1/2", "0")])
     with pytest.raises(DegenerateSimplexError):
         simplices_interior_intersect(flat, standard_simplex(2))
+
+
+# -- integer geometry against the Fraction oracles ---------------------------
+
+
+def _rat(rng):
+    """A rational in [-1, 2] over a denominator in 1..12."""
+    q = 1 + rng.next_below(12)
+    return Fraction(int(rng.next_below(3 * q + 1)) - q, q)
+
+
+def _vertex(rng, k, total=1):
+    head = [_rat(rng) for _ in range(k)]
+    return bary_point(head + [total - sum(head)])
+
+
+def _combination(verts, weights):
+    return bary_point(
+        [sum(w * v.coords[i] for v, w in zip(verts, weights)) for i in range(len(verts[0].coords))]
+    )
+
+
+def _weights(rng, d, zeros=0, negative=False):
+    """Random weights summing to 1; the first `zeros` are 0, and with
+    `negative` the last is below 0."""
+    w = [Fraction(0)] * zeros
+    w += [Fraction(1 + rng.next_below(6), 1 + rng.next_below(12)) for _ in range(d - zeros)]
+    if negative:
+        w[-1] = -w[-1]
+    total = sum(w)
+    return [x / total for x in w] if total else w
+
+
+def _agree(integer, oracle, *args):
+    """Both raise DegenerateSimplexError, or both return the same value."""
+    try:
+        want = oracle(*args)
+    except DegenerateSimplexError:
+        with pytest.raises(DegenerateSimplexError):
+            integer(*args)
+        return None
+    assert integer(*args) == want
+    return want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_integer_geometry_matches_the_fraction_oracles(k):
+    rng = SplitMix64(100 + k)
+    d = k + 1
+    seen = Counter()
+    for trial in range(36):
+        verts = [_vertex(rng, k) for _ in range(d)]
+        if trial % 6 == 5:
+            # Degenerate: the last vertex is an affine combination of the others.
+            weights = [Fraction(3, 2), Fraction(-1, 2)] + [0] * (k - 2) if k > 1 else [1]
+            verts[-1] = _combination(verts[:k], weights)
+        s = simplex(verts)
+        if _agree(relative_volume, fraction_relative_volume, s) is None:
+            seen["degenerate"] += 1
+            _agree(contains, fraction_contains, s, barycenter(k))
+            for pair in ((s, standard_simplex(k)), (standard_simplex(k), s)):
+                _agree(simplices_interior_intersect, fraction_interior_intersect, *pair)
+            continue
+        points = [
+            _combination(verts, _weights(rng, d)),  # interior
+            _combination(verts, _weights(rng, d, zeros=1 + trial % k if k > 1 else 1)),  # boundary
+            _combination(verts, _weights(rng, d, negative=True)),  # outside
+            _vertex(rng, k),
+            _vertex(rng, k, total=Fraction(1 + rng.next_below(5), 3)),  # off {sum = 1} unless 3/3
+        ]
+        points.append(bary_point([c * Fraction(8, 7) for c in points[0].coords]))  # off {sum = 1}
+        for p in points:
+            seen[_agree(contains, fraction_contains, s, p)] += 1
+        # Shared facet, apex across it (disjoint interiors) and apex on
+        # the same side (overlap); a translate far away (closed-disjoint);
+        # and an unrelated simplex.
+        facet, apex = verts[:k], verts[k]
+        centre = _combination(facet, [Fraction(1, k)] * k) if k > 1 else facet[0]
+        across = bary_point([2 * c - a for c, a in zip(centre.coords, apex.coords)])
+        inside = bary_point([(c + a) / 2 for c, a in zip(centre.coords, apex.coords)])
+        shift = [Fraction(10), Fraction(-10)] + [Fraction(0)] * (d - 2)
+        far = simplex([[c + t for c, t in zip(v.coords, shift)] for v in verts])
+        pairs = [
+            (simplex(facet + [across]), False),
+            (simplex(facet + [inside]), True),
+            (far, False),
+            (s, True),
+            (simplex([_vertex(rng, k) for _ in range(d)]), None),
+        ]
+        for other, want in pairs:
+            got = _agree(simplices_interior_intersect, fraction_interior_intersect, s, other)
+            assert want is None or got == want
+            seen[("overlap", got)] += 1
+    assert seen["degenerate"] >= 6
+    assert seen[True] and seen[False], seen
+    assert seen[("overlap", True)] and seen[("overlap", False)], seen
