@@ -19,10 +19,10 @@ The k+1 vertex columns form a diagonal basis that is feasible for
 every z, so the first point solves from there; subsequent points reuse
 the previous optimal basis, which stays dual feasible when the right
 hand side moves.  Where it is still primal feasible it is optimal
-again, and the solver returns it without pricing or re-inverting (at
-every point after the first when the envelope is affine, as for a
-normalised input); elsewhere the dual simplex repairs it in a handful
-of pivots.  Being the basis the solver last proved optimal, it skips
+again, and the solver returns it without pricing, re-inverting or
+re-checking it, being the tuple it returned (at every point after the
+first when the envelope is affine, as for a normalised input);
+elsewhere the dual simplex repairs it in a handful of pivots.  Being the basis the solver last proved optimal, it skips
 the dual simplex's dual-feasibility pass, and each pivot prices only
 the columns the ratio test reads.  The solver keeps each basis
 fraction-free, as integers adj = det B^-1 and det, so its pricing,
@@ -151,7 +151,7 @@ def concave_envelope(f: SampledFunction) -> EnvelopeResult:
         assert sol.value >= f.values[i], "envelope fell below the function"
         env_values.append(sol.value)
         certificates.append(
-            tuple((kept[c], w) for c, w in sorted(sol.x.items()) if w > 0)
+            tuple((kept[c], w) for c, w in sorted(sol.x.items()) if w.numerator > 0)
         )
         basis = sol.basis
     return EnvelopeResult(f, tuple(env_values), tuple(certificates))

@@ -48,18 +48,25 @@ det (adj and xb change sign when p < 0, as in every dual pivot).  The
 division is exact because p times the new inverse is the new basis's
 adjugate up to sign, an integer matrix.  A basis is first inverted
 fraction-free too, by ``eliminate``, so rationals appear only in the
-returned x_j = e_j xb[r] / (det s) and value
-sum_r C_j e_j xb[r] / (D det s), j = B_r, one integer dot product.
+returned x_j = e_j xb[r] / (det s) (a zero x_j is the shared ZERO)
+and value sum_r C_j e_j xb[r] / (D det s), j = B_r, one integer dot
+product.  All-int columns, objectives and right hand sides, as the
+envelope and the geometry pass, are taken as they are, over 1; only
+other values go through rationals and ``scaled``.
 
 Reduced costs do not depend on the right hand side, so a basis once
 proved optimal stays dual feasible, and it is optimal again for every
 right hand side on which it is primal feasible.  The solver therefore
 keeps the last basis a warm solve proved optimal, in its order, with
-its adj and det.  Handed that basis again, it copies them instead of
+its adj and det.  Handed that basis again, it reuses them instead of
 eliminating, and returns at once when the new basic solution is
 nonnegative: the primal simplex would find no entering column there.
-Where it is not, the dual simplex starts without its dual-feasibility
-check, since the basis passed it when it was proved optimal.
+Where it is not, the dual simplex starts on a copy, without its
+dual-feasibility check, since the basis passed it when it was proved
+optimal.  The very tuple the solve returned (Solution.basis), which is
+the one kept, is known by identity and skips the checks of its column
+indices too; any other basis is checked first and then compared by
+value, as (2, 1.0) == (2, 1) and (True, 1) == (1, 1).
 
 ``eliminate``, the package's one elimination routine, works on
 integers only and returns det A and det A times A^-1 b.  Besides the
@@ -71,18 +78,21 @@ a common denominator.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import islice
+from itertools import chain, islice
 from operator import add, mul
 
-from ._rational import Rat, scaled
+from ._rational import ZERO, Rat, scaled
 
 Solution = namedtuple("Solution", "status value x basis")
 
 
-def _exact(values):
-    """values as exact numbers for ``scaled``: ints as they are, the
-    rest as rationals."""
-    return [v if type(v) is int else Rat(v) for v in values]
+def _integers(values):
+    """(integer numerators, common denominator) of exact values: all-int
+    values as they are, over 1; otherwise every non-int as a rational,
+    through ``scaled``."""
+    if all(type(v) is int for v in values):
+        return values, 1
+    return scaled([v if type(v) is int else Rat(v) for v in values])
 
 
 def eliminate(rows, rhs=()):
@@ -101,6 +111,9 @@ def eliminate(rows, rhs=()):
     """
     n = len(rows)
     aug = [list(row) + [b[i] for b in rhs] for i, row in enumerate(rows)]
+    if not set(map(type, chain.from_iterable(aug))) <= {int}:  # // floors a rational
+        r, c, v = next((r, c, v) for r, row in enumerate(aug) for c, v in enumerate(row) if type(v) is not int)
+        raise TypeError(f"eliminate takes ints; entry ({r}, {c}) of [A | b] is {v!r}")
     sign = prev = 1
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
@@ -127,16 +140,14 @@ class ExactSimplexSolver:
         if not columns:
             raise ValueError("need at least one column")
         self.m = len(columns[0])
-        cols = [_exact(col) for col in columns]
-        for col in cols:
+        self._ints, self._dens = zip(*(_integers(tuple(col)) for col in columns))
+        for col in self._ints:
             if len(col) != self.m:
                 raise ValueError("ragged column lengths")
-        if len(objective) != len(cols):
+        if len(objective) != len(columns):
             raise ValueError("objective length mismatch")
-        self.obj = [Rat(v) for v in objective]
-        self._ints, self._dens = zip(*map(scaled, cols))
         self._rows = tuple(zip(*self._ints))  # the integer columns, transposed
-        nums, self._obj_den = scaled(self.obj)
+        nums, self._obj_den = _integers(objective)
         self._costs = [c * e for c, e in zip(nums, self._dens)]
         self._identity = [[int(c == r) for c in range(self.m)] for r in range(self.m)]
         self._proved = None  # (basis, adj, det) of the last warm solve proved optimal
@@ -249,11 +260,14 @@ class ExactSimplexSolver:
     # -- public entry points ----------------------------------------------
 
     def solve(self, rhs, basis=None) -> Solution:
-        rhs = _exact(rhs)
         if len(rhs) != self.m:
             raise ValueError("rhs length mismatch")
-        b, s = scaled(rhs)
-        if basis is not None:
+        b, s = _integers(rhs)
+        if basis is None:
+            return self._two_phase(b, s)
+        kept = self._proved
+        hit = kept is not None and basis is kept[0]  # checked when it was proved
+        if not hit:
             basis = list(basis)
             if len(basis) != self.m:
                 raise ValueError("basis length mismatch")
@@ -262,31 +276,36 @@ class ExactSimplexSolver:
                 # Negative indices would wrap to the last columns.
                 if type(j) is not int or not 0 <= j < n_cols:
                     raise ValueError(f"basis index {j!r} is not a column index in range({n_cols})")
-            proved = self._proved is not None and self._proved[0] == tuple(basis)
-            if proved:
-                adj, det = [row[:] for row in self._proved[1]], self._proved[2]
-            else:
-                # The transposed basis (its columns as rows) eliminated
-                # against the identity yields the rows of the inverse.
-                det, adj = eliminate([self._ints[j] for j in basis], self._identity)
-                if adj is None:
-                    raise ValueError("starting basis is singular")
-                if det < 0:
-                    det, adj = -det, [[-v for v in row] for row in adj]
+            hit = kept is not None and kept[0] == tuple(basis)
+        if hit:
+            adj, det = kept[1], kept[2]
+            xb = self._mat_vec(adj, b)
+            if all(v >= 0 for v in xb):
+                return self._solution("optimal", xb, det, s, kept[0])
+            # Pivot on a copy, so that the kept inverse survives.
+            adj, basis = [row[:] for row in adj], list(basis)
+            status, det = self._dual(adj, det, xb, basis, False)
+        else:
+            # The transposed basis (its columns as rows) eliminated
+            # against the identity yields the rows of the inverse.
+            det, adj = eliminate([self._ints[j] for j in basis], self._identity)
+            if adj is None:
+                raise ValueError("starting basis is singular")
+            if det < 0:
+                det, adj = -det, [[-v for v in row] for row in adj]
             xb = self._mat_vec(adj, b)
             if any(v < 0 for v in xb):
-                status, det = self._dual(adj, det, xb, basis, not proved)
-            elif proved:
-                status = "optimal"
+                status, det = self._dual(adj, det, xb, basis, True)
             else:
                 status, det = self._primal(adj, det, xb, basis, self._costs, len(self._ints))
-            if status == "optimal":
-                # adj belongs to this call, and nothing changes it after
-                # the return; a later hit works on a copy.
-                self._proved = (tuple(basis), adj, det)
-            if status is not None:
-                return self._solution(status, xb, det, s, basis)
-        return self._two_phase(b, s)
+        if status is None:
+            return self._two_phase(b, s)
+        sol = self._solution(status, xb, det, s, tuple(basis))
+        if status == "optimal":
+            # adj belongs to this call, and nothing changes it after the
+            # return; a later hit pivots on a copy.
+            self._proved = (sol.basis, adj, det)
+        return sol
 
     def _two_phase(self, b, s) -> Solution:
         m = self.m
@@ -317,15 +336,15 @@ class ExactSimplexSolver:
                         break
         # Phase 2 prices the real columns only; basic artificials cost 0.
         status, det = phase1._primal(adj, det, xb, basis, self._costs + [0] * m, n_real)
-        return self._solution(status, xb, det, s, basis)
+        return self._solution(status, xb, det, s, tuple(basis))
 
     def _solution(self, status, xb, det, s, basis) -> Solution:
         if status != "optimal":
             return Solution(status, None, None, None)
-        n_real = len(self._ints)
-        x = {j: Rat(self._dens[j] * v, det * s) for j, v in zip(basis, xb) if j < n_real}
+        n_real, den = len(self._ints), det * s
+        x = {j: Rat(self._dens[j] * v, den) if v else ZERO for j, v in zip(basis, xb) if j < n_real}
         value = sum(self._costs[j] * v for j, v in zip(basis, xb) if j < n_real)
-        return Solution("optimal", Rat(value, self._obj_den * det * s), x, tuple(basis))
+        return Solution("optimal", Rat(value, self._obj_den * den), x, basis)
 
 
 def solve_lp(columns, objective, rhs):

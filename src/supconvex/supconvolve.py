@@ -27,10 +27,18 @@ n-fold form, the half stage is built once, and for odd m the right
 stage is that stage grown by one more step.  A sum x + y is m*z for a
 lattice point z exactly when the first k coordinates of x + y are
 multiples of m: the last one follows, because the coordinates total
-m*N.  So the right stage is bucketed by the residues of its coordinates
-mod m, and each left entry is paired only with the bucket that cancels
-its residue, about |left| * |right| / m**k pairs.  For m = 2 both
-stages are the lattice itself and the pairing is a parity filter.
+m*N.  So the join goes class by class: the left entries whose
+coordinates are r mod m meet only the right class -r, about
+|left| * |right| / m**k pairs.  A stage's keys and classes depend only
+on the lattice, m and its number of functions j (the sums of j lattice
+points are the points of the lattice dilated by j), so they are cached
+per (lattice, m), and each call looks its stage values up by key.
+
+When the m functions are equal in value, (x, y) and (y, x) give one
+sum, and each unordered pair is visited once: in the second stage,
+grown from the lattice, and in the join of a stage with itself (even
+m), where each pair of classes {r, -r} meets once and a class with
+r = -r meets itself in a triangle.
 """
 
 from __future__ import annotations
@@ -40,11 +48,12 @@ from math import comb
 
 from ._rational import Rat, scaled
 from .envelope import SampledFunction
+from .geometry import compositions
 
 # Cap on (m - 1) * C(mN + k, k) * |L|, the work of a DP that builds every
-# stage in full; it bounds the stage steps and (left, right) pairs the
-# DP visits.  On a 2-vCPU host the largest accepted runs take up to 24 s
-# (k = 1, N = 9999, n = 3) and under 40 MB; at k >= 2 up to 6 s.
+# stage in full; it bounds the stage steps and pairs the DP visits.  On
+# a 2-vCPU host the largest accepted runs, cold in a fresh process, take
+# up to 15 s (k = 1, N = 9999, n = 3) and under 40 MB; at k >= 2 up to 3 s.
 DP_CAP = 6 * 10**8
 
 
@@ -56,26 +65,29 @@ def check_dp_cap(lat, m: int) -> None:
         raise ValueError(f"sup-convolution needs up to {work} DP steps (cap {DP_CAP})")
 
 
-def _residue(code: int, base: int, m: int, k: int, sign: int) -> int:
-    """The first k coordinates of a coded sum, times sign, mod m, as one
-    integer in base m."""
-    key = 0
-    for _ in range(k):
-        code, digit = divmod(code, base)
-        key = key * m + sign * digit % m
-    return key
-
-
 @lru_cache(maxsize=16)
-def _point_codes(lat, m: int):
-    """(base, codes, residues, negated residues) of lat's points for a
-    DP over m functions; the tiny DPs of the averageable transport check
-    repeat one (lattice, m) many times."""
+def _layout(lat, m: int):
+    """The codes of lat's points, times 1, m, half = floor(m/2) and
+    m - half, and the keys of the stages of half and of m - half
+    functions by class, {r: (-r, codes)}, r their first k coordinates
+    mod m; the averageable transport check repeats one (lat, m) often."""
     base = m * lat.resolution + 1
-    codes = tuple(sum(c * base**i for i, c in enumerate(p[:-1])) for p in lat.int_points)
-    residues = tuple(_residue(c, base, m, lat.k, 1) for c in codes)
-    negated = tuple(_residue(c, base, m, lat.k, -1) for c in codes)
-    return base, codes, residues, negated
+
+    def code(p):
+        return sum(c * base**i for i, c in enumerate(p[:-1]))
+
+    def classes(j):
+        out = {}
+        for p in compositions(j * lat.resolution, lat.k + 1):
+            r = tuple(c % m for c in p[:-1])
+            out.setdefault(r, (tuple(-c % m for c in r), []))[1].append(code(p))
+        return out
+
+    half = m // 2
+    codes = tuple(map(code, lat.int_points))
+    left = classes(half)
+    right = left if 2 * half == m else classes(m - half)
+    return codes, *(tuple(t * c for c in codes) for t in (m, half, m - half)), left, right
 
 
 def _grow(stage: dict, codes, vals) -> dict:
@@ -93,9 +105,29 @@ def _grow(stage: dict, codes, vals) -> dict:
     return new_stage
 
 
+def _square(codes, vals) -> dict:
+    """The stage of two functions that both have numerators vals: x + y
+    and y + x are one sum, so each unordered pair is visited once."""
+    terms = list(zip(codes, vals))
+    stage = {x + x: u + u for x, u in terms}
+    get = stage.get
+    while terms:
+        x, u = terms.pop()
+        for y, v in terms:
+            w = x + y
+            cand = u + v
+            cur = get(w)
+            if cur is None or cand > cur:
+                stage[w] = cand
+    return stage
+
+
 def _stage(nums, codes) -> dict:
-    stage = dict(zip(codes, nums[0]))
-    for vals in nums[1:]:
+    if len(nums) > 1 and nums[1] == nums[0]:
+        stage, rest = _square(codes, nums[0]), nums[2:]
+    else:
+        stage, rest = dict(zip(codes, nums[0])), nums[1:]
+    for vals in rest:
         stage = _grow(stage, codes, vals)
     return stage
 
@@ -106,32 +138,37 @@ def _best_sums(lat, nums):
     holds one list of integer numerators per function."""
     m = len(nums)
     check_dp_cap(lat, m)
-    base, codes, residues, negated = _point_codes(lat, m)
+    codes, targets, left_diag, right_diag, left_classes, right_classes = _layout(lat, m)
     half = m // 2
     left = _stage(nums[:half], codes)
-    if nums[half : 2 * half] == nums[:half]:
-        right = _grow(left, codes, nums[-1]) if m % 2 else left
+    if nums[half:] == nums[:half]:
+        right = left
+    elif half > 1 and nums[half:-1] == nums[:half]:  # at half = 1, _stage squares
+        right = _grow(left, codes, nums[-1])
     else:
         right = _stage(nums[half:], codes)
-
-    def keyed(stage, n_functions, cached, sign):
-        if n_functions == 1:  # the stage is the lattice, in order
-            return zip(cached, stage.items())
-        return ((_residue(w, base, m, lat.k, sign), (w, v)) for w, v in stage.items())
-
-    buckets = {}
-    for key, entry in keyed(right, m - half, residues, 1):
-        buckets.setdefault(key, []).append(entry)
-    best = {}
-    get = best.get
-    for key, (x, u) in keyed(left, half, negated, -1):
-        for y, v in buckets.get(key, ()):
-            w = x + y
-            cand = u + v
-            cur = get(w)
-            if cur is None or cand > cur:
-                best[w] = cand
-    return [best[m * c] for c in codes]
+    shared = right is left
+    # Every z has the candidate x = half z, y = (m - half) z.
+    best = {w: left[x] + right[y] for w, x, y in zip(targets, left_diag, right_diag)}
+    for r, (neg, xs) in left_classes.items():
+        if shared and neg < r:
+            continue  # classes r and -r of one stage met when -r came up
+        partner = right_classes.get(neg)
+        if partner is None:
+            continue
+        xs = [(x, left[x]) for x in xs]
+        # A class that pairs with itself in one stage is its own partner
+        # list: each x popped from it meets the entries still in it, so
+        # every unordered pair once.  Its pairs (x, x) are the candidates
+        # above, x + x = m z forcing x = half z.
+        ys = xs if shared and neg == r else [(y, right[y]) for y in partner[1]]
+        while xs:
+            x, u = xs.pop()
+            for y, v in ys:
+                cand = u + v
+                if cand > best[w := x + y]:
+                    best[w] = cand
+    return [best[w] for w in targets]
 
 
 def best_sums_n(lat, nums, n: int):

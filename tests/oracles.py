@@ -9,6 +9,8 @@ lattice column: it checks that the envelope's column prune changes
 nothing, not the solver.  Likewise fraction_interior_intersect hands
 Fraction columns to the package's solve_lp: it checks the integer LP
 columns of geometry.simplices_interior_intersect, not the solver.
+best_sums_ordered is the package's earlier integer DP, kept whole: it
+checks the unordered-pair DP against every ordered pair.
 """
 
 from fractions import Fraction
@@ -143,6 +145,51 @@ def pair_bruteforce(f, g):
             if total not in best or fx + gy > best[total]:
                 best[total] = fx + gy
     return [best[tuple(2 * c for c in p)] / 2 for p in pts]
+
+
+def best_sums_ordered(int_points, nums):
+    """Best nums[0][x_1] + ... + nums[m-1][x_m] over lattice points with
+    x_1 + ... + x_m = m * z, for every point z of int_points, by the
+    integer meet-in-the-middle DP that visits every ordered pair: dict
+    stages keyed by base-(mN + 1) codes of the first k coordinates, the
+    right stage bucketed by its residues mod m, computed entry by entry.
+    It checks the package's unordered-pair DP over cached classes on
+    integer numerators directly."""
+    m, k = len(nums), len(int_points[0]) - 1
+    base = m * sum(int_points[0]) + 1
+    codes = [sum(c * base**i for i, c in enumerate(p[:-1])) for p in int_points]
+
+    def residue(code, sign):
+        key = 0
+        for _ in range(k):
+            code, digit = divmod(code, base)
+            key = key * m + sign * digit % m
+        return key
+
+    def stage(lists):
+        out = dict(zip(codes, lists[0]))
+        for vals in lists[1:]:
+            grown = {}
+            for w_prev, acc in out.items():
+                for p, v in zip(codes, vals):
+                    w = w_prev + p
+                    if w not in grown or acc + v > grown[w]:
+                        grown[w] = acc + v
+            out = grown
+        return out
+
+    half = m // 2
+    left, right = stage(nums[:half]), stage(nums[half:])
+    buckets = {}
+    for y, v in right.items():
+        buckets.setdefault(residue(y, 1), []).append((y, v))
+    best = {}
+    for x, u in left.items():
+        for y, v in buckets.get(residue(x, -1), ()):
+            w = x + y
+            if w not in best or u + v > best[w]:
+                best[w] = u + v
+    return [best[m * c] for c in codes]
 
 
 def _compositions(total: int, parts: int):

@@ -109,6 +109,21 @@ def test_input_validation():
             solver.solve([1, 2], basis)
 
 
+def test_validation_after_a_proved_basis():
+    # Only the very tuple the solver returned skips the index checks:
+    # (2, 1.0) == (2, 1) and (True, 1) == (1, 1), yet neither is a basis.
+    solver = ExactSimplexSolver([[1, 0], [0, 1], [1, 1]], [1, 1, 3])
+    proved = solver.solve([1, 2], (2, 1))
+    assert proved.status == "optimal" and proved.basis == (2, 1)
+    for basis in ((2, 1.0), (2.0, True), (True, 1)):
+        with pytest.raises(ValueError, match="not a column index in range\\(3\\)"):
+            solver.solve([1, 2], basis)
+    again = solver.solve([1, 2], proved.basis)
+    assert again == proved and again.basis is proved.basis  # kept, so the next hit is one too
+    for copy in (list(proved.basis), tuple(list(proved.basis))):
+        assert solver.solve([1, 2], copy) == proved
+
+
 # -- eliminate ---------------------------------------------------------------
 
 
@@ -195,6 +210,17 @@ def test_eliminate_determinant_sign_under_row_swaps():
     for perm in permutations(range(4)):
         rows = [[int(perm[i] == j) for j in range(4)] for i in range(4)]
         assert eliminate(rows)[0] == _perm_sign(perm)
+
+
+def test_eliminate_refuses_non_integers():
+    # Exact // on a Fraction floors it: this call once returned (-1, [[0, -1]]).
+    with pytest.raises(TypeError, match=r"entry \(0, 0\) of \[A \| b\] is Fraction\(1, 2\)"):
+        eliminate([[Fraction(1, 2), 1], [1, Fraction(1, 3)]], [[1, 0]])
+    with pytest.raises(TypeError, match=r"entry \(1, 2\) of \[A \| b\] is 0.5"):
+        eliminate([[1, 0], [0, 1]], [[1, 0.5]])
+    with pytest.raises(TypeError, match=r"entry \(0, 1\)"):
+        eliminate([[1, True], [0, 1]])
+    assert eliminate([]) == (1, [])
 
 
 def test_singular_starting_basis_is_rejected():

@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from oracles import pair_bruteforce, supconv_bruteforce
+from oracles import best_sums_ordered, pair_bruteforce, supconv_bruteforce
 from supconvex import (
     SplitMix64,
     concave_envelope,
@@ -14,6 +14,7 @@ from supconvex import (
     sup_convolve_n,
     sup_convolve_pair,
 )
+from supconvex.supconvolve import _best_sums
 
 
 def _func(k, resolution, values):
@@ -83,6 +84,37 @@ def test_matches_bruteforce():
         for g in (_mixed(k, resolution, seed=7 + k), make_random(k, resolution, seed=n), twin):
             assert list(sup_convolve_pair(f, g).values) == pair_bruteforce(f, g)
             assert list(sup_convolve_pair(g, f).values) == pair_bruteforce(g, f)
+
+
+def _numerators(rng, family, size):
+    if family == "two-valued":  # ties everywhere
+        return [rng.next_below(2) for _ in range(size)]
+    if family == "negative":
+        return [-rng.next_below(65) for _ in range(size)]
+    # beyond 2**64, both signs
+    return [(rng.next_u64() << 8) * (1 - 2 * rng.next_below(2)) + rng.next_below(3) for _ in range(size)]
+
+
+def test_unordered_dp_matches_the_ordered_pair_dp():
+    # m = 2..6 functions at k = 1..3, N both a multiple and not a
+    # multiple of m; the lists are one object m times, distinct, or
+    # equal in value but distinct objects (the pair form with g = f).
+    rng = SplitMix64(91)
+    cases = 0
+    for k, sizes in ((1, (4, 7)), (2, (3, 4)), (3, (2, 3))):
+        for resolution in sizes:
+            lat = lattice(k, resolution)
+            for m in range(2, 7):
+                for family in ("two-valued", "negative", "large"):
+                    one = _numerators(rng, family, len(lat))
+                    for nums in (
+                        [one] * m,
+                        [_numerators(rng, family, len(lat)) for _ in range(m)],
+                        [list(one) for _ in range(m)],
+                    ):
+                        assert _best_sums(lat, nums) == best_sums_ordered(lat.int_points, nums)
+                        cases += 1
+    assert cases == 3 * 2 * 5 * 3 * 3
 
 
 def test_pair_of_equal_functions_matches_twofold():
