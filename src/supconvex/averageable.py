@@ -21,14 +21,18 @@ This module builds explicit certificates for the families
 
 and verifies any certificate from scratch: domain tilings, per-piece
 measure preservation, the constant jacobian, the image tiling of the
-target, and a check of the transport inequality on sampled functions.
-All geometric checks are exact; only the transport check uses a
-tolerance, because it compares lattice means at the fixed resolution
-TRANSPORT_RESOLUTION, which stand in for the integrals over S and T.
-Pieces are solved, applied and compared on integer numerators over one
-denominator, and the transport check compares its means with the
-tolerance by cross-multiplication; the rational matrices, volumes and
-witness values are formed only for the certificate and its report.
+target, and the transport inequality on the lattice.  Every check is
+exact.  The transport check proves that every piece of every map has
+an integer matrix and that each map permutes the lattice L_N at
+N = TRANSPORT_RESOLUTION.  Then, for every f on L_N at once,
+
+    sum_x S_m(H_1 x + ... + H_m x) >= m sum_x f(x),
+
+S_m(s) being the best sum of m values of f over lattice points that
+sum to s, so no function is sampled and no tolerance is used.  Pieces
+are solved, applied and compared on integer numerators over one
+denominator; the rational matrices and volumes are formed only for the
+certificate and its report.
 """
 
 from __future__ import annotations
@@ -44,25 +48,20 @@ from .geometry import (
     Simplex,
     _integer_points,
     contains,
-    lattice,  # noqa: F401 - unused here; benchmarks/tracing.py wraps averageable.lattice
+    lattice,
     relative_volume,
     simplices_interior_intersect,
     standard_simplex,
 )
-from .harness import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, RANDOM_DENOMINATOR, random_numerators
 from .subdivision import hypersimplex_vertices, hypersimplex_volume
-from .supconvolve import best_sums_n
 # Unused here; kept because benchmarks/tracing.py wraps this name in
 # this module, and its trace mode fails without it.
 from .supconvolve import sup_convolve_n  # noqa: F401
 
 
-# Lattice resolution of the transport check's sampled functions.
+# Lattice resolution at which the transport check proves each map
+# permutes the lattice.
 TRANSPORT_RESOLUTION = 4
-# Cap on the transport check's random trials.  On a 2-vCPU host the
-# slowest trial, that of the (4, 4) certificate, takes 3-4.5 ms, and
-# `averageable --k 4 --m 4` at the cap takes 15 s.
-TRIALS_CAP = 5000
 
 
 class UnsupportedCertificateError(ValueError):
@@ -294,30 +293,54 @@ def _simplices_tile(simplices, expected_volume, inside, label):
     return CheckResult(label, True)
 
 
-def verify_certificate(
-    cert: AverageabilityCertificate,
-    functions=None,
-    trials: int = 20,
-    seed: int = 2024,
-    tol_rel=DEFAULT_TOL_REL,
-    tol_abs=DEFAULT_TOL_ABS,
-) -> VerificationReport:
+def _permutation_witness(mp: PLMap, lat) -> str:
+    """Why mp is not an integral map that permutes the lattice lat, or
+    "" when it is.
+
+    Each lattice point goes to the first piece whose domain contains it,
+    as in PLMap.apply: one elimination per piece solves for the
+    barycentric weights of all points still unassigned.  A single piece
+    needs no assignment, since the domain tiling proves its domain is T.
+    """
+    for idx, piece in enumerate(mp.pieces):
+        if piece._numerators[1] != 1:
+            return f"piece {idx} is not integral"
+    n = lat.resolution
+    if len(mp.pieces) == 1:
+        owned = [(mp.pieces[0], lat.int_points)]
+    else:
+        owned, rest = [], lat.int_points
+        for piece in mp.pieces:
+            # verts w = x / n as verts (n w) = den x, solved for X = det n w.
+            verts, den = _integer_points(piece.domain.vertices)
+            det, solution = eliminate(list(zip(*verts)), [[den * c for c in x] for x in rest])
+            inside = [
+                sum(ws) == det * n and all(w * det >= 0 for w in ws) for ws in solution
+            ]
+            owned.append((piece, [x for x, keep in zip(rest, inside) if keep]))
+            rest = [x for x, keep in zip(rest, inside) if not keep]
+    images = sorted(
+        tuple(sum(map(mul, row, (*x, n))) for row in piece._numerators[0])
+        for piece, points in owned
+        for x in points
+    )
+    return "" if images == list(lat.int_points) else f"does not permute L_{n}"
+
+
+def verify_certificate(cert: AverageabilityCertificate) -> VerificationReport:
     """Re-derive and check every claim of a certificate from its maps.
 
-    All structural checks are exact.  The final transport check uses
-    the tolerance, because lattice means at the fixed resolution
-    TRANSPORT_RESOLUTION stand in for the integrals.  It runs on the
-    provided functions, which must have the certificate's k (ValueError
-    otherwise), or on make_random(k, TRANSPORT_RESOLUTION, seed + t)
-    for t < trials (0 at vertices, values in [-1, 0]), each drawn as
-    the loop reaches it; trials must lie in 1..TRIALS_CAP.  Transport
-    fails when no function was checked.  It runs on integer numerators
-    over one denominator per function, and only the two compared means
-    are rationals.  Target membership does not depend on the function,
-    so it is computed once per distinct lattice.
+    Every check is exact.  The transport check proves the lattice form
+    of the push-forward: every piece of every map is integral (its
+    integer numerators have denominator 1), and each map permutes the
+    lattice L_N at N = TRANSPORT_RESOLUTION.  Then H_i x lies in L_N
+    for every x in L_N, so S_m(H_1 x + ... + H_m x) >= f(H_1 x) + ...
+    + f(H_m x), and summing over x, each sum over H_i x being a sum over
+    L_N, gives m sum_x f(x) for every f at once.  That the average
+    A(x) = (H_1 x + ... + H_m x)/m lies in the target is image-tiling's
+    check: A is affine on each piece, S is convex, and every image
+    vertex is checked to lie in S.
     """
-    if functions is None and not 1 <= trials <= TRIALS_CAP:
-        raise ValueError(f"trials must be in 1..{TRIALS_CAP} (cap), got {trials}")
     checks = []
     for mp in cert.maps:
         checks.append(
@@ -351,45 +374,10 @@ def verify_certificate(
         _simplices_tile(images, cert.target.rel_volume, cert.target.member, "image-tiling")
     )
 
-    if functions is None:
-        samples = (
-            (*random_numerators(cert.k, TRANSPORT_RESOLUTION, seed + t), RANDOM_DENOMINATOR)
-            for t in range(trials)
-        )
-    else:
-        samples = ((f.lattice, *scaled(f.values)) for f in functions)
-    vol_n, vol_d = cert.target.rel_volume.numerator, cert.target.rel_volume.denominator
-    rel_n, rel_d = Rat(tol_rel).as_integer_ratio()
-    abs_n, abs_d = Rat(tol_abs).as_integer_ratio()
-    transport_ok = True
-    witness = ""
-    target_masks = {}  # lattice -> per-point membership, independent of f
-    t = -1
-    for t, (lat, nums, den) in enumerate(samples):
-        if lat.k != cert.k:
-            raise ValueError(f"function {t} has k = {lat.k}, certificate has k = {cert.k}")
-        best = best_sums_n(lat, nums, cert.m)
-        mask = target_masks.get(lat)
-        if mask is None:
-            mask = target_masks[lat] = [cert.target.member(p) for p in lat.points]
-        inside = [b for b, keep in zip(best, mask) if keep]
-        if not inside:
-            transport_ok = False
-            witness = "no lattice points inside the target"
-            break
-        # lhs = vol * mean over S of conv_m(f) = a / b, with sum(best) over
-        # m * den, and rhs = vol * mean over L of f = c / e, with sum(nums)
-        # over den.  lhs < rhs - (tol_rel |rhs| + tol_abs), multiplied
-        # through by the positive b * e * rel_d * abs_d:
-        a, b = vol_n * sum(inside), vol_d * cert.m * den * len(inside)
-        c, e = vol_n * sum(nums), vol_d * den * len(nums)
-        if (a * e - c * b) * rel_d * abs_d < -(rel_n * abs(c) * b * abs_d + abs_n * b * e * rel_d):
-            transport_ok = False
-            witness = f"function {t}: {Rat(a, b)} < {Rat(c, e)} minus tolerance"
-            break
-    if t < 0:
-        transport_ok = False
-        witness = "no function checked"
-    checks.append(CheckResult("transport", transport_ok, witness))
+    lat = lattice(cert.k, TRANSPORT_RESOLUTION)
+    witness = next(
+        (f"{mp.name}: {w}" for mp in cert.maps if (w := _permutation_witness(mp, lat))), ""
+    )
+    checks.append(CheckResult("transport", not witness, witness))
 
     return VerificationReport(all(c.passed for c in checks), tuple(checks))

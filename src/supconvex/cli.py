@@ -131,7 +131,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--medial", action="store_true", help="the k = 3 medial variant")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=int, help="ignored: the transport check samples nothing")
 
     p = sub.add_parser("cover", help="good-translate closure and cover certificate")
     p.add_argument("--k", type=int, required=True)
@@ -297,7 +297,7 @@ def _cmd_averageable(args):
         if args.k is None or args.m is None:
             raise _UsageError("need --k and --m (or --medial)")
         cert = averaging_certificate(args.k, args.m)
-    report = verify_certificate(cert, trials=args.trials, seed=args.seed)
+    report = verify_certificate(cert)
     payload = {
         "k": cert.k,
         "m": cert.m,

@@ -251,7 +251,8 @@ def lattice(k: int, resolution: int) -> BaryLattice:
 
     A lattice is never modified after construction, so one instance per
     (k, resolution) is shared; the few most recent are kept, since the
-    averageable transport check asks for the same one on every trial.
+    averageable transport check asks for the same one on every
+    certificate of a given k.
     typed=True keeps lattice(True, N) from standing in for lattice(1, N).
     """
     return BaryLattice(k, resolution)

@@ -11,6 +11,9 @@ Fraction columns to the package's solve_lp: it checks the integer LP
 columns of geometry.simplices_interior_intersect, not the solver.
 best_sums_ordered is the package's earlier integer DP, kept whole: it
 checks the unordered-pair DP against every ordered pair.
+sampled_transport is the averageable transport check as it was before
+it became a proof: it runs the package's sup_convolve_n on sampled
+functions and compares lattice means with a tolerance.
 """
 
 from fractions import Fraction
@@ -369,3 +372,25 @@ def fraction_interior_intersect(a, b):
         return False
     assert status == "optimal", status
     return value > 0
+
+
+# -- the sampled averageable transport check -------------------------------
+
+
+def sampled_transport(cert, functions, tol_rel=Fraction(1, 20), tol_abs=Fraction(1, 10**9)):
+    """(passed, witness): for each f, the mean of conv(f, m) over the
+    lattice points in the target against the mean of f over the lattice,
+    both scaled by |S|/|T|, within the tolerance."""
+    from supconvex import sup_convolve_n
+
+    vol = cert.target.rel_volume
+    for t, f in enumerate(functions):
+        conv = sup_convolve_n(f, cert.m)
+        inside = [v for v, p in zip(conv.values, f.lattice.points) if cert.target.member(p)]
+        if not inside:
+            return False, "no lattice points inside the target"
+        lhs = vol * sum(inside, Fraction(0)) / len(inside)
+        rhs = vol * sum(f.values, Fraction(0)) / len(f.values)
+        if lhs < rhs - (tol_rel * abs(rhs) + tol_abs):
+            return False, f"function {t}: {lhs} < {rhs} minus tolerance"
+    return True, ""

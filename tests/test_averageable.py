@@ -1,9 +1,9 @@
 import dataclasses
 import hashlib
-from collections import Counter
 from fractions import Fraction
 
 import pytest
+from oracles import sampled_transport
 
 from supconvex import (
     AffinePiece,
@@ -13,12 +13,10 @@ from supconvex import (
     bary_point,
     lattice,
     make_random,
-    mean_value,
     medial_certificate,
     relative_volume,
     sampled_function,
     simplex,
-    sup_convolve_n,
     verify_certificate,
 )
 from supconvex import averageable
@@ -45,7 +43,7 @@ def test_certificate_table():
 
 def test_all_supported_certificates_verify():
     for k, m in EXPECTED_JACOBIANS:
-        report = verify_certificate(averaging_certificate(k, m), trials=3)
+        report = verify_certificate(averaging_certificate(k, m))
         assert report.passed, [
             (c.name, c.witness) for c in report.checks if not c.passed
         ]
@@ -87,7 +85,7 @@ def test_medial_certificate():
     assert (cert.k, cert.m) == (3, 2)
     assert cert.jacobian == Fraction(1, 4)
     assert cert.target.rel_volume == Fraction(1, 4)
-    report = verify_certificate(cert, trials=3)
+    report = verify_certificate(cert)
     assert report.passed
 
 
@@ -152,7 +150,7 @@ def test_corrupted_certificate_fails():
     corrupted = dataclasses.replace(
         cert, maps=(cert.maps[0], PLMap(bad_map.name, (shifted,)))
     )
-    report = verify_certificate(corrupted, trials=1)
+    report = verify_certificate(corrupted)
     assert not report.passed
     failed = [c for c in report.checks if not c.passed]
     assert failed and all(c.witness for c in failed)
@@ -184,6 +182,30 @@ def _inner_points_only(cert):
     return dataclasses.replace(cert, target=target)
 
 
+E0, E1 = bary_point([1, 0]), bary_point([0, 1])
+MID = bary_point([Fraction(1, 2), Fraction(1, 2)])
+
+
+def _k1_map(name, first_images, second_images):
+    # The k = 1 identity certificate, its map replaced by the pieces that
+    # send the vertices of [e0, mid] and of [mid, e1] to the given images.
+    domains = (simplex([E0.coords, MID.coords]), simplex([MID.coords, E1.coords]))
+    pieces = tuple(
+        map(averageable._piece_from_vertex_images, domains, (first_images, second_images))
+    )
+    return dataclasses.replace(averaging_certificate(1, 1), maps=(PLMap(name, pieces),))
+
+
+def _half_reflection(_cert):
+    # Reflects [e0, mid] onto itself: not integral, yet it permutes L_4.
+    return _k1_map("half-reflection", (MID, E0), (MID, E1))
+
+
+def _folded(_cert):
+    # Integral, but the coordinate swap on [mid, e1] folds it onto [e0, mid].
+    return _k1_map("fold", (E0, MID), (MID, E0))
+
+
 TAMPERED = [
     (_overlapping_domains, "domain-tiling:overlap", "pieces 0 and 1 overlap"),
     (_volume_halving, "piece-measure:squash", "piece 0 scales volume by 1/2"),
@@ -203,22 +225,43 @@ TAMPERED = [
         lambda c: dataclasses.replace(
             c, target=dataclasses.replace(c.target, member=lambda p: False)
         ),
-        "transport",
-        "no lattice points inside the target",
+        "image-tiling",
+        "vertex (Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)) outside region",
     ),
-    (_inner_points_only, "transport", "function 0: -1 < -4/5 minus tolerance"),
+    (
+        _inner_points_only,
+        "image-tiling",
+        "vertex (Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)) outside region",
+    ),
+    (_half_reflection, "transport", "half-reflection: piece 0 is not integral"),
+    (_folded, "transport", "fold: does not permute L_4"),
 ]
 
 
 @pytest.mark.parametrize("tamper, check, witness", TAMPERED)
 def test_tampered_certificate_fails_the_named_check(tamper, check, witness):
-    cert = tamper(averaging_certificate(2, 1))
-    lat = lattice(2, 4)
-    f = sampled_function(lat, [0 if 4 in pt else -1 for pt in lat.int_points])
-    report = verify_certificate(cert, functions=[f])
+    report = verify_certificate(tamper(averaging_certificate(2, 1)))
     assert not report.passed
     failed = {c.name: c.witness for c in report.checks if not c.passed}
     assert failed.get(check) == witness, failed
+
+
+def test_half_reflection_fails_transport_alone():
+    # Every structural check passes, the map permutes L_4, and the
+    # sampled check passes on 200 functions.  Only integrality tells it
+    # apart: it sends (2/3, 1/3) off L_3.
+    cert = _half_reflection(None)
+    report = verify_certificate(cert)
+    assert [c.name for c in report.checks if not c.passed] == ["transport"]
+    n = averageable.TRANSPORT_RESOLUTION
+    lat = lattice(1, n)
+    (mp,) = cert.maps
+    images = sorted(tuple(c * n for c in mp.apply(p).coords) for p in lat.points)
+    assert images == list(lat.int_points)
+    off = mp.apply(bary_point([Fraction(2, 3), Fraction(1, 3)]))
+    assert off.coords == (Fraction(5, 6), Fraction(1, 6))
+    functions = [make_random(1, n, seed) for seed in range(200)]
+    assert sampled_transport(cert, functions) == (True, "")
 
 
 def test_unsupported_families_raise():
@@ -227,125 +270,43 @@ def test_unsupported_families_raise():
             averaging_certificate(k, m)
 
 
-def test_explicit_functions_accepted():
-    cert = averaging_certificate(2, 2)
-    lat = lattice(2, 4)
-    f = sampled_function(
-        lat,
-        [0 if 4 in pt else Fraction(-1, 2) for pt in lat.int_points],
-    )
-    report = verify_certificate(cert, functions=[f])
-    assert report.passed
+SUPPORTED = [averaging_certificate(k, m) for k, m in ((1, 1), (2, 1), (3, 1), (4, 1))]
+SUPPORTED += [averaging_certificate(k, k) for k in (2, 3, 4)]
+SUPPORTED += [averaging_certificate(3, 2), medial_certificate()]
 
 
-def test_target_membership_is_computed_once_per_lattice():
-    cert = averaging_certificate(2, 2)
-    asked = Counter()
-
-    def member(p):
-        asked[p.coords] += 1
-        return cert.target.member(p)
-
-    counted = dataclasses.replace(cert, target=dataclasses.replace(cert.target, member=member))
-    verify_certificate(counted, functions=[])
-    structural = asked.copy()  # the image-tiling check asks about vertices
-    asked.clear()
-    lattices = (lattice(2, 4), lattice(2, 6))
-    functions = [
-        sampled_function(
-            lat, [0 if lat.resolution in pt else Fraction(-1, 2) for pt in lat.int_points]
-        )
-        for lat in lattices
-    ]
-    report = verify_certificate(counted, functions=functions + functions)
-    assert report.passed
-    transport = asked - structural
-    # Each lattice gets its own mask, asked once per point and reused.
-    assert transport == Counter(p.coords for lat in lattices for p in lat.points)
-
-
-def test_transport_draws_each_function_as_it_is_checked(monkeypatch):
-    events = []
-    draw, convolve = averageable.random_numerators, averageable.best_sums_n
-    monkeypatch.setattr(
-        averageable, "random_numerators", lambda *a: events.append("draw") or draw(*a)
-    )
-    monkeypatch.setattr(
-        averageable, "best_sums_n", lambda *a: events.append("convolve") or convolve(*a)
-    )
-    assert verify_certificate(averaging_certificate(2, 2), trials=3, seed=7).passed
-    assert events == ["draw", "convolve"] * 3
-
-
-def test_transport_fails_when_no_function_is_checked():
-    report = verify_certificate(averaging_certificate(2, 2), functions=[])
-    transport = report.checks[-1]
-    assert transport.name == "transport"
-    assert not transport.passed
-    assert transport.witness == "no function checked"
-    assert not report.passed
-    assert all(c.passed for c in report.checks[:-1])
-
-
-def test_trial_counts_outside_the_cap_are_refused():
-    cert = averaging_certificate(2, 2)
-    for trials in (0, -3, averageable.TRIALS_CAP + 1):
-        with pytest.raises(ValueError, match="trials"):
-            verify_certificate(cert, trials=trials)
-
-
-def test_functions_of_another_dimension_are_refused():
-    cases = (
-        (averaging_certificate(2, 2), make_random(3, 4, 1)),
-        (averaging_certificate(1, 1), make_random(2, 4, 1)),
-        (medial_certificate(), make_random(2, 4, 1)),
-        (medial_certificate(), make_random(4, 3, 1)),
-    )
-    for cert, f in cases:
-        with pytest.raises(ValueError, match=f"k = {f.k}, certificate has k = {cert.k}"):
-            verify_certificate(cert, functions=[f])
-
-
-def _fraction_transport(cert, functions, tol_rel, tol_abs=Fraction(1, 10**9)):
-    """The transport check on Fractions: sup_convolve_n, then the means."""
-    vol = cert.target.rel_volume
-    for t, f in enumerate(functions):
-        conv = sup_convolve_n(f, cert.m)
-        inside = [v for v, p in zip(conv.values, f.lattice.points) if cert.target.member(p)]
-        if not inside:
-            return False, "no lattice points inside the target"
-        lhs, rhs = vol * mean_value(inside), vol * mean_value(f.values)
-        if lhs < rhs - (tol_rel * abs(rhs) + tol_abs):
-            return False, f"function {t}: {lhs} < {rhs} minus tolerance"
-    return True, ""
-
-
-def test_integer_transport_matches_the_fraction_route():
-    # Values over mixed coprime denominators, nonzero at the vertices,
-    # on two lattices per certificate; the tolerances give both verdicts.
-    certs = [averaging_certificate(k, m) for k, m in EXPECTED_JACOBIANS]
-    certs += [medial_certificate(), _inner_points_only(averaging_certificate(2, 1))]
-    dens = (1, 2, 3, 5, 7, 11)
-    verdicts = Counter()
-    for cert in certs:
-        functions = []
-        for s, resolution in enumerate((3, 4, 3)):
+def test_maps_permute_the_lattice_at_every_resolution():
+    # The proof runs at one resolution; integral pieces that tile T make
+    # it hold at all of them.  Checked both by the module's elimination
+    # and point by point through PLMap.apply.
+    for cert in SUPPORTED:
+        for resolution in range(1, 9):
             lat = lattice(cert.k, resolution)
-            functions.append(
-                sampled_function(
-                    lat,
-                    [
-                        Fraction((5 * i + 3 * s) % 13 - 7, dens[(i + s) % len(dens)])
-                        for i in range(len(lat))
-                    ],
-                )
-            )
-        for tol_rel in (Fraction(1, 20), Fraction(-1, 2), Fraction(-2)):
-            transport = verify_certificate(cert, functions=functions, tol_rel=tol_rel).checks[-1]
-            want = _fraction_transport(cert, functions, tol_rel)
-            assert (transport.passed, transport.witness) == want
-            verdicts[want[0]] += 1
-    assert verdicts[True] and verdicts[False], verdicts
+            for mp in cert.maps:
+                assert averageable._permutation_witness(mp, lat) == "", (mp.name, resolution)
+                images = sorted(tuple(c * resolution for c in mp.apply(p).coords) for p in lat.points)
+                assert images == list(lat.int_points), (mp.name, resolution)
+
+
+def test_proved_certificates_pass_the_sampled_oracle():
+    for cert in SUPPORTED:
+        assert verify_certificate(cert).passed
+        functions = [
+            make_random(cert.k, averageable.TRANSPORT_RESOLUTION, seed)
+            for seed in range(2024, 2044)
+        ]
+        assert sampled_transport(cert, functions) == (True, ""), (cert.k, cert.m)
+
+
+def test_explicit_functions_accepted():
+    # The oracle takes explicit functions, and its tolerance still tells
+    # a transported mean from one over the wrong target.
+    lat = lattice(2, 4)
+    half = sampled_function(lat, [0 if 4 in pt else Fraction(-1, 2) for pt in lat.int_points])
+    assert sampled_transport(averaging_certificate(2, 2), [half]) == (True, "")
+    spikes = sampled_function(lat, [0 if 4 in pt else -1 for pt in lat.int_points])
+    cert = _inner_points_only(averaging_certificate(2, 1))
+    assert sampled_transport(cert, [spikes]) == (False, "function 0: -1 < -4/5 minus tolerance")
 
 
 # sha256 of the CLI output for these arguments, each with --trials 8

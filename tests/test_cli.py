@@ -12,7 +12,6 @@ from supconvex import (
     sup_convolve_pair,
 )
 from supconvex import cli
-from supconvex.averageable import TRIALS_CAP
 from supconvex.cli import main
 
 
@@ -158,9 +157,6 @@ def test_oversized_sizes_exit_1_fast(capsys, tmp_path):
         ["verify-t4", "--f", str(big), "--g", str(big)],
         ["subdivide", "--k", "2", "--n", "3000"],
         ["extremal", "--k", "3", "--n", "1000"],
-        ["averageable", "--k", "2", "--m", "2", "--trials", "0"],
-        ["averageable", "--k", "2", "--m", "2", "--trials", "-3"],
-        ["averageable", "--k", "2", "--m", "2", "--trials", str(TRIALS_CAP + 1)],
     ):
         start = time.perf_counter()
         assert main(argv) == 1
@@ -230,6 +226,22 @@ def test_averageable(capsys):
     assert main(["averageable", "--k", "4", "--m", "2"]) == 1
     assert main(["averageable", "--k", "2"]) == 1
     capsys.readouterr()
+
+
+def test_averageable_ignores_trials_and_seed(capsys):
+    # The transport check is exact, so --trials and --seed change nothing.
+    outputs = set()
+    for extra in (
+        ["--trials", "1"],
+        ["--trials", "160"],
+        ["--trials", "0"],
+        ["--seed", "3"],
+        ["--seed", "7"],
+    ):
+        code, out = run(capsys, "averageable", "--k", "2", "--m", "2", *extra)
+        assert code == 0
+        outputs.add(out)
+    assert len(outputs) == 1
 
 
 def test_cover_found(capsys):
