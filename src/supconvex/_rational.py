@@ -2,14 +2,15 @@
 
 Every quantity in this package (coordinates, volumes, function values,
 integrals, constants) is an exact rational number, a
-fractions.Fraction; ``Rat`` names the type.  The hottest loops, the
-sup-convolution DP and the exact simplex, run on plain ints from
-``scaled``: the DP on numerators over one denominator, the simplex on
-integer columns with a fraction-free basis (see exactlp), and the
-geometry on integer vertex coordinates over one denominator.  Bases,
-volumes and containment are inverted fraction-free; rationals remain
-at the boundary: returned weights, values and volumes, function files,
-reports and certificates.
+fractions.Fraction; ``Rat`` names the type.  The hottest loops run on
+plain ints: a sampled function holds integer numerators over one
+denominator (envelope.SampledFunction), read by the DP, the midpoint
+test, function files and report means; the simplex runs on integer
+columns with a fraction-free basis (see exactlp), and the geometry on
+integer vertex coordinates over one denominator, both from ``scaled``.
+Bases, volumes and containment are inverted fraction-free; rationals
+remain at the boundary: returned weights, values and volumes, reports
+and certificates.
 """
 
 from __future__ import annotations

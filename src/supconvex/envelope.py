@@ -34,7 +34,8 @@ points and exact weights realising it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd
 
 from ._rational import Rat, scaled
 from .exactlp import ExactSimplexSolver
@@ -57,20 +58,34 @@ ENVELOPE_CAP = 1771
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Exact rational values on every point of a simplex lattice.
-
-    values[i] corresponds to lattice.points[i]; the lattice order is
-    ascending lexicographic on integer coordinates.
+    """Exact values on every point of a simplex lattice: nums[i] / den
+    at lattice.points[i], in ascending lexicographic order of the
+    integer coordinates.  The constructor puts (nums, den) in lowest
+    terms, gcd(den, *nums) == 1, so equal functions have equal fields
+    however they were built.  The kernels read nums and den; values,
+    the rational view, is made on first use.
     """
 
     lattice: BaryLattice
-    values: tuple
+    nums: tuple
+    den: int
 
     def __post_init__(self):
-        if len(self.values) != len(self.lattice):
-            raise ValueError(
-                f"{len(self.values)} values for {len(self.lattice)} lattice points"
-            )
+        nums, den = tuple(self.nums), self.den
+        if len(nums) != len(self.lattice):
+            raise ValueError(f"{len(nums)} values for {len(self.lattice)} lattice points")
+        if type(den) is not int or den <= 0:
+            raise ValueError(f"denominator must be a positive int, got {den!r}")
+        if not all(type(v) is int for v in nums):
+            i = next(i for i, v in enumerate(nums) if type(v) is not int)
+            raise TypeError(f"numerator {i} must be an int, got {nums[i]!r}")
+        g = gcd(den, *nums)
+        object.__setattr__(self, "nums", tuple(v // g for v in nums) if g > 1 else nums)
+        object.__setattr__(self, "den", den // g)
+
+    @cached_property
+    def values(self) -> tuple:
+        return tuple(Rat(v, self.den) for v in self.nums)
 
     @property
     def k(self) -> int:
@@ -81,11 +96,11 @@ class SampledFunction:
         return self.lattice.resolution
 
     def value_at(self, int_coords):
-        return self.values[self.lattice.index(int_coords)]
+        return Rat(self.nums[self.lattice.index(int_coords)], self.den)
 
 
 def sampled_function(lat: BaryLattice, values) -> SampledFunction:
-    return SampledFunction(lat, tuple(Rat(v) for v in values))
+    return SampledFunction(lat, *scaled([Rat(v) for v in values]))
 
 
 @dataclass(frozen=True)
@@ -98,7 +113,7 @@ class EnvelopeResult:
     certificates: tuple
 
     def as_function(self) -> SampledFunction:
-        return SampledFunction(self.function.lattice, self.values)
+        return SampledFunction(self.function.lattice, *scaled(self.values))
 
 
 def check_envelope_cap(lat: BaryLattice) -> None:
@@ -131,7 +146,7 @@ def hull_candidates(f: SampledFunction):
     cost in every dual feasible basis, so no dual pivot enters it.  The
     vertices have no such d and are always kept.
     """
-    nums, _ = scaled(f.values)
+    nums = f.nums
     below = {p for p, hi, lo in _midpoint_triples(f.lattice) if 2 * nums[p] < nums[hi] + nums[lo]}
     return [i for i in range(len(nums)) if i not in below]
 
@@ -170,12 +185,9 @@ def normalize_to_simplex_form(f: SampledFunction) -> SampledFunction:
     """
     env = concave_envelope(f)
     lat = f.lattice
-    vertex_vals = [env.values[i] for i in lat.vertex_indices()]
-    new_vals = []
-    for i, point in enumerate(lat.points):
-        affine = sum((v * c for v, c in zip(vertex_vals, point.coords)), Rat(0))
-        new_vals.append(f.values[i] - affine)
-    return SampledFunction(lat, tuple(new_vals))
+    verts = [env.values[i] for i in lat.vertex_indices()]
+    affine = (sum((v * c for v, c in zip(verts, p.coords)), Rat(0)) for p in lat.points)
+    return sampled_function(lat, [v - a for v, a in zip(f.values, affine)])
 
 
 def evaluate_certificate(env: EnvelopeResult, i: int):

@@ -3,6 +3,7 @@
 This module is the batch layer the CLI drives.  It owns
 
 - the function-file format (JSON with exact integer/rational entries),
+  read and written as numerators, with no rational made per row,
 - the two canonical generators: the normalized extremal function (0 at
   the vertices, -1 elsewhere) and seeded random functions,
 - the inequality verifiers, which compare the lattice average of the
@@ -36,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd, lcm
 
 from . import __version__
 from ._rational import Rat, format_rat, scaled
@@ -58,9 +59,11 @@ DEFAULT_TOL_ABS = Rat(1, 10**9)
 
 
 def function_payload(f: SampledFunction) -> dict:
+    den = f.den
     rows = []
-    for ints, value in zip(f.lattice.int_points, f.values):
-        rows.append(list(ints) + [int(value.numerator), int(value.denominator)])
+    for ints, num in zip(f.lattice.int_points, f.nums):
+        g = gcd(num, den)
+        rows.append([*ints, num // g, den // g])
     return {"k": f.k, "N": f.resolution, "values": rows}
 
 
@@ -72,7 +75,8 @@ def _is_int(v) -> bool:
 def function_from_payload(data) -> SampledFunction:
     """Validate a function-file document and build the function.  The
     row count is checked against C(N + k, k) before the lattice is
-    built, so a short file claiming a huge N fails at once."""
+    built, so a short file claiming a huge N fails at once.  Each row
+    is reduced, and the rows go over the lcm of their denominators."""
     if not isinstance(data, dict):
         raise ValueError("function file must be a JSON object")
     missing = {"k", "N", "values"} - set(data)
@@ -90,7 +94,7 @@ def function_from_payload(data) -> SampledFunction:
     if len(rows) != expected:
         raise ValueError(f"expected {expected} rows, got {len(rows)}")
     lat = lattice(k, n_res)
-    values = []
+    reduced = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != k + 3:
             raise ValueError(f"row {i}: expected {k + 3} entries")
@@ -103,8 +107,10 @@ def function_from_payload(data) -> SampledFunction:
             raise ValueError(f"row {i}: entries must be integers")
         if den <= 0:
             raise ValueError(f"row {i}: denominator must be positive")
-        values.append(Rat(num, den))
-    return SampledFunction(lat, tuple(values))
+        g = gcd(num, den)
+        reduced.append((num // g, den // g))
+    common = lcm(*(d for _, d in reduced))
+    return SampledFunction(lat, [v * (common // d) for v, d in reduced], common)
 
 
 def save_function(f: SampledFunction, path) -> None:
@@ -129,21 +135,20 @@ def function_digest(f: SampledFunction) -> str:
 def make_extremal(k: int, resolution: int) -> SampledFunction:
     """0 at the k+1 vertices, -1 at every other lattice point."""
     lat = lattice(k, resolution)
-    values = tuple(
-        Rat(0) if resolution in ints else Rat(-1) for ints in lat.int_points
-    )
-    return SampledFunction(lat, values)
+    return SampledFunction(lat, [0 if resolution in ints else -1 for ints in lat.int_points], 1)
 
 
 # make_random's values are multiples of 1/RANDOM_DENOMINATOR.
 RANDOM_DENOMINATOR = 64
 
 
-def random_numerators(k: int, resolution: int, seed: int, roughness=1):
-    """(lattice, numerators): make_random's values as integer
-    numerators over RANDOM_DENOMINATOR, with no rational made per point.
+def make_random(k: int, resolution: int, seed: int, roughness=1) -> SampledFunction:
+    """Seeded random function: 0 at vertices, values in [-1, 0] in
+    steps of 1/64 elsewhere.
 
-    Each non-vertex point consumes one gate word and one draw from
+    roughness in [0, 1] is the fraction of non-vertex points that get a
+    random value; the rest stay 0.  Fully deterministic in the seed:
+    each non-vertex point consumes one gate word and one draw from
     SplitMix64(seed), whether or not the roughness gate lets the draw
     through, so the stream never depends on the roughness.
     """
@@ -162,18 +167,7 @@ def random_numerators(k: int, resolution: int, seed: int, roughness=1):
         gate = rng.next_u64()
         draw = rng.next_below(RANDOM_DENOMINATOR + 1)
         nums.append(-draw if gate * gate_den < gate_num else 0)
-    return lat, nums
-
-
-def make_random(k: int, resolution: int, seed: int, roughness=1) -> SampledFunction:
-    """Seeded random function: 0 at vertices, values in [-1, 0] in
-    steps of 1/64 elsewhere.
-
-    roughness in [0, 1] is the fraction of non-vertex points that get a
-    random value; the rest stay 0.  Fully deterministic in the seed.
-    """
-    lat, nums = random_numerators(k, resolution, seed, roughness)
-    return SampledFunction(lat, tuple(Rat(v, RANDOM_DENOMINATOR) for v in nums))
+    return SampledFunction(lat, nums, RANDOM_DENOMINATOR)
 
 
 def mean_value(values):
@@ -240,10 +234,14 @@ def _verdict(lhs, rhs, constant, tol_rel, tol_abs):
 def _report(kind: str, n: int, inputs, conv, tol_rel, tol_abs) -> InequalityReport:
     """The report on mean(conv - average of the inputs) >= c(k, n) *
     mean(env(f) - f), where f = inputs[0] and conv is their convolution.
-    Each input's mean is computed once."""
+    Each input's mean is computed once, from its numerators."""
+
+    def mean(h):
+        return Rat(sum(h.nums), h.den * len(h.nums))
+
     f = inputs[0]
-    means = [mean_value(h.values) for h in inputs]
-    lhs = mean_value(conv.values) - sum(means, Rat(0)) / len(means)
+    means = [mean(h) for h in inputs]
+    lhs = mean(conv) - sum(means, Rat(0)) / len(means)
     rhs = mean_value(concave_envelope(f).values) - means[0]
     constant = sharp_constant(f.k, n)
     verdict, ratio = _verdict(lhs, rhs, constant, tol_rel, tol_abs)
@@ -361,7 +359,7 @@ def extremal_grid_report(k: int, n: int, resolution: int) -> ExtremalGridReport:
                 f"shift={cell.shift}) at resolution {resolution}"
             )
         vol = cell.relative_volume()
-        conv_val = conv.values[rep]
+        conv_val = Rat(conv.nums[rep], conv.den)
         rows.append((cell.m, cell.shift, lat.int_points[rep], conv_val))
         # f = -1 on cell interiors, so the gains are value - (-1).
         lhs += vol * (conv_val + 1)

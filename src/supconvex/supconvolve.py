@@ -13,12 +13,12 @@ by the verification harness the bound is tight on the cell interiors
 that drive the exact integral identities.
 
 Both forms are one integer dynamic program over m functions: values
-enter as numerators over the lcm of their denominators, and each
-lattice point as one integer whose base-(m*N + 1) digits are its first
-k coordinates, so adding codes adds points with no carries.  The stage
-of functions f_1..f_j holds, for every sum of j lattice points, the best
-numerator sum f_1(x_1) + ... + f_j(x_j); its size is the lattice size of
-the simplex dilated by j, polynomial in N**k.
+enter as their numerators f.nums over the lcm of their denominators,
+and each lattice point as one integer whose base-(m*N + 1) digits are
+its first k coordinates, so adding codes adds points with no carries.
+The stage of functions f_1..f_j holds, for every sum of j lattice
+points, the best numerator sum f_1(x_1) + ... + f_j(x_j); its size is
+the lattice size of the simplex dilated by j, polynomial in N**k.
 
 Only the sums m*z are read, so the DP meets in the middle.  It builds
 the stage of the first floor(m/2) functions (left) and the stage of
@@ -44,9 +44,8 @@ r = -r meets itself in a triangle.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
-from ._rational import Rat, scaled
 from .envelope import SampledFunction
 from .geometry import compositions
 
@@ -70,7 +69,7 @@ def _layout(lat, m: int):
     """The codes of lat's points, times 1, m, half = floor(m/2) and
     m - half, and the keys of the stages of half and of m - half
     functions by class, {r: (-r, codes)}, r their first k coordinates
-    mod m; the averageable transport check repeats one (lat, m) often."""
+    mod m; repeated reports on one lattice reuse them."""
     base = m * lat.resolution + 1
 
     def code(p):
@@ -135,7 +134,8 @@ def _stage(nums, codes) -> dict:
 def _best_sums(lat, nums):
     """Best nums[0][x_1] + ... + nums[m-1][x_m] over lattice points with
     x_1 + ... + x_m = m * z, for every lattice point z in order; nums
-    holds one list of integer numerators per function."""
+    holds one sequence of integer numerators per function, all of one
+    type, since the stage reuse below compares them by value."""
     m = len(nums)
     check_dp_cap(lat, m)
     codes, targets, left_diag, right_diag, left_classes, right_classes = _layout(lat, m)
@@ -171,24 +171,13 @@ def _best_sums(lat, nums):
     return [best[w] for w in targets]
 
 
-def best_sums_n(lat, nums, n: int):
-    """n-fold best sums of integer numerators: for every lattice point z
-    in order, the max of nums[x_1] + ... + nums[x_n] over lattice points
-    with x_1 + ... + x_n = n * z.  For n = 1 this is nums itself."""
+def sup_convolve_n(f: SampledFunction, n: int) -> SampledFunction:
+    """n-fold discrete sup-convolution, exact."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n == 1:
-        return nums
-    return _best_sums(lat, [nums] * n)
-
-
-def sup_convolve_n(f: SampledFunction, n: int) -> SampledFunction:
-    """n-fold discrete sup-convolution, exact."""
-    if n == 1:
         return f
-    nums, den = scaled(f.values)
-    best = best_sums_n(f.lattice, nums, n)
-    return SampledFunction(f.lattice, tuple(Rat(b, n * den) for b in best))
+    return SampledFunction(f.lattice, _best_sums(f.lattice, [f.nums] * n), n * f.den)
 
 
 def sup_convolve_pair(f: SampledFunction, g: SampledFunction) -> SampledFunction:
@@ -199,7 +188,6 @@ def sup_convolve_pair(f: SampledFunction, g: SampledFunction) -> SampledFunction
     """
     if f.lattice != g.lattice:
         raise ValueError("functions live on different lattices")
-    flat, den = scaled(f.values + g.values)
-    size = len(f.lattice)
-    best = _best_sums(f.lattice, [flat[:size], flat[size:]])
-    return SampledFunction(f.lattice, tuple(Rat(b, 2 * den) for b in best))
+    den = lcm(f.den, g.den)
+    nums = [tuple(v * (den // h.den) for v in h.nums) for h in (f, g)]
+    return SampledFunction(f.lattice, _best_sums(f.lattice, nums), 2 * den)

@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import dual_simplex_bland, envelope_bruteforce, envelope_full_sweep
 from supconvex import (
+    SampledFunction,
     SplitMix64,
     concave_envelope,
     evaluate_certificate,
@@ -382,3 +384,22 @@ def test_envelope_properties_hypothesis(f):
 def test_length_mismatch_raises():
     with pytest.raises(ValueError):
         sampled_function(lattice(1, 2), [Fraction(0)] * 2)
+
+
+def test_sampled_function_checks_its_entries_and_reduces_them():
+    lat = lattice(1, 2)
+    for den in (0, -4, True, 2.0, Fraction(2)):
+        with pytest.raises(ValueError, match=re.escape(f"denominator must be a positive int, got {den!r}")):
+            SampledFunction(lat, (0, 1, 2), den)
+    for bad, shown in ((True, "True"), (1.0, "1.0"), (Fraction(1, 2), "Fraction")):
+        with pytest.raises(TypeError, match=f"numerator 1 must be an int, got {shown}"):
+            SampledFunction(lat, (0, bad, 2), 4)
+    with pytest.raises(ValueError, match="2 values for 3 lattice points"):
+        SampledFunction(lat, (0, 1), 4)
+    # Lowest terms: the sign lives on the numerators, zero is 0/1.
+    f = SampledFunction(lat, [6, -4, 2], 8)
+    assert (f.nums, f.den) == ((3, -2, 1), 4)
+    assert f.values == (Fraction(3, 4), Fraction(-1, 2), Fraction(1, 4))
+    assert f == SampledFunction(lat, (3, -2, 1), 4)
+    zero = SampledFunction(lat, (0, 0, 0), 7)
+    assert (zero.nums, zero.den) == ((0, 0, 0), 1)

@@ -27,7 +27,7 @@ from supconvex import (
     verify_nfold,
     verify_pair,
 )
-from supconvex.harness import RANDOM_DENOMINATOR, random_numerators
+from supconvex.harness import RANDOM_DENOMINATOR
 
 GOLDEN_RANDOM_DIGEST = (
     "6ac230f4e21d453efeb15c9f464a9946e29bfc86492f3306204b573705ed5491"
@@ -60,6 +60,24 @@ def test_function_file_round_trip(tmp_path):
     assert g.lattice == f.lattice
     assert list(g.values) == list(f.values)
     assert function_digest(g) == function_digest(f)
+
+
+# function_digest of the k = 1, N = 3 function (1/2, -1/2, 0, 7), as
+# the version that stored one Fraction per point wrote it.
+GOLDEN_MIXED_DIGEST = "afd73a05ebd9dc1e0254480c3fca71ab09cfe8077ef479b5a5e7ec2a4e8f9b6e"
+
+
+def test_representation_does_not_depend_on_how_a_function_was_built():
+    lat = lattice(1, 3)
+    rows = [[0, 3, 2, 4], [1, 2, -3, 6], [2, 1, 0, 5], [3, 0, 7, 1]]
+    loaded = function_from_payload({"k": 1, "N": 3, "values": rows})
+    built = sampled_function(lat, [Fraction(1, 2), Fraction(-1, 2), 0, 7])
+    assert loaded == built and hash(loaded) == hash(built)
+    assert (loaded.nums, loaded.den) == (built.nums, built.den) == ((1, -1, 0, 14), 2)
+    assert loaded.values == built.values
+    reduced = [[0, 3, 1, 2], [1, 2, -1, 2], [2, 1, 0, 1], [3, 0, 7, 1]]
+    assert function_payload(loaded)["values"] == reduced
+    assert function_digest(loaded) == function_digest(built) == GOLDEN_MIXED_DIGEST
 
 
 def test_payload_validation_rejects_bad_input():
@@ -171,10 +189,9 @@ def test_make_random_and_its_numerators_match_the_oracle(roughness):
                 f = make_random(k, resolution, seed, roughness)
                 assert f.lattice is lat
                 assert list(f.values) == want
-                got_lat, nums = random_numerators(k, resolution, seed, roughness)
-                assert got_lat is lat
-                assert all(type(v) is int for v in nums)
-                assert [Fraction(v, RANDOM_DENOMINATOR) for v in nums] == want
+                assert all(type(v) is int for v in f.nums)
+                assert RANDOM_DENOMINATOR % f.den == 0
+                assert [Fraction(v, f.den) for v in f.nums] == want
 
 
 def test_mean_value():

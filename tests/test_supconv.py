@@ -7,6 +7,8 @@ from oracles import best_sums_ordered, pair_bruteforce, supconv_bruteforce
 from supconvex import (
     SplitMix64,
     concave_envelope,
+    function_digest,
+    function_from_payload,
     lattice,
     make_extremal,
     make_random,
@@ -14,6 +16,8 @@ from supconvex import (
     sup_convolve_n,
     sup_convolve_pair,
 )
+from supconvex import supconvolve
+from supconvex.envelope import hull_candidates
 from supconvex.supconvolve import _best_sums
 
 
@@ -123,6 +127,50 @@ def test_pair_of_equal_functions_matches_twofold():
         assert list(sup_convolve_pair(f, f).values) == list(
             sup_convolve_n(f, 2).values
         )
+
+
+def test_pair_of_equal_functions_builds_one_stage(monkeypatch):
+    # For m = 2 both stages are the lattice itself; equal numerators
+    # make them one stage joined with itself over unordered pairs.
+    calls = []
+    stage = supconvolve._stage
+
+    def spy(nums, codes):
+        calls.append(nums)
+        return stage(nums, codes)
+
+    monkeypatch.setattr(supconvolve, "_stage", spy)
+    f = _mixed(2, 4, seed=5)
+    twin = sampled_function(f.lattice, list(f.values))
+    for g, stages in ((f, 1), (twin, 1), (make_random(2, 4, seed=5), 2)):
+        calls.clear()
+        assert list(sup_convolve_pair(f, g).values) == pair_bruteforce(f, g)
+        assert len(calls) == stages
+
+
+def test_pair_over_different_denominators_matches_bruteforce():
+    rng = SplitMix64(33)
+    for k, resolution in ((1, 5), (2, 4), (3, 2)):
+        lat = lattice(k, resolution)
+        thirds = sampled_function(lat, [Fraction(rng.next_below(7) - 3, 3) for _ in lat.points])
+        sixtyfourths = sampled_function(lat, [Fraction(2 * rng.next_below(64) - 63, 64) for _ in lat.points])
+        assert (thirds.den, sixtyfourths.den) == (3, 64)
+        for f, g in ((thirds, sixtyfourths), (sixtyfourths, thirds)):
+            assert list(sup_convolve_pair(f, g).values) == pair_bruteforce(f, g)
+
+
+def test_kernels_never_build_the_rational_view():
+    def load(seed, den):
+        rng = SplitMix64(seed)
+        rows = [[*p, rng.next_below(2 * den + 1) - den, den] for p in lattice(2, 4).int_points]
+        return function_from_payload({"k": 2, "N": 4, "values": rows})
+
+    f, g = load(1, 6), load(2, 64)
+    made = [f, g, sup_convolve_n(f, 3), sup_convolve_pair(f, g), sup_convolve_pair(f, f)]
+    for h in made:
+        function_digest(h)
+        hull_candidates(h)
+    assert all("values" not in vars(h) for h in made)
 
 
 def test_pair_examples():
