@@ -20,6 +20,8 @@ import functools
 import io
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from ._rational import format_rat, parse_rat
 from .averageable import (
@@ -178,6 +180,41 @@ def _flatten(obj, prefix, rows) -> None:
         rows.append((prefix, "" if obj is None else str(obj)))
 
 
+def _json_text(obj, pad="") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, without
+    the pure-Python encoder that indent selects: containers recurse, a
+    list of equal-length int rows is formatted with one template, and
+    any other leaf goes to json.dumps, its newlines indented to pad."""
+    inner = pad + "  "
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if kind is dict and obj and all(type(key) is str for key in obj):
+        items = (
+            f"{encode_basestring_ascii(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj)
+        )
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if kind is list and obj:
+        width = len(obj[0]) if type(obj[0]) is list else 0
+        if (
+            width
+            and all(type(row) is list and len(row) == width for row in obj)
+            and set(map(type, chain.from_iterable(obj))) == {int}
+        ):
+            row = "[" + ",".join(["\n" + inner + "  %d"] * width) + "\n" + inner + "]"
+            items = (row % tuple(r) for r in obj)
+        else:
+            items = (_json_text(item, inner) for item in obj)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 def _emit(payload, args) -> None:
     if args.format == "csv":
         rows = []
@@ -188,7 +225,7 @@ def _emit(payload, args) -> None:
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -8,7 +8,20 @@ lattice point: maximise sum(w_p f(p)) over weights w with
 sum(w_p p) = z, w >= 0, solved on integer coordinates N p and N z (the
 weight-sum-1 constraint is implied because they all sum to N).
 
-The LPs run over the hull candidates only: a point p with
+Before any LP, one integer pass compares f with its vertex plane
+A(z) = sum_t f(vertex_t) z_t, the affine interpolant of the vertex
+values.  If f <= A at every lattice point, as for an input in the
+paper's normal form (0 at the vertices, f <= 0), then env = A: A is
+concave and at least f, so no convex combination of f values exceeds
+A(z), and the vertex combination attains it.  The sweep is then
+skipped, and no solver is built.  Each value is A(z), and each
+certificate is z's own vertex weights, the weights the sweep would
+return, since from the vertex basis every reduced cost is <= 0 and
+Bland's rule never pivots.  The pass stops at the first point above A,
+so an input whose envelope lifts off the plane pays almost nothing for
+it.
+
+Otherwise the LPs run over the hull candidates only: a point p with
 2 f(p) < f(p + d) + f(p - d) for some d = e_a - e_b lies strictly below
 the envelope, so an optimal LP never weighs it, and its column is
 dropped before the sweep (see hull_candidates).  The kept columns stay
@@ -20,13 +33,13 @@ every z, so the first point solves from there; subsequent points reuse
 the previous optimal basis, which stays dual feasible when the right
 hand side moves.  Where it is still primal feasible it is optimal
 again, and the solver returns it without pricing, re-inverting or
-re-checking it, being the tuple it returned (at every point after the
-first when the envelope is affine, as for a normalised input);
-elsewhere the dual simplex repairs it in a handful of pivots.  Being the basis the solver last proved optimal, it skips
-the dual simplex's dual-feasibility pass, and each pivot prices only
-the columns the ratio test reads.  The solver keeps each basis
-fraction-free, as integers adj = det B^-1 and det, so its pricing,
-ratio tests and pivots run in plain integers (see exactlp).
+re-checking it, being the tuple it returned; elsewhere the dual
+simplex repairs it in a handful of pivots.  Being the basis the solver
+last proved optimal, it skips the dual simplex's dual-feasibility
+pass, and each pivot prices only the columns the ratio test reads.
+The solver keeps each basis fraction-free, as integers adj = det B^-1
+and det, so its pricing, ratio tests and pivots run in plain integers
+(see exactlp).
 Every envelope value comes with a certificate: the supporting lattice
 points and exact weights realising it.
 """
@@ -36,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import mul
 
 from ._rational import Rat, scaled
 from .exactlp import ExactSimplexSolver
@@ -151,9 +165,42 @@ def hull_candidates(f: SampledFunction):
     return [i for i in range(len(nums)) if i not in below]
 
 
+@lru_cache(maxsize=8)
+def _vertex_weights(lat: BaryLattice):
+    """Per lattice point z, the certificate ((vertex index, z_t), ...)
+    of z as the convex combination of the vertices, over the vertices
+    with z_t > 0 in ascending lattice index."""
+    weights = [Rat(c, lat.resolution) for c in range(lat.resolution + 1)]
+    order = sorted(enumerate(lat.vertex_indices()), key=lambda tv: tv[1])
+    return tuple(
+        tuple((v, weights[ints[t]]) for t, v in order if ints[t]) for ints in lat.int_points
+    )
+
+
+def _vertex_plane(f: SampledFunction):
+    """Numerators over den N of the vertex interpolant A, where
+    A(z) = sum_t f(vertex_t) z_t, or None at the first point where f
+    rises above it."""
+    lat = f.lattice
+    nums, resolution = f.nums, lat.resolution
+    apex = [nums[v] for v in lat.vertex_indices()]
+    plane = []
+    for ints, num in zip(lat.int_points, nums):
+        a = sum(map(mul, apex, ints))
+        if resolution * num > a:
+            return None
+        plane.append(a)
+    return plane
+
+
 def concave_envelope(f: SampledFunction) -> EnvelopeResult:
     lat = f.lattice
     check_envelope_cap(lat)
+    plane = _vertex_plane(f)
+    if plane is not None:
+        den = f.den * lat.resolution
+        value = {a: Rat(a, den) for a in set(plane)}
+        return EnvelopeResult(f, tuple(map(value.__getitem__, plane)), _vertex_weights(lat))
     kept = hull_candidates(f)
     solver = ExactSimplexSolver([lat.int_points[j] for j in kept], [f.values[j] for j in kept])
     basis = [kept.index(j) for j in lat.vertex_indices()]

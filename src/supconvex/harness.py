@@ -48,7 +48,10 @@ from .envelope import SampledFunction, check_envelope_cap, concave_envelope
 from .envelope import normalize_to_simplex_form  # noqa: F401
 from .geometry import _check_dim, lattice
 from .prng import SplitMix64
-from .subdivision import cell_contains, cell_vertices, subdivide
+# Unused here; kept because benchmarks/tracing.py wraps this name in
+# this module, and its trace mode fails without it.
+from .subdivision import cell_contains  # noqa: F401
+from .subdivision import cell_vertices, subdivide
 from .supconvolve import check_dp_cap, sup_convolve_n, sup_convolve_pair
 
 DEFAULT_TOL_REL = Rat(1, 20)
@@ -338,21 +341,33 @@ def extremal_grid_report(k: int, n: int, resolution: int) -> ExtremalGridReport:
     a level-m cell is a slice of a unit cube, whose interior points on
     the 1/(N/n) grid need N / n >= (k + 1) / min(m, k + 1 - m).  Many
     other N work as well.
+
+    Representatives come from one integer pass over the lattice by the
+    floor rule: with q_i, r_i = divmod(n c_i, N) for the integer
+    coordinates c, the point lies strictly inside a cell iff no r_i is
+    0, and that cell is (m, shift) = (n - sum(q), q).  Each cell takes
+    the first such point in lattice order.
     """
     f = make_extremal(k, resolution)
     _check_caps(f.lattice, n)
     conv = sup_convolve_n(f, n)
     env = concave_envelope(f)
     lat = f.lattice
+    reps = {}
+    for idx, ints in enumerate(lat.int_points):
+        floors = []
+        for c in ints:
+            q, r = divmod(n * c, resolution)
+            if not r:
+                break
+            floors.append(q)
+        else:
+            reps.setdefault((n - sum(floors), tuple(floors)), idx)
     rows = []
     lhs = Rat(0)
     rhs = Rat(0)
     for cell in subdivide(k, n):
-        rep = None
-        for idx, p in enumerate(lat.points):
-            if cell_contains(cell, p, strict=True):
-                rep = idx
-                break
+        rep = reps.get((cell.m, cell.shift))
         if rep is None:
             raise ValueError(
                 f"no interior lattice representative for cell (m={cell.m}, "

@@ -14,6 +14,10 @@ checks the unordered-pair DP against every ordered pair.
 sampled_transport is the averageable transport check as it was before
 it became a proof: it runs the package's sup_convolve_n on sampled
 functions and compares lattice means with a tolerance.
+grid_representatives_scan is the extremal grid report's earlier search
+for cell representatives, kept whole: it tests every lattice point
+against every cell with the package's cell_contains, and checks the
+one-pass floor rule that replaced it.
 """
 
 from fractions import Fraction
@@ -118,6 +122,24 @@ def envelope_full_sweep(f):
         certificates.append(tuple((j, w) for j, w in sorted(sol.x.items()) if w > 0))
         basis = sol.basis
     return tuple(values), tuple(certificates)
+
+
+def grid_representatives_scan(k: int, n: int, resolution: int):
+    """(m, shift, integer coordinates) per cell of subdivide(k, n), in
+    its order, with the first lattice point strictly inside the cell,
+    or None for a cell with no such point."""
+    from supconvex import lattice, subdivide
+    from supconvex.subdivision import cell_contains
+
+    lat = lattice(k, resolution)
+    rows = []
+    for cell in subdivide(k, n):
+        rep = next(
+            (ints for ints, p in zip(lat.int_points, lat.points) if cell_contains(cell, p, strict=True)),
+            None,
+        )
+        rows.append((cell.m, cell.shift, rep))
+    return rows
 
 
 def supconv_bruteforce(f, n: int):

@@ -392,3 +392,59 @@ def test_common_flag_before_subcommand_does_not_carry_over(capsys, tmp_path):
     code, payload = run_json(capsys, *argv)
     assert code == 0
     assert payload == function_payload(make_random(2, 4, seed=1))
+
+
+def test_json_writer_matches_json_dumps_on_every_subcommand(capsys, tmp_path):
+    paths = {}
+    functions = {
+        "r2": make_random(2, 10, seed=3),
+        "g2": make_random(2, 10, seed=5, roughness=Fraction(1, 2)),
+        "r3": make_random(3, 8, seed=4),
+        "x2": make_extremal(2, 6),
+    }
+    for name, f in functions.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        save_function(f, paths[name])
+    argvs = [
+        ["constants", "--k", "3", "--n", "4"],
+        ["subdivide", "--k", "2", "--n", "3"],
+        ["classify", "--k", "2", "--n", "3", "--point", "1/2,1/3,1/6"],
+        ["envelope", "--input", paths["r2"]],
+        ["envelope", "--input", paths["r3"], "--certificates"],
+        ["supconv", "--input", paths["r2"], "--n", "3"],
+        ["supconv", "--input", paths["r3"], "--n", "3"],
+        ["supconv", "--pair", paths["r2"], paths["g2"]],
+        ["verify-t1", "--input", paths["r2"], "--n", "4"],
+        ["verify-t4", "--f", paths["r2"], "--g", paths["g2"]],
+        ["verify-t1", "--input", paths["x2"], "--n", "2"],
+        ["averageable", "--k", "2", "--m", "2"],
+        ["averageable", "--medial"],
+        ["cover", "--k", "2", "--n", "2", "--max-level", "1", "--traces"],
+        ["cover", "--k", "2", "--n", "3", "--max-level", "1", "--budget", "5"],
+        ["extremal", "--k", "2", "--N", "10", "--grid-n", "3"],
+        ["extremal", "--k", "3", "--n", "4"],
+        ["extremal", "--k", "2", "--N", "5"],
+        ["random", "--k", "1", "--N", "7", "--roughness", "1/2"],
+    ]
+    assert {argv[0] for argv in argvs} == set(cli._COMMANDS)
+    for argv in argvs:
+        args = cli._build_parser().parse_args(argv)
+        payload, _ = cli._COMMANDS[args.command](args)
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert cli._json_text(payload) + "\n" == expected
+        code, out = run(capsys, *argv)
+        assert code in (0, 2) and out == expected
+
+
+def test_json_writer_edge_cases():
+    cases = [
+        {}, [], None, True, False, 0, -7, 10**60, -(10**45), "", "plain",
+        "naïve ☃   \"quoted\" \\ \n\t", {"é": "ü", "a": None},
+        {"b": [], "a": {}, "c": [None, True, False]},
+        [[1, -2, 3], [4, 5, -(10**30)]], [[1, 2], [3]], [[], []], [[1, True], [2, 3]],
+        [[1, 2], (3, 4)], ([1, 2], [3, 4]), [[1, 2], [3, "4"]], [[[1]], [[2]]],
+        [1.5, float("inf"), -0.0], {"x": {"y": {"z": [[0, 0], [1, 1]]}}},
+        {1: "int key"}, {"nested": {2: [1, 2], 1: "a"}},
+    ]
+    for payload in cases:
+        assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True), payload

@@ -403,3 +403,91 @@ def test_sampled_function_checks_its_entries_and_reduces_them():
     assert f == SampledFunction(lat, (3, -2, 1), 4)
     zero = SampledFunction(lat, (0, 0, 0), 7)
     assert (zero.nums, zero.den) == ((0, 0, 0), 1)
+
+
+def _benchmark_normalised(k, resolution, seed):
+    """The benchmark's normalised family: 0 at the vertices, -j/64 with
+    j uniform in 0..64 elsewhere."""
+    rng = SplitMix64(seed)
+    lat = lattice(k, resolution)
+    return SampledFunction(lat, [0 if resolution in p else -rng.next_below(65) for p in lat.int_points], 64)
+
+
+def _touching(k, resolution, seed):
+    """A nonzero vertex plane minus make_random at roughness 1/2, so f
+    equals the plane at about half of the interior points."""
+    rng = SplitMix64(seed)
+    verts = [Fraction(rng.next_below(17) - 8, rng.next_below(5) + 1) for _ in range(k + 1)]
+    g = make_random(k, resolution, seed=seed, roughness=Fraction(1, 2))
+    plane = [sum(a * Fraction(c, resolution) for a, c in zip(verts, p)) for p in g.lattice.int_points]
+    return sampled_function(g.lattice, [a + v for a, v in zip(plane, g.values)])
+
+
+_AFFINE_FAMILIES = {
+    "make_random": lambda k, resolution, seed: make_random(k, resolution, seed=seed, roughness=Fraction(seed % 4 + 1, 4)),
+    "extremal": lambda k, resolution, seed: make_extremal(k, resolution),
+    "benchmark_normalised": _benchmark_normalised,
+    "touching": _touching,
+}
+
+
+def _spy_solvers(monkeypatch):
+    built = []
+    init = ExactSimplexSolver.__init__
+
+    def init_spy(self, columns, objective):
+        built.append(len(columns))
+        init(self, columns, objective)
+
+    monkeypatch.setattr(ExactSimplexSolver, "__init__", init_spy)
+    return built
+
+
+@pytest.mark.parametrize("family", sorted(_AFFINE_FAMILIES))
+def test_affine_envelopes_skip_the_solver_and_match_the_full_sweep(monkeypatch, family):
+    # f <= its vertex plane A everywhere, so env = A: the sweep's vertex
+    # basis never pivots, and the integer test returns the same values
+    # and certificates without building a solver.
+    built = _spy_solvers(monkeypatch)
+    touched = 0
+    for k, resolution in _PRUNE_SIZES + ((2, 10), (3, 8)):
+        for seed in (1, 2, 3):
+            f = _AFFINE_FAMILIES[family](k, resolution, seed)
+            res = concave_envelope(f)
+            assert built == []
+            assert repr((res.values, res.certificates)) == repr(envelope_full_sweep(f))
+            interior = [i for i, p in enumerate(f.lattice.int_points) if resolution not in p]
+            touched += sum(res.values[i] == f.values[i] for i in interior)
+            built.clear()  # the oracle's own solver
+    if family == "touching":
+        assert touched > 0
+
+
+def test_one_point_above_the_vertex_plane_falls_back_to_the_sweep(monkeypatch):
+    built = _spy_solvers(monkeypatch)
+    for k, resolution in ((1, 5), (2, 6), (3, 4)):
+        f = _touching(k, resolution, 2)
+        plane = concave_envelope(f).values
+        on_plane = [
+            i for i, p in enumerate(f.lattice.int_points) if resolution not in p and plane[i] == f.values[i]
+        ]
+        nums = list(f.nums)
+        nums[on_plane[-1]] += 1  # one unit of 1/den above the plane
+        g = SampledFunction(f.lattice, nums, f.den)
+        assert g.values[on_plane[-1]] == f.values[on_plane[-1]] + Fraction(1, f.den)
+        built.clear()
+        res = concave_envelope(g)
+        assert len(built) == 1
+        assert res.values[on_plane[-1]] == g.values[on_plane[-1]]
+        assert repr((res.values, res.certificates)) == repr(envelope_full_sweep(g))
+
+
+def test_oversized_lattice_raises_before_the_plane_test(monkeypatch):
+    import supconvex.envelope as envelope
+
+    tested = []
+    monkeypatch.setattr(envelope, "_vertex_plane", lambda f: tested.append(f))
+    lat = lattice(3, 21)  # 2024 points
+    with pytest.raises(ValueError, match=r"envelope over 2024 lattice points \(cap 1771\)"):
+        concave_envelope(SampledFunction(lat, [0] * len(lat), 1))
+    assert tested == []

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import supconvex
-from oracles import make_random_values
+from oracles import grid_representatives_scan, make_random_values
 from supconvex import (
     SplitMix64,
     extremal_grid_report,
@@ -336,6 +336,27 @@ def test_extremal_grid_k3_n4():
     # 969 lattice points, so its envelope sweep needs ENVELOPE_CAP >= 969.
     rep = extremal_grid_report(3, 4, 16)
     assert rep.ratio == Fraction(9, 16) == sharp_constant(3, 4)
+
+
+@pytest.mark.parametrize(
+    "k, n, resolutions",
+    [(1, 2, (2, 3, 4, 5, 8)), (1, 3, (3, 6, 7, 9)), (1, 5, (5, 10, 11)),
+     (2, 2, (4, 5, 6, 7, 10)), (2, 3, (6, 7, 9, 10, 12)), (2, 4, (8, 12, 13)),
+     (3, 2, (4, 7, 8, 9)), (3, 3, (6, 9, 12, 13)), (3, 4, (12, 16))],
+)
+def test_grid_representatives_match_the_cell_scan(k, n, resolutions):
+    found = missing = 0
+    for resolution in resolutions:
+        expected = grid_representatives_scan(k, n, resolution)
+        if any(rep is None for _, _, rep in expected):
+            with pytest.raises(ValueError, match="no interior lattice representative"):
+                extremal_grid_report(k, n, resolution)
+            missing += 1
+            continue
+        rows = extremal_grid_report(k, n, resolution).rows
+        assert [row[:3] for row in rows] == expected
+        found += 1
+    assert found and missing
 
 
 def test_subdivision_svg_counts():
