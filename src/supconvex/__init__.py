@@ -84,7 +84,6 @@ from .harness import (
     load_function,
     make_extremal,
     make_random,
-    mean_value,
     report_json,
     save_function,
     subdivision_svg,

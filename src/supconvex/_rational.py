@@ -5,12 +5,14 @@ integrals, constants) is an exact rational number, a
 fractions.Fraction; ``Rat`` names the type.  The hottest loops run on
 plain ints: a sampled function holds integer numerators over one
 denominator (envelope.SampledFunction), read by the DP, the midpoint
-test, function files and report means; the simplex runs on integer
-columns with a fraction-free basis (see exactlp), and the geometry on
-integer vertex coordinates over one denominator, both from ``scaled``.
+test, the envelope, function files and report means.  The simplex
+takes ints only, in its columns, objective and right hand side, and
+keeps a fraction-free basis (see exactlp): the envelope hands it
+integer lattice coordinates and a function's numerators, the geometry
+integer vertex coordinates over one denominator from ``scaled``.
 Bases, volumes and containment are inverted fraction-free; rationals
-remain at the boundary: returned weights, values and volumes, reports
-and certificates.
+remain at the boundary: returned weights, LP values and volumes,
+reports and certificates.
 """
 
 from __future__ import annotations

@@ -294,7 +294,7 @@ def _cmd_classify(args):
 def _cmd_envelope(args):
     f = load_function(args.input)
     env = concave_envelope(f)
-    payload = {"envelope": function_payload(env.as_function())}
+    payload = {"envelope": function_payload(env.envelope)}
     if args.certificates:
         payload["certificates"] = [
             [[j, format_rat(w)] for j, w in cert] for cert in env.certificates

@@ -6,7 +6,11 @@ point z, the largest value of a convex combination of sample values
 whose sample points average to z.  That is one small exact LP per
 lattice point: maximise sum(w_p f(p)) over weights w with
 sum(w_p p) = z, w >= 0, solved on integer coordinates N p and N z (the
-weight-sum-1 constraint is implied because they all sum to N).
+weight-sum-1 constraint is implied because they all sum to N) with
+f's numerators as the objective, so the LP takes ints only and its
+optimum is the envelope's value times f's denominator.  The result is
+the envelope as a SampledFunction, numerators over one denominator,
+like f itself: no rational value of f is made.
 
 Before any LP, one integer pass compares f with its vertex plane
 A(z) = sum_t f(vertex_t) z_t, the affine interpolant of the vertex
@@ -14,12 +18,12 @@ values.  If f <= A at every lattice point, as for an input in the
 paper's normal form (0 at the vertices, f <= 0), then env = A: A is
 concave and at least f, so no convex combination of f values exceeds
 A(z), and the vertex combination attains it.  The sweep is then
-skipped, and no solver is built.  Each value is A(z), and each
-certificate is z's own vertex weights, the weights the sweep would
-return, since from the vertex basis every reduced cost is <= 0 and
-Bland's rule never pivots.  The pass stops at the first point above A,
-so an input whose envelope lifts off the plane pays almost nothing for
-it.
+skipped, and no solver is built.  The envelope is the plane's
+numerators over N times f's denominator, and each certificate is z's
+own vertex weights, the weights the sweep would return, since from the
+vertex basis every reduced cost is <= 0 and Bland's rule never pivots.
+The pass stops at the first point above A, so an input whose envelope
+lifts off the plane pays almost nothing for it.
 
 Otherwise the LPs run over the hull candidates only: a point p with
 2 f(p) < f(p + d) + f(p - d) for some d = e_a - e_b lies strictly below
@@ -39,7 +43,8 @@ last proved optimal, it skips the dual simplex's dual-feasibility
 pass, and each pivot prices only the columns the ratio test reads.
 The solver keeps each basis fraction-free, as integers adj = det B^-1
 and det, so its pricing, ratio tests and pivots run in plain integers
-(see exactlp).
+(see exactlp); the sweep's rational optima are put over one
+denominator once, at its end.
 Every envelope value comes with a certificate: the supporting lattice
 points and exact weights realising it.
 """
@@ -119,15 +124,18 @@ def sampled_function(lat: BaryLattice, values) -> SampledFunction:
 
 @dataclass(frozen=True)
 class EnvelopeResult:
-    """Envelope values plus, per lattice point, the certificate
-    ((point index, weight), ...) of the achieving convex combination."""
+    """The concave envelope of function, on the same lattice, plus, per
+    lattice point, the certificate ((point index, weight), ...) of the
+    achieving convex combination."""
 
     function: SampledFunction
-    values: tuple
+    envelope: SampledFunction
     certificates: tuple
 
-    def as_function(self) -> SampledFunction:
-        return SampledFunction(self.function.lattice, *scaled(self.values))
+    @property
+    def values(self) -> tuple:
+        """The envelope's rational view."""
+        return self.envelope.values
 
 
 def check_envelope_cap(lat: BaryLattice) -> None:
@@ -198,25 +206,25 @@ def concave_envelope(f: SampledFunction) -> EnvelopeResult:
     check_envelope_cap(lat)
     plane = _vertex_plane(f)
     if plane is not None:
-        den = f.den * lat.resolution
-        value = {a: Rat(a, den) for a in set(plane)}
-        return EnvelopeResult(f, tuple(map(value.__getitem__, plane)), _vertex_weights(lat))
+        return EnvelopeResult(f, SampledFunction(lat, plane, f.den * lat.resolution), _vertex_weights(lat))
+    nums = f.nums
     kept = hull_candidates(f)
-    solver = ExactSimplexSolver([lat.int_points[j] for j in kept], [f.values[j] for j in kept])
+    solver = ExactSimplexSolver([lat.int_points[j] for j in kept], [nums[j] for j in kept])
     basis = [kept.index(j) for j in lat.vertex_indices()]
-    env_values = []
+    env_values = []  # the LP optima: envelope values times f.den
     certificates = []
     for i, ints in enumerate(lat.int_points):
         sol = solver.solve(ints, basis=basis)
         if sol.status != "optimal":  # pragma: no cover - LP is always feasible/bounded
             raise ArithmeticError(f"envelope LP status {sol.status}")
-        assert sol.value >= f.values[i], "envelope fell below the function"
+        assert sol.value >= nums[i], "envelope fell below the function"
         env_values.append(sol.value)
         certificates.append(
             tuple((kept[c], w) for c, w in sorted(sol.x.items()) if w.numerator > 0)
         )
         basis = sol.basis
-    return EnvelopeResult(f, tuple(env_values), tuple(certificates))
+    env_nums, den = scaled(env_values)
+    return EnvelopeResult(f, SampledFunction(lat, env_nums, den * f.den), tuple(certificates))
 
 
 def normalize_to_simplex_form(f: SampledFunction) -> SampledFunction:

@@ -1,10 +1,11 @@
-"""Exact revised simplex over the rationals, and the package's one
+"""Exact revised simplex over the integers, and the package's one
 exact elimination routine.
 
-Solves max c.x subject to A x = b, x >= 0 where every entry is an exact
-rational.  The systems in this package are tiny (at most about nine
-rows) but are solved many times, so the solver keeps an explicit basis
-inverse, in integers, and supports warm starts:
+Solves max c.x subject to A x = b, x >= 0 where every entry of A, b
+and c is an int; x and the optimal value are exact rationals.  The
+systems in this package are tiny (at most about nine rows) but are
+solved many times, so the solver keeps an explicit basis inverse, in
+integers, and supports warm starts:
 
 - a caller-supplied basis that is primal feasible for the new right
   hand side starts the primal simplex (zero pivots when it is already
@@ -22,37 +23,35 @@ Bland's smallest-index rule is used for both entering and leaving
 choices (and its dual analogue), so every loop terminates despite the
 heavy degeneracy typical of these geometric LPs.
 
-The basis is held in plain integers.  Column j, an integer vector A_j
-over a positive integer e_j, enters as A_j with cost C_j e_j, where
-C / D is the objective (D > 0 changes no sign, so only the optimal
-value reads it), and the right hand side as integers b / s.  A basis B
-is kept as det = |det B|, adj = det B^-1 and xb = adj b.  Column j is
-priced as
+Columns, objective and right hand side must be ints; any other entry
+(a Fraction, a float or a bool) raises TypeError naming it, since the
+exact divisions below would floor a rational.  A caller with rational
+data scales each row of [A | b] by a positive integer, which leaves x
+unchanged, and the objective by one, which scales the value.  A basis
+B is kept as det = |det B|, adj = det B^-1 and xb = adj b.  Column j
+is priced as
 
-    R_j = C_j e_j det - (c_B adj) . A_j = r_j D e_j det,
+    R_j = C_j det - (c_B adj) . A_j = r_j det,
 
-so only signs of R_j are read, except in the ratio tests: W_j =
-adj[row] . A_j is w_j times a positive factor common to all j, and so
-is xb[r] / d[r], so both tests cross-multiply.  The primal simplex
-prices columns in index order and stops at the first one that may
-enter.  The dual simplex forms the leaving row W = adj[row] . A for
-every column at once, as a sum of the rows of A weighted by adj[row],
-and prices only the columns its ratio test reads, those with W_j < 0,
-from y = c_B adj formed once per pivot.  Its dual-feasibility check
-is the one pass over every R_j, made before the first pivot (a dual
-pivot keeps every R_j <= 0) and skipped for the basis the solver last
-proved optimal (see below).  A pivot on d = adj A_enter at p = d[row]
-is Edmonds' update: every row r other than row becomes
+so only signs of R_j are read, except in the ratio tests, which
+cross-multiply: W_j = adj[row] . A_j is w_j times det, and xb and
+d = adj A_enter are det times x_B and B^-1 A_enter.  The primal
+simplex prices columns in index order and stops at the first one that
+may enter.  The dual simplex forms the leaving row W = adj[row] . A
+for every column at once, as a sum of the rows of A weighted by
+adj[row], and prices only the columns its ratio test reads, those with
+W_j < 0, from y = c_B adj formed once per pivot.  Its dual-feasibility
+check is the one pass over every R_j, made before the first pivot (a
+dual pivot keeps every R_j <= 0) and skipped for the basis the solver
+last proved optimal (see below).  A pivot on d at p = d[row] is
+Edmonds' update: every row r other than row becomes
 (p adj[r] - d[r] adj[row]) // det, xb[r] likewise, and |p| is the new
 det (adj and xb change sign when p < 0, as in every dual pivot).  The
 division is exact because p times the new inverse is the new basis's
 adjugate up to sign, an integer matrix.  A basis is first inverted
 fraction-free too, by ``eliminate``, so rationals appear only in the
-returned x_j = e_j xb[r] / (det s) (a zero x_j is the shared ZERO)
-and value sum_r C_j e_j xb[r] / (D det s), j = B_r, one integer dot
-product.  All-int columns, objectives and right hand sides, as the
-envelope and the geometry pass, are taken as they are, over 1; only
-other values go through rationals and ``scaled``.
+returned x_j = xb[r] / det (a zero x_j is the shared ZERO) and value
+sum_r C_j xb[r] / det, j = B_r, one integer dot product.
 
 Reduced costs do not depend on the right hand side, so a basis once
 proved optimal stays dual feasible, and it is optimal again for every
@@ -81,18 +80,18 @@ from collections import namedtuple
 from itertools import chain, islice
 from operator import add, mul
 
-from ._rational import ZERO, Rat, scaled
+from ._rational import ZERO, Rat
 
 Solution = namedtuple("Solution", "status value x basis")
 
 
-def _integers(values):
-    """(integer numerators, common denominator) of exact values: all-int
-    values as they are, over 1; otherwise every non-int as a rational,
-    through ``scaled``."""
-    if all(type(v) is int for v in values):
-        return values, 1
-    return scaled([v if type(v) is int else Rat(v) for v in values])
+def _require_ints(name, values):
+    """values, when every entry is an int (// floors a rational); else
+    TypeError naming the first entry that is not."""
+    if not set(map(type, values)) <= {int}:
+        i, v = next((i, v) for i, v in enumerate(values) if type(v) is not int)
+        raise TypeError(f"the simplex takes ints; {name} entry {i} is {v!r}")
+    return values
 
 
 def eliminate(rows, rhs=()):
@@ -140,15 +139,14 @@ class ExactSimplexSolver:
         if not columns:
             raise ValueError("need at least one column")
         self.m = len(columns[0])
-        self._ints, self._dens = zip(*(_integers(tuple(col)) for col in columns))
+        self._ints = tuple(_require_ints(f"column {j}", tuple(col)) for j, col in enumerate(columns))
         for col in self._ints:
             if len(col) != self.m:
                 raise ValueError("ragged column lengths")
         if len(objective) != len(columns):
             raise ValueError("objective length mismatch")
-        self._rows = tuple(zip(*self._ints))  # the integer columns, transposed
-        nums, self._obj_den = _integers(objective)
-        self._costs = [c * e for c, e in zip(nums, self._dens)]
+        self._rows = tuple(zip(*self._ints))  # the columns, transposed
+        self._costs = _require_ints("objective", list(objective))
         self._identity = [[int(c == r) for c in range(self.m)] for r in range(self.m)]
         self._proved = None  # (basis, adj, det) of the last warm solve proved optimal
 
@@ -178,15 +176,15 @@ class ExactSimplexSolver:
 
     @staticmethod
     def _prices(adj, basis, costs):
-        """y = c_B adj, the simplex multipliers times D det."""
+        """y = c_B adj, the simplex multipliers times det."""
         cb = [costs[j] for j in basis]
         return [sum(map(mul, cb, col)) for col in zip(*adj)]
 
     def _reduced_costs(self, adj, det, basis, costs, allowed):
         """R_j for the columns j < allowed, lazily and in index order.
 
-        R_j is the reduced cost r_j times the positive integer D e_j det,
-        so it is 0 on every basic column.
+        R_j is the reduced cost r_j times det, so it is 0 on every basic
+        column.
         """
         y = self._prices(adj, basis, costs)
         return (
@@ -262,9 +260,9 @@ class ExactSimplexSolver:
     def solve(self, rhs, basis=None) -> Solution:
         if len(rhs) != self.m:
             raise ValueError("rhs length mismatch")
-        b, s = _integers(rhs)
+        b = _require_ints("rhs", rhs)
         if basis is None:
-            return self._two_phase(b, s)
+            return self._two_phase(b)
         kept = self._proved
         hit = kept is not None and basis is kept[0]  # checked when it was proved
         if not hit:
@@ -281,7 +279,7 @@ class ExactSimplexSolver:
             adj, det = kept[1], kept[2]
             xb = self._mat_vec(adj, b)
             if all(v >= 0 for v in xb):
-                return self._solution("optimal", xb, det, s, kept[0])
+                return self._solution("optimal", xb, det, kept[0])
             # Pivot on a copy, so that the kept inverse survives.
             adj, basis = [row[:] for row in adj], list(basis)
             status, det = self._dual(adj, det, xb, basis, False)
@@ -299,15 +297,15 @@ class ExactSimplexSolver:
             else:
                 status, det = self._primal(adj, det, xb, basis, self._costs, len(self._ints))
         if status is None:
-            return self._two_phase(b, s)
-        sol = self._solution(status, xb, det, s, tuple(basis))
+            return self._two_phase(b)
+        sol = self._solution(status, xb, det, tuple(basis))
         if status == "optimal":
             # adj belongs to this call, and nothing changes it after the
             # return; a later hit pivots on a copy.
             self._proved = (sol.basis, adj, det)
         return sol
 
-    def _two_phase(self, b, s) -> Solution:
+    def _two_phase(self, b) -> Solution:
         m = self.m
         n_real = len(self._ints)
         art_cols = tuple(
@@ -336,15 +334,15 @@ class ExactSimplexSolver:
                         break
         # Phase 2 prices the real columns only; basic artificials cost 0.
         status, det = phase1._primal(adj, det, xb, basis, self._costs + [0] * m, n_real)
-        return self._solution(status, xb, det, s, tuple(basis))
+        return self._solution(status, xb, det, tuple(basis))
 
-    def _solution(self, status, xb, det, s, basis) -> Solution:
+    def _solution(self, status, xb, det, basis) -> Solution:
         if status != "optimal":
             return Solution(status, None, None, None)
-        n_real, den = len(self._ints), det * s
-        x = {j: Rat(self._dens[j] * v, den) if v else ZERO for j, v in zip(basis, xb) if j < n_real}
+        n_real = len(self._ints)
+        x = {j: Rat(v, det) if v else ZERO for j, v in zip(basis, xb) if j < n_real}
         value = sum(self._costs[j] * v for j, v in zip(basis, xb) if j < n_real)
-        return Solution("optimal", Rat(value, self._obj_den * den), x, basis)
+        return Solution("optimal", Rat(value, det), x, basis)
 
 
 def solve_lp(columns, objective, rhs):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from math import comb, gcd, lcm
 
 from . import __version__
-from ._rational import Rat, format_rat, scaled
+from ._rational import Rat, format_rat
 from .combinat import sharp_constant
 from .envelope import SampledFunction, check_envelope_cap, concave_envelope
 # Unused here; kept because benchmarks/tracing.py wraps this name in
@@ -70,11 +70,6 @@ def function_payload(f: SampledFunction) -> dict:
     return {"k": f.k, "N": f.resolution, "values": rows}
 
 
-def _is_int(v) -> bool:
-    # JSON true/false load as bool, a subclass of int; reject them.
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def function_from_payload(data) -> SampledFunction:
     """Validate a function-file document and build the function.  The
     row count is checked against C(N + k, k) before the lattice is
@@ -86,7 +81,7 @@ def function_from_payload(data) -> SampledFunction:
     if missing:
         raise ValueError(f"function file missing keys: {sorted(missing)}")
     k, n_res, rows = data["k"], data["N"], data["values"]
-    if not (_is_int(k) and _is_int(n_res)):
+    if {type(k), type(n_res)} != {int}:  # JSON true/false load as bool, an int subclass
         raise ValueError("k and N must be integers")
     _check_dim(k)  # before comb(), which is slow for a huge k
     if n_res < 1:
@@ -106,7 +101,7 @@ def function_from_payload(data) -> SampledFunction:
             raise ValueError(
                 f"row {i}: coordinates {ints} out of order (want {lat.int_points[i]})"
             )
-        if not all(_is_int(v) for v in row):
+        if not set(map(type, row)) <= {int}:  # bools too
             raise ValueError(f"row {i}: entries must be integers")
         if den <= 0:
             raise ValueError(f"row {i}: denominator must be positive")
@@ -173,13 +168,6 @@ def make_random(k: int, resolution: int, seed: int, roughness=1) -> SampledFunct
     return SampledFunction(lat, nums, RANDOM_DENOMINATOR)
 
 
-def mean_value(values):
-    """Exact mean of rational values (any iterable): one integer sum over
-    their common denominator."""
-    nums, den = scaled(tuple(values))
-    return Rat(sum(nums), den * len(nums))
-
-
 # -- inequality reports -------------------------------------------------------
 
 
@@ -237,7 +225,8 @@ def _verdict(lhs, rhs, constant, tol_rel, tol_abs):
 def _report(kind: str, n: int, inputs, conv, tol_rel, tol_abs) -> InequalityReport:
     """The report on mean(conv - average of the inputs) >= c(k, n) *
     mean(env(f) - f), where f = inputs[0] and conv is their convolution.
-    Each input's mean is computed once, from its numerators."""
+    Every mean, of each input, conv and env(f), is computed once, from
+    its numerators."""
 
     def mean(h):
         return Rat(sum(h.nums), h.den * len(h.nums))
@@ -245,7 +234,7 @@ def _report(kind: str, n: int, inputs, conv, tol_rel, tol_abs) -> InequalityRepo
     f = inputs[0]
     means = [mean(h) for h in inputs]
     lhs = mean(conv) - sum(means, Rat(0)) / len(means)
-    rhs = mean_value(concave_envelope(f).values) - means[0]
+    rhs = mean(concave_envelope(f).envelope) - means[0]
     constant = sharp_constant(f.k, n)
     verdict, ratio = _verdict(lhs, rhs, constant, tol_rel, tol_abs)
     prov = {name: function_digest(h) for name, h in zip("fg", inputs)}
@@ -351,7 +340,7 @@ def extremal_grid_report(k: int, n: int, resolution: int) -> ExtremalGridReport:
     f = make_extremal(k, resolution)
     _check_caps(f.lattice, n)
     conv = sup_convolve_n(f, n)
-    env = concave_envelope(f)
+    env = concave_envelope(f).envelope
     lat = f.lattice
     reps = {}
     for idx, ints in enumerate(lat.int_points):
@@ -378,7 +367,7 @@ def extremal_grid_report(k: int, n: int, resolution: int) -> ExtremalGridReport:
         rows.append((cell.m, cell.shift, lat.int_points[rep], conv_val))
         # f = -1 on cell interiors, so the gains are value - (-1).
         lhs += vol * (conv_val + 1)
-        rhs += vol * (env.values[rep] + 1)
+        rhs += vol * (Rat(env.nums[rep], env.den) + 1)
     return ExtremalGridReport(k, n, resolution, tuple(rows), lhs, rhs)
 
 

@@ -5,9 +5,12 @@ plain itertools enumeration, sharing no code path with the package
 (which uses integer kernels, LPs, DP and recurrences), so agreement
 between the two is meaningful.  The one exception is
 envelope_full_sweep, which runs the package's own solver over every
-lattice column: it checks that the envelope's column prune changes
-nothing, not the solver.  Likewise fraction_interior_intersect hands
-Fraction columns to the package's solve_lp: it checks the integer LP
+lattice column, on the integer coordinates with f's numerators as the
+objective, and divides its values by f's denominator: it checks that
+the envelope's column prune changes nothing, not the solver.  Likewise
+fraction_interior_intersect builds its LP from Fraction coordinates
+and hands the package's solve_lp, which takes ints only, each row of
+[A | b] times the lcm of its denominators: it checks the integer LP
 columns of geometry.simplices_interior_intersect, not the solver.
 best_sums_ordered is the package's earlier integer DP, kept whole: it
 checks the unordered-pair DP against every ordered pair.
@@ -20,6 +23,7 @@ against every cell with the package's cell_contains, and checks the
 one-pass floor rule that replaced it.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
@@ -109,16 +113,17 @@ def envelope_bruteforce(f):
 def envelope_full_sweep(f):
     """(values, certificates) of the envelope sweep with one LP per
     lattice point over every lattice column, warm-started from the
-    vertex basis and then from each point's optimal basis."""
+    vertex basis and then from each point's optimal basis.  The LP's
+    objective is f.nums, so each value is its optimum over f.den."""
     from supconvex.exactlp import ExactSimplexSolver
 
     lat = f.lattice
-    solver = ExactSimplexSolver(lat.int_points, list(f.values))
+    solver = ExactSimplexSolver(lat.int_points, list(f.nums))
     basis = lat.vertex_indices()
     values, certificates = [], []
     for ints in lat.int_points:
         sol = solver.solve(ints, basis=basis)
-        values.append(sol.value)
+        values.append(sol.value / f.den)
         certificates.append(tuple((j, w) for j, w in sorted(sol.x.items()) if w > 0))
         basis = sol.basis
     return tuple(values), tuple(certificates)
@@ -373,7 +378,7 @@ def fraction_contains(s, p):
 
 def fraction_interior_intersect(a, b):
     """Whether max t, over points with every barycentric weight >= t in
-    both simplices, is positive; the LP on Fraction columns."""
+    both simplices, is positive; the LP built on Fraction columns."""
     from supconvex.exactlp import solve_lp
 
     if a.k != b.k:
@@ -388,8 +393,13 @@ def fraction_interior_intersect(a, b):
     cols = [t_col]
     cols += [list(v.coords) + [Fraction(1), Fraction(0)] for v in a.vertices]
     cols += [[-c for c in v.coords] + [Fraction(0), Fraction(1)] for v in b.vertices]
-    objective = [Fraction(1)] + [Fraction(0)] * (2 * d)
-    status, value, _ = solve_lp(cols, objective, [Fraction(0)] * d + [Fraction(1)] * 2)
+    rhs = [Fraction(0)] * d + [Fraction(1)] * 2
+    # Row i of [A | b] times the lcm of its denominators, which leaves x
+    # and the value as they are.
+    scales = [math.lcm(*(v.denominator for v in row)) for row in zip(*cols, rhs)]
+    cols = [[int(v * s) for v, s in zip(col, scales)] for col in cols]
+    rhs = [int(v * s) for v, s in zip(rhs, scales)]
+    status, value, _ = solve_lp(cols, [1] + [0] * (2 * d), rhs)
     if status == "infeasible":
         return False
     assert status == "optimal", status

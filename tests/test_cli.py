@@ -65,7 +65,7 @@ def test_envelope_and_supconv_round_trip(capsys, tmp_path):
         capsys, "envelope", "--input", str(path), "--certificates"
     )
     assert code == 0
-    expected = function_payload(concave_envelope(f).as_function())
+    expected = function_payload(concave_envelope(f).envelope)
     assert payload["envelope"] == expected
     assert len(payload["certificates"]) == len(f.lattice)
 

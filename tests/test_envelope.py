@@ -16,6 +16,8 @@ from supconvex import (
     make_random,
     normalize_to_simplex_form,
     sampled_function,
+    verify_nfold,
+    verify_pair,
 )
 from supconvex.envelope import hull_candidates
 from supconvex.exactlp import ExactSimplexSolver
@@ -251,7 +253,7 @@ def _check_prune(f):
         assert res.values[i] > f.values[i]
     assert not dropped & {j for cert in res.certificates for j, _ in cert}
     # The envelope passes every midpoint test, so its sweep drops nothing.
-    assert hull_candidates(res.as_function()) == list(range(len(f.lattice)))
+    assert hull_candidates(res.envelope) == list(range(len(f.lattice)))
 
 
 def test_dropped_points_lie_strictly_below_the_envelope_and_support_nothing():
@@ -266,7 +268,7 @@ def test_idempotent():
         k = 1 + trial % 2
         resolution = 2 + trial % 7
         f = make_random(k, resolution, seed=300 + trial)
-        once = concave_envelope(f).as_function()
+        once = concave_envelope(f).envelope
         twice = concave_envelope(once)
         assert list(twice.values) == list(once.values)
 
@@ -376,7 +378,7 @@ def test_envelope_properties_hypothesis(f):
     # vertices of the simplex cannot be lifted: they are extreme points
     for vi in f.lattice.vertex_indices():
         assert env[vi] == f.values[vi]
-    again = concave_envelope(res.as_function())
+    again = concave_envelope(res.envelope)
     assert list(again.values) == list(env)
     _check_prune(f)
 
@@ -480,6 +482,28 @@ def test_one_point_above_the_vertex_plane_falls_back_to_the_sweep(monkeypatch):
         assert len(built) == 1
         assert res.values[on_plane[-1]] == g.values[on_plane[-1]]
         assert repr((res.values, res.certificates)) == repr(envelope_full_sweep(g))
+
+
+def test_rationals_stay_at_the_boundary(monkeypatch):
+    # Reports, the DP and the envelope read numerators: on the pivoting
+    # path and on the affine one, no input's rational view is made.
+    built = _spy_solvers(monkeypatch)
+    for f, g, solvers in (
+        (_general(2, 5, 1), _general(2, 5, 2), 2),
+        (make_random(2, 5, seed=1), _benchmark_normalised(2, 5, 2), 0),
+    ):
+        built.clear()
+        verify_nfold(f, 3)
+        verify_pair(f, g)
+        assert len(built) == solvers  # one sweep per report, or none
+        assert "values" not in vars(f) and "values" not in vars(g)
+    # The envelope is the full sweep's values, as a sampled function.
+    for family in _PRUNE_FAMILIES.values():
+        for k, resolution in _PRUNE_SIZES:
+            for seed in (1, 2):
+                f = family(k, resolution, seed)
+                env = concave_envelope(f).envelope
+                assert env == sampled_function(f.lattice, envelope_full_sweep(f)[0])
 
 
 def test_oversized_lattice_raises_before_the_plane_test(monkeypatch):

@@ -1,4 +1,4 @@
-import math
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -13,10 +13,8 @@ from supconvex.exactlp import ExactSimplexSolver, eliminate, solve_lp
 
 def test_known_optimum():
     # max 3x + 2y  s.t.  x + y = 4, x - y = 2  ->  x = 3, y = 1
-    columns = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
-    status, value, x = solve_lp(
-        columns, [Fraction(3), Fraction(2)], [Fraction(4), Fraction(2)]
-    )
+    columns = [[1, 1], [1, -1]]
+    status, value, x = solve_lp(columns, [3, 2], [4, 2])
     assert status == "optimal"
     assert value == 11
     assert x == {0: Fraction(3), 1: Fraction(1)}
@@ -24,8 +22,8 @@ def test_known_optimum():
 
 def test_nonnegativity_binds():
     # max x + y  s.t.  x + 2y = 2  over x, y >= 0  ->  x = 2, y = 0
-    columns = [[Fraction(1)], [Fraction(2)]]
-    status, value, x = solve_lp(columns, [Fraction(1), Fraction(1)], [Fraction(2)])
+    columns = [[1], [2]]
+    status, value, x = solve_lp(columns, [1, 1], [2])
     assert status == "optimal"
     assert value == 2
     assert x == {0: Fraction(2)}
@@ -33,73 +31,64 @@ def test_nonnegativity_binds():
 
 def test_infeasible():
     # x + y = -1 has no nonnegative solution
-    columns = [[Fraction(1)], [Fraction(1)]]
-    status, value, x = solve_lp(columns, [Fraction(1), Fraction(1)], [Fraction(-1)])
+    columns = [[1], [1]]
+    status, value, x = solve_lp(columns, [1, 1], [-1])
     assert status == "infeasible"
     assert value is None and x is None
 
 
 def test_unbounded():
     # max 2x - y  s.t.  x - y = 0: x = y = t grows the objective forever
-    columns = [[Fraction(1)], [Fraction(-1)]]
-    status, value, x = solve_lp(columns, [Fraction(2), Fraction(-1)], [Fraction(0)])
+    columns = [[1], [-1]]
+    status, value, x = solve_lp(columns, [2, -1], [0])
     assert status == "unbounded"
 
 
 def test_degenerate_terminates():
     # Zero rhs makes every vertex maximally degenerate; Bland's rule
     # must still terminate with a definite status.
-    columns = [
-        [Fraction(1), Fraction(0)],
-        [Fraction(0), Fraction(1)],
-        [Fraction(1), Fraction(1)],
-        [Fraction(1), Fraction(-1)],
-    ]
-    status, _value, _x = solve_lp(
-        columns,
-        [Fraction(1), Fraction(1), Fraction(1), Fraction(1)],
-        [Fraction(0), Fraction(0)],
-    )
+    columns = [[1, 0], [0, 1], [1, 1], [1, -1]]
+    status, _value, _x = solve_lp(columns, [1, 1, 1, 1], [0, 0])
     assert status in ("optimal", "unbounded")
 
 
 def test_warm_start_matches_cold():
-    columns = [
-        [Fraction(1), Fraction(0)],
-        [Fraction(0), Fraction(1)],
-        [Fraction(1), Fraction(1)],
-        [Fraction(2), Fraction(1)],
-    ]
-    objective = [Fraction(1), Fraction(2), Fraction(4), Fraction(5)]
+    columns = [[1, 0], [0, 1], [1, 1], [2, 1]]
+    objective = [1, 2, 4, 5]
     solver = ExactSimplexSolver(columns, objective)
-    cold = solver.solve([Fraction(3), Fraction(2)])
+    cold = solver.solve([3, 2])
     assert cold.status == "optimal"
     # Re-solve a nearby rhs starting from the previous optimal basis.
-    warm = solver.solve([Fraction(3), Fraction(3)], basis=cold.basis)
-    fresh = ExactSimplexSolver(columns, objective).solve([Fraction(3), Fraction(3)])
+    warm = solver.solve([3, 3], basis=cold.basis)
+    fresh = ExactSimplexSolver(columns, objective).solve([3, 3])
     assert warm.status == fresh.status == "optimal"
     assert warm.value == fresh.value
 
 
 def test_exact_rationals_no_drift():
-    # 1/3 coefficients: answers must be exact, not floating approximations.
-    columns = [[Fraction(1, 3)], [Fraction(2, 3)]]
-    status, value, x = solve_lp(columns, [Fraction(1), Fraction(1)], [Fraction(1)])
+    # x / 3 + 2y / 3 = 1, its row times 3: answers must be exact, not
+    # floating approximations.
+    columns = [[1], [2]]
+    status, value, x = solve_lp(columns, [1, 1], [3])
     assert status == "optimal"
     assert value == 3
     assert x == {0: Fraction(3)}
+    # 3x + 6y = 1: a value and a weight of 1/3.
+    status, value, x = solve_lp([[3], [6]], [1, 1], [1])
+    assert (status, value, x) == ("optimal", Fraction(1, 3), {0: Fraction(1, 3)})
+    assert type(value) is Fraction and type(x[0]) is Fraction
 
 
 def test_input_validation():
     with pytest.raises(ValueError):
         ExactSimplexSolver([], [])
     with pytest.raises(ValueError):
-        ExactSimplexSolver([[Fraction(1)], [Fraction(1), Fraction(2)]], [1, 1])
+        ExactSimplexSolver([[1], [1, 2]], [1, 1])
     with pytest.raises(ValueError):
-        ExactSimplexSolver([[Fraction(1)]], [1, 2])
-    solver = ExactSimplexSolver([[Fraction(1)]], [Fraction(1)])
+        ExactSimplexSolver([[1]], [1, 2])
+    solver = ExactSimplexSolver([[1]], [1])
     with pytest.raises(ValueError):
-        solver.solve([Fraction(1), Fraction(2)])
+        solver.solve([1, 2])
     solver = ExactSimplexSolver([[1, 0], [0, 1], [1, 1]], [1, 1, 3])
     for basis in ((2,), (0, 1, 2)):
         with pytest.raises(ValueError, match="basis length mismatch"):
@@ -223,11 +212,37 @@ def test_eliminate_refuses_non_integers():
     assert eliminate([]) == (1, [])
 
 
+def test_simplex_refuses_non_integers():
+    # // on a Fraction floors it: the solver takes ints, and a caller
+    # scales rational rows and objectives to ints first.
+    columns, objective, rhs = [[1, 0], [0, 1], [1, 1]], [1, 1, 3], [1, 2]
+    for bad in (Fraction(1, 2), Fraction(2), 0.5, 1.0, True):
+        named = re.escape(repr(bad))
+        cols = [[1, 0], [0, bad], [1, 1]]
+        for call in (lambda: ExactSimplexSolver(cols, objective), lambda: solve_lp(cols, objective, rhs)):
+            with pytest.raises(TypeError, match=rf"the simplex takes ints; column 1 entry 1 is {named}$"):
+                call()
+        obj = [1, 1, bad]
+        for call in (lambda: ExactSimplexSolver(columns, obj), lambda: solve_lp(columns, obj, rhs)):
+            with pytest.raises(TypeError, match=rf"the simplex takes ints; objective entry 2 is {named}$"):
+                call()
+        solver = ExactSimplexSolver(columns, objective)
+        kept = solver.solve(rhs, (2, 1)).basis  # proved optimal and kept
+        for call in (
+            lambda: solve_lp(columns, objective, [bad, 2]),
+            lambda: solver.solve([bad, 2]),
+            lambda: solver.solve([bad, 2], (0, 1)),
+            lambda: solver.solve([bad, 2], kept),
+        ):
+            with pytest.raises(TypeError, match=rf"the simplex takes ints; rhs entry 0 is {named}$"):
+                call()
+
+
 def test_singular_starting_basis_is_rejected():
-    columns = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)], [Fraction(2), Fraction(0)]]
-    solver = ExactSimplexSolver(columns, [Fraction(1), Fraction(1), Fraction(1)])
+    columns = [[1, 0], [0, 1], [2, 0]]
+    solver = ExactSimplexSolver(columns, [1, 1, 1])
     with pytest.raises(ValueError, match="starting basis is singular"):
-        solver.solve([Fraction(1), Fraction(1)], basis=(0, 2))
+        solver.solve([1, 1], basis=(0, 2))
 
 
 # -- warm-start dispatch -----------------------------------------------------
@@ -302,8 +317,9 @@ def _rational(rng):
 
 
 def _rational_lp(rng, m, n):
-    """Random LP over denominators up to 6 (so e_j > 1 in pricing).  Row 0
-    has positive entries and a positive right-hand side, so x is bounded."""
+    """Random LP over denominators up to 6, which _int_lp scales to ints.
+    Row 0 has positive entries and a positive right-hand side, so x is
+    bounded."""
     columns = [
         [Fraction(1 + rng.next_below(5), 1 + rng.next_below(6))]
         + [_rational(rng) for _ in range(m - 1)]
@@ -319,6 +335,30 @@ def _rational_rhs(rng, m):
     ]
 
 
+# Every denominator of a _rational_lp or a _rational_rhs divides 60.  The
+# solver takes row i of [A | b] times 60 (i + 1), which leaves x as it
+# is, and the objective times OBJ_SCALE, which scales the value by it;
+# the Fraction oracles read the rational data.
+OBJ_SCALE = 60
+
+
+def _times(values, scales):
+    """The ints v * s, for rationals v whose products with s are integers."""
+    out = [Fraction(v) * s for v, s in zip(values, scales)]
+    assert all(v.denominator == 1 for v in out)
+    return [v.numerator for v in out]
+
+
+def _int_rows(vector):
+    """A column or right hand side, entry i times 60 (i + 1)."""
+    return _times(vector, [60 * (i + 1) for i in range(len(vector))])
+
+
+def _int_lp(columns, objective):
+    """(columns, objective) of a rational LP, scaled to ints."""
+    return list(map(_int_rows, columns)), _times(objective, [OBJ_SCALE] * len(objective))
+
+
 def test_rational_columns_match_the_vertex_oracle():
     rng = SplitMix64(31)
     statuses = set()
@@ -327,13 +367,14 @@ def test_rational_columns_match_the_vertex_oracle():
         columns, objective = _rational_lp(rng, m, m + 2 + trial % 3)
         rhs = _rational_rhs(rng, m)
         best = lp_bruteforce(columns, objective, rhs)
-        expected = ("infeasible", None) if best is None else ("optimal", best)
-        assert solve_lp(columns, objective, rhs)[:2] == expected
+        expected = ("infeasible", None) if best is None else ("optimal", best * OBJ_SCALE)
+        ints, b = _int_lp(columns, objective), _int_rows(rhs)
+        assert solve_lp(*ints, b)[:2] == expected
         statuses.add(expected[0])
-        solver = ExactSimplexSolver(columns, objective)
+        solver = ExactSimplexSolver(*ints)
         for basis in combinations(range(len(columns)), m):
             try:
-                sol = solver.solve(rhs, basis)
+                sol = solver.solve(b, basis)
             except ValueError:
                 continue  # singular starting basis
             assert (sol.status, sol.value) == expected
@@ -370,7 +411,7 @@ def test_integer_reduced_costs_have_the_signs_of_the_fraction_ones():
     for trial in range(60):
         m = 1 + trial % 3
         columns, objective = _rational_lp(rng, m, m + 3)
-        solver = ExactSimplexSolver(columns, objective)
+        solver = ExactSimplexSolver(*_int_lp(columns, objective))
         for basis in combinations(range(len(columns)), m):
             binv = _invert([[Fraction(columns[j][i]) for j in basis] for i in range(m)])
             if binv is None:
@@ -383,13 +424,19 @@ def test_integer_reduced_costs_have_the_signs_of_the_fraction_ones():
 
 def test_dual_ratio_tie_goes_to_the_smallest_index(monkeypatch):
     # From basis (0, 1) at rhs (-1, 1) row 0 leaves.  Columns 2 and 3,
-    # over denominators 2 and 3, tie at r_j / w_j = 2 with different
-    # integer R_j (-4, -8) and W_j (-1, -2); column 4's ratio is 3.
+    # over denominators 2 and 3, tie at r_j / w_j = 2; column 4's ratio
+    # is 3.  The solver takes row 0 times 6, row 1 times 5 and the
+    # objective times 2, where the tie is between different integer
+    # R_j (-60, -80) and W_j (-15, -20).
     columns = [
         [1, 0], [0, 1], [Fraction(-1, 2), 0], [Fraction(-2, 3), 0], [-1, Fraction(1, 5)]
     ]
     objective = [1, 0, Fraction(-3, 2), -2, -4]
     basis, rhs = (0, 1), [-1, 1]
+    int_columns = [[6, 0], [0, 5], [-3, 0], [-4, 0], [-6, 1]]
+    int_objective, int_rhs = [2, 0, -3, -4, -8], [-6, 5]
+    assert int_columns == [[6 * a, 5 * b] for a, b in columns]
+    assert int_objective == [2 * c for c in objective] and int_rhs == [6 * rhs[0], 5 * rhs[1]]
     # The ratios recomputed in Fraction arithmetic.
     cols = [[Fraction(v) for v in col] for col in columns]
     binv = _invert([[cols[j][i] for j in basis] for i in range(2)])
@@ -402,26 +449,27 @@ def test_dual_ratio_tie_goes_to_the_smallest_index(monkeypatch):
     ties = [j for j, v in ratios.items() if v == min(ratios.values())]
     assert ties == [2, 3] and cols[2][0].denominator != cols[3][0].denominator
 
-    solver = ExactSimplexSolver(columns, objective)
+    solver = ExactSimplexSolver(int_columns, int_objective)
     adj, det = _integer_basis(solver._ints, basis)
-    priced = solver._reduced_costs(adj, det, list(basis), solver._costs, len(columns))
+    priced = list(solver._reduced_costs(adj, det, list(basis), solver._costs, len(columns)))
     assert list(map(_sign, priced)) == list(map(_sign, reduced))
+    assert priced[2:4] == [-60, -80] and [adj[0][0] * col[0] for col in int_columns[2:4]] == [-15, -20]
     taken = _record_paths(solver, monkeypatch)
     entered = []
     pivot = solver._pivot
     monkeypatch.setattr(
         solver, "_pivot", lambda *a: entered.append(a[-1]) or pivot(*a)
     )
-    sol = solver.solve(rhs, basis)
+    sol = solver.solve(int_rhs, basis)
     assert taken == ["_dual"] and entered == [min(ties)]
-    assert sol.basis == (2, 1) and sol.x == {2: 2, 1: 1} and sol.value == -3
-    _assert_matches_cold(columns, objective, rhs, sol)
+    assert sol.basis == (2, 1) and sol.x == {2: 2, 1: 1} and sol.value == -3 * 2
+    _assert_matches_cold(int_columns, int_objective, int_rhs, sol)
 
 
 def test_every_pivot_keeps_the_integer_adjugate_and_determinant(monkeypatch):
     # After each pivot, det = |det B| and adj = det B^-1 over the integer
     # columns the solver pivots on (the artificials of a two-phase solve
-    # are sign(b_i) e_i), and xb = adj b for the rhs scaled to integers.
+    # are sign(b_i) e_i), and xb = adj b.
     pivot = ExactSimplexSolver._pivot
     kinds = Counter()
     lp = {}
@@ -440,11 +488,10 @@ def test_every_pivot_keeps_the_integer_adjugate_and_determinant(monkeypatch):
     rng = SplitMix64(17)
     for trial in range(60):
         m = 1 + trial % 3
-        columns, objective = _rational_lp(rng, m, m + 2 + trial % 3)
+        columns, objective = _int_lp(*_rational_lp(rng, m, m + 2 + trial % 3))
         solver = ExactSimplexSolver(columns, objective)
-        for rhs in (_rational_rhs(rng, m), [Fraction(1)] + [Fraction(0)] * (m - 1)):
-            s = math.lcm(*(v.denominator for v in rhs))
-            lp["b"] = [int(v * s) for v in rhs]
+        for rhs in (_int_rows(_rational_rhs(rng, m)), _int_rows([1] + [0] * (m - 1))):
+            lp["b"] = rhs
             units = [[int(r == i) * (1 if v >= 0 else -1) for r in range(m)] for i, v in enumerate(rhs)]
             lp["columns"] = list(solver._ints) + units
             solver.solve(rhs)
@@ -523,12 +570,12 @@ def test_the_kept_basis_is_matched_in_order(monkeypatch):
 
 
 def test_kept_inverse_survives_a_dual_simplex_that_ends_infeasible(monkeypatch):
-    columns = [[1, -3], [Fraction(-1, 2), 3], [1, 2], [1, 3]]
+    columns = [[2, -3], [-1, 3], [2, 2], [2, 3]]  # row 0 of [[1, -3], [-1/2, 3], ...] times 2
     run = _replayer(columns, [-1, -3, 3, 3], monkeypatch)
-    assert run([3, 3], (0, 2))[0].basis == (0, 2)
-    got, trace = run([-1, 0], (0, 2))  # pivots on the kept inverse's copy
+    assert run([6, 3], (0, 2))[0].basis == (0, 2)
+    got, trace = run([-2, 0], (0, 2))  # pivots on the kept inverse's copy
     assert got.status == "infeasible" and trace == (("_dual",), 0, 2)
-    assert run([3, 3], (0, 2))[1] == ((), 0, 0)
+    assert run([6, 3], (0, 2))[1] == ((), 0, 0)
 
 
 def test_warm_solve_sequences_match_fresh_solvers(monkeypatch):
@@ -536,7 +583,7 @@ def test_warm_solve_sequences_match_fresh_solvers(monkeypatch):
     kept_hits = pivoted_hits = 0
     for trial in range(120):
         m = 1 + trial % 3
-        columns, objective = _rational_lp(rng, m, m + 2 + trial % 3)
+        columns, objective = _int_lp(*_rational_lp(rng, m, m + 2 + trial % 3))
         run = _replayer(columns, objective, monkeypatch)
         kept = None
         for _ in range(8):
@@ -546,7 +593,7 @@ def test_warm_solve_sequences_match_fresh_solvers(monkeypatch):
                 basis = tuple(pool.pop(rng.next_below(len(pool))) for _ in range(m))
             else:
                 basis = kept[::-1] if choice == 1 else kept
-            got, (_, inverted, pivots) = run(_rational_rhs(rng, m), basis)
+            got, (_, inverted, pivots) = run(_int_rows(_rational_rhs(rng, m)), basis)
             if not inverted and not isinstance(got, str):
                 kept_hits += 1
                 pivoted_hits += pivots > 0
@@ -576,16 +623,18 @@ def _dual_spies(solver, monkeypatch):
 
 def _dual_matches_oracle(solver, spies, columns, objective, rhs, basis):
     """Solves from basis, which the oracle says needs the dual simplex,
-    and compares everything with the oracle; returns the oracle's run."""
+    and compares everything with the oracle on the rational LP, which
+    the solver holds scaled by _int_lp; returns the oracle's run."""
     taken, pivots, priced = spies
     for log in spies:
         log.clear()
     expected = dual_simplex_bland(columns, objective, rhs, basis)
     status, sequence, end_basis, x, value = expected
-    sol = solver.solve(rhs, basis)
+    sol = solver.solve(_int_rows(rhs), basis)
     assert taken == ["_dual"] and pivots == sequence
     if status == "optimal":
-        assert (sol.status, sol.basis, sol.x, sol.value) == (status, end_basis, x, value)
+        assert (sol.status, sol.basis, sol.x) == (status, end_basis, x)
+        assert sol.value == value * OBJ_SCALE
     else:
         assert status == "infeasible" and sol == (status, None, None, None)
     return expected, priced
@@ -609,7 +658,7 @@ def test_dual_simplex_pivots_like_the_fraction_oracle(monkeypatch):
             status, sequence = dual_simplex_bland(columns, objective, rhs, basis)[:2]
             if status is None or status == "optimal" and not sequence:
                 continue  # not dual feasible, or primal feasible already
-            solver = ExactSimplexSolver(columns, objective)
+            solver = ExactSimplexSolver(*_int_lp(columns, objective))
             spies = _dual_spies(solver, monkeypatch)
             (status, sequence, *_), priced = _dual_matches_oracle(
                 solver, spies, columns, objective, rhs, basis
@@ -618,14 +667,14 @@ def test_dual_simplex_pivots_like_the_fraction_oracle(monkeypatch):
             handed += 1
             pivots += len(sequence)
             infeasible += status == "infeasible"
-        solver = ExactSimplexSolver(columns, objective)
+        solver = ExactSimplexSolver(*_int_lp(columns, objective))
         spies = _dual_spies(solver, monkeypatch)
         for _ in range(6):
             rhs = _rational_rhs(rng, m)
-            first = solver.solve(rhs)
+            first = solver.solve(_int_rows(rhs))
             if first.status != "optimal":
                 continue
-            solver.solve(rhs, first.basis)  # a two-phase solve keeps no basis
+            solver.solve(_int_rows(rhs), first.basis)  # a two-phase solve keeps no basis
             again = _rational_rhs(rng, m)
             status, sequence = dual_simplex_bland(columns, objective, again, first.basis)[:2]
             if status == "optimal" and not sequence:

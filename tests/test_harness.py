@@ -16,7 +16,6 @@ from supconvex import (
     load_function,
     make_extremal,
     make_random,
-    mean_value,
     normalize_to_simplex_form,
     report_json,
     sampled_function,
@@ -120,14 +119,22 @@ def test_payload_validation_rejects_bad_input():
 def test_payload_rejects_bool_where_int_required():
     good = function_payload(make_random(1, 2, seed=1))
     for key in ("k", "N"):
-        bad = json.loads(json.dumps(good))
-        bad[key] = True  # equal to 1, so k = true would pass as k = 1
-        with pytest.raises(ValueError, match="integers"):
-            function_from_payload(bad)
-    for row, col, value in ((0, 0, False), (1, -1, True), (1, -2, False)):
+        for value in (True, 1.0, "1", None):  # True == 1.0 == 1, so each could pass as 1
+            bad = json.loads(json.dumps(good))
+            bad[key] = value
+            with pytest.raises(ValueError, match="k and N must be integers"):
+                function_from_payload(bad)
+    entries = [(0, 0, False), (1, -1, True), (1, -2, False)]
+    # A float equal to the int it replaces; a string and None.
+    for col in (0, -2, -1):  # a coordinate, the numerator, the denominator
+        entries += [(1, col, float(good["values"][1][col])), (1, col, "1"), (1, col, None)]
+    for row, col, value in entries:
         bad = json.loads(json.dumps(good))
         bad["values"][row][col] = value
-        with pytest.raises(ValueError, match="integers"):
+        # A coordinate that is not equal to an int is out of order first.
+        out_of_order = col == 0 and not isinstance(value, (int, float))
+        message = "coordinates .* out of order" if out_of_order else f"row {row}: entries must be integers"
+        with pytest.raises(ValueError, match=message):
             function_from_payload(bad)
 
 
@@ -192,20 +199,6 @@ def test_make_random_and_its_numerators_match_the_oracle(roughness):
                 assert all(type(v) is int for v in f.nums)
                 assert RANDOM_DENOMINATOR % f.den == 0
                 assert [Fraction(v, f.den) for v in f.nums] == want
-
-
-def test_mean_value():
-    assert mean_value([Fraction(1), Fraction(0), Fraction(1, 2)]) == Fraction(1, 2)
-    # pairwise coprime denominators, with a negative value and an int
-    values = [Fraction(1, 3), Fraction(-1, 4), Fraction(2, 5), Fraction(3, 7), 2]
-    expected = (Fraction(1, 3) - Fraction(1, 4) + Fraction(2, 5) + Fraction(3, 7) + 2) / 5
-    assert mean_value(values) == expected
-    assert type(mean_value(values)) is Fraction
-    # any iterable, consumed once
-    assert mean_value(v for v in values) == expected
-    assert mean_value(iter([Fraction(5, 6)])) == Fraction(5, 6)
-    with pytest.raises(ZeroDivisionError):
-        mean_value(v for v in ())
 
 
 def test_frozen_extremal_report():
