@@ -3,8 +3,9 @@
 One subcommand per pipeline; every payload is JSON (default) or
 flattened CSV, printed to stdout or written with --out.  Exit codes:
 0 success, 2 a verification/inequality check failed, 1 usage or input
-error.  All numbers in payloads are exact rationals rendered as
-"p/q" strings; no floats.
+error.  Payloads hold exact values; the writers render every rational
+as a "p/q" string (an integer-valued one as "p"), so no float is
+printed.
 
 ``main`` builds its argument parser on the first call and reuses it for
 every later call in the process: each ``parse_args`` returns a fresh
@@ -23,7 +24,7 @@ import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
-from ._rational import format_rat, parse_rat
+from ._rational import Rat, format_rat, parse_rat
 from .averageable import (
     UnsupportedCertificateError,
     averaging_certificate,
@@ -181,14 +182,18 @@ def _flatten(obj, prefix, rows) -> None:
 
 
 def _json_text(obj, pad="") -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, without
-    the pure-Python encoder that indent selects: containers recurse, a
-    list of equal-length int rows is formatted with one template, and
-    any other leaf goes to json.dumps, its newlines indented to pad."""
+    """json.dumps(obj, indent=2, sort_keys=True, default=format_rat),
+    byte for byte, without the pure-Python encoder that indent selects:
+    a rational is written as the string format_rat gives, containers
+    recurse (a tuple as a list), a list of equal-length int rows is
+    formatted with one template, and any other leaf goes to json.dumps,
+    its newlines indented to pad."""
     inner = pad + "  "
     kind = type(obj)
     if kind is str:
         return encode_basestring_ascii(obj)
+    if kind is Rat:
+        return '"' + format_rat(obj) + '"'
     if kind is int:
         return int.__repr__(obj)
     if kind is bool:
@@ -200,11 +205,11 @@ def _json_text(obj, pad="") -> str:
             f"{encode_basestring_ascii(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj)
         )
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if kind is list and obj:
-        width = len(obj[0]) if type(obj[0]) is list else 0
+    if (kind is list or kind is tuple) and obj:
+        width = len(obj[0]) if type(obj[0]) in (list, tuple) else 0
         if (
             width
-            and all(type(row) is list and len(row) == width for row in obj)
+            and all(type(row) in (list, tuple) and len(row) == width for row in obj)
             and set(map(type, chain.from_iterable(obj))) == {int}
         ):
             row = "[" + ",".join(["\n" + inner + "  %d"] * width) + "\n" + inner + "]"
@@ -212,7 +217,7 @@ def _json_text(obj, pad="") -> str:
         else:
             items = (_json_text(item, inner) for item in obj)
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    return json.dumps(obj, indent=2, sort_keys=True, default=format_rat).replace("\n", "\n" + pad)
 
 
 def _emit(payload, args) -> None:
@@ -241,12 +246,12 @@ def _cmd_constants(args):
     payload = {
         "k": rep.k,
         "n": rep.n,
-        "descent_sum": format_rat(rep.descent_sum),
-        "power_sum": format_rat(rep.power_sum),
-        "closed_form": None if rep.closed_form is None else format_rat(rep.closed_form),
-        "covering_bound": None if rep.covering_bound is None else format_rat(rep.covering_bound),
-        "rate_conjectured": format_rat(rate_constant_conjectured(args.k)),
-        "rate_covering": format_rat(rate_constant_covering(args.k)),
+        "descent_sum": rep.descent_sum,
+        "power_sum": rep.power_sum,
+        "closed_form": rep.closed_form,
+        "covering_bound": rep.covering_bound,
+        "rate_conjectured": rate_constant_conjectured(args.k),
+        "rate_covering": rate_constant_covering(args.k),
         "worpitzky_ok": worpitzky_check(args.k, args.n),
         "sharp": args.k <= 3,
     }
@@ -262,9 +267,9 @@ def _cmd_subdivide(args):
         "cells": [
             {
                 "m": c.m,
-                "shift": list(c.shift),
-                "value": format_rat(c.value_on_cell),
-                "volume": format_rat(c.relative_volume()),
+                "shift": c.shift,
+                "value": c.value_on_cell,
+                "volume": c.relative_volume(),
             }
             for c in cells
         ],
@@ -283,9 +288,9 @@ def _cmd_classify(args):
     payload = {
         "k": args.k,
         "n": args.n,
-        "point": [format_rat(c) for c in coords],
+        "point": coords,
         "m": loc.m,
-        "shift": list(loc.shift),
+        "shift": loc.shift,
         "on_boundary": loc.on_boundary,
     }
     return payload, 0
@@ -296,9 +301,7 @@ def _cmd_envelope(args):
     env = concave_envelope(f)
     payload = {"envelope": function_payload(env.envelope)}
     if args.certificates:
-        payload["certificates"] = [
-            [[j, format_rat(w)] for j, w in cert] for cert in env.certificates
-        ]
+        payload["certificates"] = env.certificates
     return payload, 0
 
 
@@ -338,10 +341,10 @@ def _cmd_averageable(args):
     payload = {
         "k": cert.k,
         "m": cert.m,
-        "target": {"name": cert.target.name, "volume": format_rat(cert.target.rel_volume)},
-        "jacobian": format_rat(cert.jacobian),
+        "target": {"name": cert.target.name, "volume": cert.target.rel_volume},
+        "jacobian": cert.jacobian,
         "maps": [{"name": mp.name, "pieces": len(mp.pieces)} for mp in cert.maps],
-        "image_volumes": [format_rat(relative_volume(s)) for s in cert.image_pieces],
+        "image_volumes": [relative_volume(s) for s in cert.image_pieces],
         "checks": [
             {"name": c.name, "passed": c.passed, "witness": c.witness} for c in report.checks
         ],
@@ -364,27 +367,21 @@ def _cmd_cover(args):
         for t in cert.family:
             entry = {
                 "level": t.level,
-                "offset": [format_rat(o) for o in t.offset],
-                "constant": format_rat(t.constant),
+                "offset": t.offset,
+                "constant": t.constant,
             }
             if args.traces:
-                entry["derivation"] = _trace_to_json(t.derivation)
+                entry["derivation"] = t.derivation
             family.append(entry)
         payload["certificate"] = {
             "level": cert.level,
             "count": cert.count,
             "cert_resolution": cert.cert_resolution,
-            "sum_constants": format_rat(cert.sum_constants),
-            "derived_constant": format_rat(cert.derived_constant),
+            "sum_constants": cert.sum_constants,
+            "derived_constant": cert.derived_constant,
             "family": family,
         }
     return payload, 0 if cert is not None else 2
-
-
-def _trace_to_json(trace):
-    return [
-        _trace_to_json(part) if isinstance(part, tuple) else part for part in trace
-    ]
 
 
 def _cmd_extremal(args):
@@ -398,15 +395,15 @@ def _cmd_extremal(args):
             "k": rep.k,
             "n": rep.n,
             "N": rep.resolution,
-            "lhs": format_rat(rep.lhs),
-            "rhs": format_rat(rep.rhs),
-            "ratio": format_rat(rep.ratio),
+            "lhs": rep.lhs,
+            "rhs": rep.rhs,
+            "ratio": rep.ratio,
             "cells": [
                 {
                     "m": m,
-                    "shift": list(shift),
-                    "representative": list(rep_ints),
-                    "value": format_rat(val),
+                    "shift": shift,
+                    "representative": rep_ints,
+                    "value": val,
                 }
                 for m, shift, rep_ints, val in rep.rows
             ],
@@ -417,15 +414,15 @@ def _cmd_extremal(args):
         payload = {
             "k": prof.k,
             "n": prof.n,
-            "lhs_integral": format_rat(prof.lhs_integral),
-            "rhs_integral": format_rat(prof.rhs_integral),
-            "ratio": format_rat(prof.ratio),
+            "lhs_integral": prof.lhs_integral,
+            "rhs_integral": prof.rhs_integral,
+            "ratio": prof.ratio,
             "per_m": [
                 {
                     "m": row.m,
                     "cell_count": row.cell_count,
-                    "cell_volume": format_rat(row.cell_relative_volume),
-                    "value": format_rat(row.value),
+                    "cell_volume": row.cell_relative_volume,
+                    "value": row.value,
                 }
                 for row in prof.per_m
             ],
@@ -459,10 +456,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         payload, code = _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, UnsupportedCertificateError, json.JSONDecodeError) as exc:
+    except (_UsageError, ValueError, OSError, UnsupportedCertificateError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(payload, args)

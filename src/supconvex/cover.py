@@ -347,10 +347,10 @@ def scaled_simplex_cover(k: int, n: int):
         simplices.append(Simplex(verts))
     from .geometry import lattice
 
-    for p in lattice(k, n * k).points:
-        covered = any(
-            all(n * c - s >= 0 for c, s in zip(p.coords, v)) for v in shifts
-        )
+    # A point p = ints / (n k) lies in (k T + v) / n iff n p >= v, that
+    # is, ints >= k v componentwise.
+    for ints in lattice(k, n * k).int_points:
+        covered = any(all(c >= k * s for c, s in zip(ints, v)) for v in shifts)
         if not covered:  # pragma: no cover - coverage is guaranteed for n >= k+1
-            raise ArithmeticError(f"lattice point {tuple(p.coords)} uncovered")
+            raise ArithmeticError(f"lattice point {ints} / {n * k} uncovered")
     return tuple(simplices)

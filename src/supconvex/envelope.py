@@ -78,8 +78,8 @@ ENVELOPE_CAP = 1771
 @dataclass(frozen=True)
 class SampledFunction:
     """Exact values on every point of a simplex lattice: nums[i] / den
-    at lattice.points[i], in ascending lexicographic order of the
-    integer coordinates.  The constructor puts (nums, den) in lowest
+    at lattice.int_points[i] / N, in ascending lexicographic order of
+    the integer coordinates.  The constructor puts (nums, den) in lowest
     terms, gcd(den, *nums) == 1, so equal functions have equal fields
     however they were built.  The kernels read nums and den; values,
     the rational view, is made on first use.
@@ -228,33 +228,36 @@ def concave_envelope(f: SampledFunction) -> EnvelopeResult:
 
 
 def normalize_to_simplex_form(f: SampledFunction) -> SampledFunction:
-    """Subtract the affine interpolant of the envelope's vertex values.
+    """Subtract the affine interpolant of f's vertex values.
 
-    The result vanishes at every vertex of the simplex (the envelope
-    always touches the function there, since a vertex admits only the
-    trivial convex combination).  When the envelope is affine the
-    result is additionally <= 0 everywhere; for general f it is not.
-    The inequality reports do not call it: the sup-convolution and the
-    envelope both commute with subtracting an affine function, so their
-    gains over f are unchanged by the shift.
+    That is the envelope's vertex plane too, since the envelope touches
+    f at every vertex (a vertex admits only the trivial convex
+    combination), so no envelope is computed: the result is N f - A
+    over N times f's denominator, with A the integer plane of
+    _vertex_plane.  It vanishes at every vertex of the simplex.  When
+    the envelope is affine the result is additionally <= 0 everywhere;
+    for general f it is not.  The inequality reports do not call it:
+    the sup-convolution and the envelope both commute with subtracting
+    an affine function, so their gains over f are unchanged by the
+    shift.
     """
-    env = concave_envelope(f)
     lat = f.lattice
-    verts = [env.values[i] for i in lat.vertex_indices()]
-    affine = (sum((v * c for v, c in zip(verts, p.coords)), Rat(0)) for p in lat.points)
-    return sampled_function(lat, [v - a for v, a in zip(f.values, affine)])
+    nums, resolution = f.nums, lat.resolution
+    apex = [nums[v] for v in lat.vertex_indices()]
+    shifted = [resolution * num - sum(map(mul, apex, ints)) for ints, num in zip(lat.int_points, nums)]
+    return SampledFunction(lat, shifted, f.den * resolution)
 
 
 def evaluate_certificate(env: EnvelopeResult, i: int):
-    """Recompute (combined point, combined value) of certificate i."""
-    lat = env.function.lattice
-    k = lat.k
-    coords = [Rat(0)] * (k + 1)
-    value = Rat(0)
-    weight_total = Rat(0)
-    for j, w in env.certificates[i]:
-        value += w * env.function.values[j]
-        weight_total += w
-        for t, c in enumerate(lat.points[j].coords):
-            coords[t] += w * c
-    return BaryPoint(tuple(coords)), value, weight_total
+    """Recompute (combined point, combined value, total weight) of
+    certificate i, from the lattice's integer points and the function's
+    numerators; it reads only env.function and env.certificates."""
+    f = env.function
+    lat = f.lattice
+    cert = env.certificates[i]
+    coords = (
+        sum((w * lat.int_points[j][t] for j, w in cert), Rat(0)) / lat.resolution
+        for t in range(lat.k + 1)
+    )
+    value = sum((w * f.nums[j] for j, w in cert), Rat(0)) / f.den
+    return BaryPoint(tuple(coords)), value, sum((w for _, w in cert), Rat(0))

@@ -23,7 +23,7 @@ rational.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 from ._rational import ONE, ZERO, Rat, scaled
@@ -33,7 +33,8 @@ from .exactlp import eliminate
 # N**k; the cap keeps every public operation tractable.
 DIM_CAP = 6
 # Cap on the lattice size C(N + k, k).  On a 2-vCPU host the largest
-# accepted lattices take 13-20 s and 0.4-0.5 GB for `supconvex random`.
+# accepted lattices (k = 1..6) take 3.5-4.8 s and 0.28-0.33 GB for
+# `supconvex random`.
 LATTICE_CAP = 5 * 10**5
 
 
@@ -194,10 +195,11 @@ def simplices_interior_intersect(a: Simplex, b: Simplex) -> bool:
 class BaryLattice:
     """All points of T with coordinates that are multiples of 1/N.
 
-    Points are stored both as integer coordinate vectors (summing to N)
-    and as BaryPoints, in ascending lexicographic order of the integer
-    vectors.  The order is part of the contract: serialization and the
-    warm-started envelope solver both rely on it.
+    Points are stored as integer coordinate vectors (summing to N), in
+    ascending lexicographic order.  The order is part of the contract:
+    serialization and the warm-started envelope solver both rely on it.
+    points, the BaryPoint view of rationals c / N, is made on first use;
+    no kernel reads it.
     """
 
     def __init__(self, k: int, resolution: int):
@@ -210,11 +212,12 @@ class BaryLattice:
         self.k = k
         self.resolution = resolution
         self.int_points = tuple(compositions(resolution, k + 1))
-        n = Rat(resolution)
-        self.points = tuple(
-            BaryPoint(tuple(Rat(c) / n for c in ints)) for ints in self.int_points
-        )
         self._index = {ints: i for i, ints in enumerate(self.int_points)}
+
+    @cached_property
+    def points(self) -> tuple:
+        n = self.resolution
+        return tuple(BaryPoint(tuple(Rat(c, n) for c in ints)) for ints in self.int_points)
 
     def __len__(self) -> int:
         return len(self.int_points)

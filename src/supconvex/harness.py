@@ -197,13 +197,13 @@ class InequalityReport:
             "k": self.k,
             "n": self.n,
             "resolution": self.resolution,
-            "constant": format_rat(self.constant),
+            "constant": self.constant,
             "constant_kind": self.constant_kind,
-            "lhs": format_rat(self.lhs),
-            "rhs": format_rat(self.rhs),
-            "ratio": None if self.ratio is None else format_rat(self.ratio),
-            "tol_rel": format_rat(self.tol_rel),
-            "tol_abs": format_rat(self.tol_abs),
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "ratio": self.ratio,
+            "tol_rel": self.tol_rel,
+            "tol_abs": self.tol_abs,
             "verdict": self.verdict,
             "provenance": self.provenance,
         }
@@ -212,7 +212,7 @@ class InequalityReport:
 def report_json(report) -> str:
     """Canonical byte-stable JSON for a report payload."""
     payload = report.to_payload() if hasattr(report, "to_payload") else report
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=format_rat)
 
 
 def _verdict(lhs, rhs, constant, tol_rel, tol_abs):
@@ -241,7 +241,7 @@ def _report(kind: str, n: int, inputs, conv, tol_rel, tol_abs) -> InequalityRepo
     prov["version"] = __version__
     return InequalityReport(
         kind, f.k, n, f.resolution, constant, "sharp" if f.k <= 3 else "conjectured",
-        lhs, rhs, ratio, tol_rel, tol_abs, verdict, prov,
+        lhs, rhs, ratio, Rat(tol_rel), Rat(tol_abs), verdict, prov,
     )
 
 
@@ -272,9 +272,9 @@ def verify_nfold(
 
     Both sides are exactly invariant under adding an affine function a
     to f, since conv_n(f - a) = conv_n(f) - a and env(f - a) =
-    env(f) - a.  So f is used as given: subtracting the envelope's
-    vertex interpolant first (normalize_to_simplex_form) would give the
-    same exact lhs and rhs at the cost of a second envelope sweep.
+    env(f) - a.  So f is used as given: subtracting its vertex
+    interpolant first (normalize_to_simplex_form) would give the same
+    exact lhs and rhs.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")

@@ -143,10 +143,9 @@ def subdivide(k: int, n: int):
     cells = []
     total_volume = Rat(0)
     for m in range(1, min(k, n) + 1):
-        level_volume = hypersimplex_volume(k, m) / Rat(n) ** k
-        for shift in enumerate_shifts(k, n - m):
-            cells.append(SubdivisionCell(n=n, m=m, shift=shift))
-            total_volume += level_volume
+        shifts = enumerate_shifts(k, n - m)
+        cells.extend(SubdivisionCell(n=n, m=m, shift=shift) for shift in shifts)
+        total_volume += len(shifts) * hypersimplex_volume(k, m) / Rat(n) ** k
     keys = {(c.m, c.shift) for c in cells}
     assert len(keys) == len(cells), "duplicate subdivision cells"
     assert total_volume == 1, f"cell volumes sum to {total_volume}, not 1"

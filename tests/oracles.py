@@ -17,6 +17,10 @@ checks the unordered-pair DP against every ordered pair.
 sampled_transport is the averageable transport check as it was before
 it became a proof: it runs the package's sup_convolve_n on sampled
 functions and compares lattice means with a tolerance.
+normalize_by_envelope is normalize_to_simplex_form as it was when it
+ran the package's envelope sweep to read the vertex values and
+subtracted their plane in Fraction arithmetic; it checks the integer
+shift by f's own vertex values that replaced it.
 grid_representatives_scan is the extremal grid report's earlier search
 for cell representatives, kept whole: it tests every lattice point
 against every cell with the package's cell_contains, and checks the
@@ -127,6 +131,18 @@ def envelope_full_sweep(f):
         certificates.append(tuple((j, w) for j, w in sorted(sol.x.items()) if w > 0))
         basis = sol.basis
     return tuple(values), tuple(certificates)
+
+
+def normalize_by_envelope(f):
+    """f minus the affine interpolant of its envelope's vertex values,
+    from a full envelope sweep and the lattice's Fraction points."""
+    from supconvex import concave_envelope, sampled_function
+
+    env = concave_envelope(f)
+    lat = f.lattice
+    verts = [env.values[i] for i in lat.vertex_indices()]
+    affine = (sum((v * c for v, c in zip(verts, p.coords)), Fraction(0)) for p in lat.points)
+    return sampled_function(lat, [v - a for v, a in zip(f.values, affine)])
 
 
 def grid_representatives_scan(k: int, n: int, resolution: int):

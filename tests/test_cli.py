@@ -1,6 +1,9 @@
+import hashlib
 import json
 import time
 from fractions import Fraction
+
+import pytest
 
 from supconvex import (
     concave_envelope,
@@ -12,6 +15,7 @@ from supconvex import (
     sup_convolve_pair,
 )
 from supconvex import cli
+from supconvex._rational import format_rat
 from supconvex.cli import main
 
 
@@ -394,43 +398,142 @@ def test_common_flag_before_subcommand_does_not_carry_over(capsys, tmp_path):
     assert payload == function_payload(make_random(2, 4, seed=1))
 
 
-def test_json_writer_matches_json_dumps_on_every_subcommand(capsys, tmp_path):
-    paths = {}
+# One invocation of every subcommand; "r2", "g2", "r3" and "x2" name
+# the function files that _subcommand_argvs writes.
+SUBCOMMAND_ARGVS = [
+    ["constants", "--k", "3", "--n", "4"],
+    ["subdivide", "--k", "2", "--n", "3"],
+    ["classify", "--k", "2", "--n", "3", "--point", "1/2,1/3,1/6"],
+    ["envelope", "--input", "r2"],
+    ["envelope", "--input", "r3", "--certificates"],
+    ["supconv", "--input", "r2", "--n", "3"],
+    ["supconv", "--input", "r3", "--n", "3"],
+    ["supconv", "--pair", "r2", "g2"],
+    ["verify-t1", "--input", "r2", "--n", "4"],
+    ["verify-t4", "--f", "r2", "--g", "g2"],
+    ["verify-t1", "--input", "x2", "--n", "2"],
+    ["averageable", "--k", "2", "--m", "2"],
+    ["averageable", "--medial"],
+    ["cover", "--k", "2", "--n", "2", "--max-level", "1", "--traces"],
+    ["cover", "--k", "2", "--n", "3", "--max-level", "1", "--budget", "5"],
+    ["extremal", "--k", "2", "--N", "10", "--grid-n", "3"],
+    ["extremal", "--k", "3", "--n", "4"],
+    ["extremal", "--k", "2", "--N", "5"],
+    ["random", "--k", "1", "--N", "7", "--roughness", "1/2"],
+]
+
+# sha256 of stdout for each of SUBCOMMAND_ARGVS, with --format json and
+# with --format csv.
+SUBCOMMAND_SHA256 = {
+    "constants --k 3 --n 4": (
+        "c4cd687fd5cea8750f4c30d0c982c4c010c5d66aadd722884066091d3d533669",
+        "b467fee4c11952279d40ecdd58c9e9bf3ed3b30833c16c65fc0c198a2582f030",
+    ),
+    "subdivide --k 2 --n 3": (
+        "57ff9aef3cb280d7b30ae2c2ad595d507de26a35f3ce74d6521ae91a3ca44661",
+        "37b45dac671744ac5b4543c1f85e1ccaecd3ab13d3798985ca04ef7dd17a3f42",
+    ),
+    "classify --k 2 --n 3 --point 1/2,1/3,1/6": (
+        "b9aad7b47bedb3359603f7cd12546d3da0bb83c44dc2906b2927db847281bf5b",
+        "65d5f666387dcd3c508286a1b8eee4d6a01eb6695e74f8fa47f51efaaa0c803b",
+    ),
+    "envelope --input r2": (
+        "59fba3b861e3de249263f827e95a3129435de62cd7a90391b33395258133811c",
+        "578503a13145e56a44edeb4db4da3e4ce02155a7fc848c594cc1433b21dde24e",
+    ),
+    "envelope --input r3 --certificates": (
+        "75743344f8f65a178bd70032e51aa64714519c9abc5c703c962e3ee246de801d",
+        "ade4e6e59a4c1d4cc547b58e5403a75abde263e1058a776e970db8a3404a032c",
+    ),
+    "supconv --input r2 --n 3": (
+        "0db6dd8776900b5532e6d4ef74408dc1f7b0a434cbc615902ec22273b1568812",
+        "bebd863f884452913348afb66b6d6e3c68e8aa07afc14dc53ae254c077d5b947",
+    ),
+    "supconv --input r3 --n 3": (
+        "5b78cfb0c31e34d307b0bee80a5efb6d813587cc66e7bf8be531b38ffd732725",
+        "d94cec1801d7a202a789f3a66964e7b8a80d2c21bbc92a42ba98370b9ccea5f2",
+    ),
+    "supconv --pair r2 g2": (
+        "ca05178aeecbcf928d330857f5b6e5fed39fff2e5307514f536701695dcc9d7a",
+        "44b4d730963c1fccd4350a04d77bcd0019c7296f9aa05965d65af0a48e23e6f2",
+    ),
+    "verify-t1 --input r2 --n 4": (
+        "97c3244af3f9ee74b7c686581a68bc076d62b86c0486c7c4c77c99efb360c1e4",
+        "10faa6f61a8d387a18295cc34cb7600f0ceb777cd58aefd25e2262cabb5d1aee",
+    ),
+    "verify-t4 --f r2 --g g2": (
+        "7f287ed04c38d169b5d77603b746b55ef133b317dd571b9c8c1f80fb43ec76c5",
+        "7d3cb08550984822d211633b6612aaa825da198b89c425c128b46274b2cfa5eb",
+    ),
+    "verify-t1 --input x2 --n 2": (
+        "79e82b095e77134af85f99186ee065a43be72e0cfd2ab03486333d7187955959",
+        "99a9002007497c5a94a4811377219db44bd5547f5f38ee3a03455f1e7e84ecf4",
+    ),
+    "averageable --k 2 --m 2": (
+        "3421cb6937ace55e99305d452dd8ab96a0cb496bbb90a608d8f6d452588bdbe7",
+        "c73f4ee2d3d0732e6f8e2c317bb68e193fc6f6b9851ef7e558aecd0f63c3ebab",
+    ),
+    "averageable --medial": (
+        "f91e40a7fabf947691eb7b41727239aa53fdfe4809da84acc1e46aec9aa95845",
+        "5dac7b9c64e1f9005aa9b212f6973247f26742556181f5b703ef4b16413e4397",
+    ),
+    "cover --k 2 --n 2 --max-level 1 --traces": (
+        "2646dee9f9ae745cd352708b78439b815f06d89a03e418ccc844d7157734e920",
+        "746c9d8e43c9eb70b40a5d340d50b7fa98be6e4769d3fb04e36188e624aefb74",
+    ),
+    "cover --k 2 --n 3 --max-level 1 --budget 5": (
+        "50735289a44eec73d7e78f7856f0587e1018ef265b5bcdb533a94fd22930e567",
+        "dff125bac258b71e253bc5e2cf7843e1cda57246b11a9e0d2452503614465180",
+    ),
+    "extremal --k 2 --N 10 --grid-n 3": (
+        "97d0ca9f597a093ee11cf538a908d4701431a79caf8792b6aeaf992e91c8d00c",
+        "70fd8b7a6cb949a3e5d4608baaff8dc796aab05d89767be5a88b4c0d57463811",
+    ),
+    "extremal --k 3 --n 4": (
+        "0b076c28c96b7f010b1dbb22161aea8613014c2a2de49ca31a722e8d0db90537",
+        "8804f867c581492b637e25598dcc0fa3e1cad22b4201f9ab26173b927639c954",
+    ),
+    "extremal --k 2 --N 5": (
+        "b1534fd9986c302ed151e450afc715c8ac3dac3a72e1948fbc6f1fa2fc7dc50b",
+        "b2918a7ea6df1a57da35616bc13f2962c35d770ba3825ad23e69b698bb011c5e",
+    ),
+    "random --k 1 --N 7 --roughness 1/2": (
+        "ed8ac4c7437537c83a4e11aa56da40697fc366d367cd4c38871b3d514e097d4f",
+        "8dad12dcc8236741f96d2567d1c6337ff7d814913ae5970b9d75620bd28d4a24",
+    ),
+}
+
+
+def _subcommand_argvs(tmp_path):
     functions = {
         "r2": make_random(2, 10, seed=3),
         "g2": make_random(2, 10, seed=5, roughness=Fraction(1, 2)),
         "r3": make_random(3, 8, seed=4),
         "x2": make_extremal(2, 6),
     }
+    paths = {}
     for name, f in functions.items():
         paths[name] = str(tmp_path / f"{name}.json")
         save_function(f, paths[name])
-    argvs = [
-        ["constants", "--k", "3", "--n", "4"],
-        ["subdivide", "--k", "2", "--n", "3"],
-        ["classify", "--k", "2", "--n", "3", "--point", "1/2,1/3,1/6"],
-        ["envelope", "--input", paths["r2"]],
-        ["envelope", "--input", paths["r3"], "--certificates"],
-        ["supconv", "--input", paths["r2"], "--n", "3"],
-        ["supconv", "--input", paths["r3"], "--n", "3"],
-        ["supconv", "--pair", paths["r2"], paths["g2"]],
-        ["verify-t1", "--input", paths["r2"], "--n", "4"],
-        ["verify-t4", "--f", paths["r2"], "--g", paths["g2"]],
-        ["verify-t1", "--input", paths["x2"], "--n", "2"],
-        ["averageable", "--k", "2", "--m", "2"],
-        ["averageable", "--medial"],
-        ["cover", "--k", "2", "--n", "2", "--max-level", "1", "--traces"],
-        ["cover", "--k", "2", "--n", "3", "--max-level", "1", "--budget", "5"],
-        ["extremal", "--k", "2", "--N", "10", "--grid-n", "3"],
-        ["extremal", "--k", "3", "--n", "4"],
-        ["extremal", "--k", "2", "--N", "5"],
-        ["random", "--k", "1", "--N", "7", "--roughness", "1/2"],
-    ]
-    assert {argv[0] for argv in argvs} == set(cli._COMMANDS)
-    for argv in argvs:
+    assert {argv[0] for argv in SUBCOMMAND_ARGVS} == set(cli._COMMANDS)
+    return [(" ".join(argv), [paths.get(a, a) for a in argv]) for argv in SUBCOMMAND_ARGVS]
+
+
+def test_every_subcommand_prints_pinned_bytes(capsys, tmp_path):
+    for key, argv in _subcommand_argvs(tmp_path):
+        digests = []
+        for fmt in ("json", "csv"):
+            code, out = run(capsys, *argv, "--format", fmt)
+            assert code in (0, 2), key
+            digests.append(hashlib.sha256(out.encode()).hexdigest())
+        assert tuple(digests) == SUBCOMMAND_SHA256[key], key
+
+
+def test_json_writer_matches_json_dumps_on_every_subcommand(capsys, tmp_path):
+    for _, argv in _subcommand_argvs(tmp_path):
         args = cli._build_parser().parse_args(argv)
         payload, _ = cli._COMMANDS[args.command](args)
-        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        expected = json.dumps(payload, indent=2, sort_keys=True, default=format_rat) + "\n"
         assert cli._json_text(payload) + "\n" == expected
         code, out = run(capsys, *argv)
         assert code in (0, 2) and out == expected
@@ -445,6 +548,14 @@ def test_json_writer_edge_cases():
         [[1, 2], (3, 4)], ([1, 2], [3, 4]), [[1, 2], [3, "4"]], [[[1]], [[2]]],
         [1.5, float("inf"), -0.0], {"x": {"y": {"z": [[0, 0], [1, 1]]}}},
         {1: "int key"}, {"nested": {2: [1, 2], 1: "a"}},
+        Fraction(3), Fraction(-7, 2), [Fraction(1, 3), 2, (Fraction(-5), "x")],
+        ((1, 2), (3, 4)), (((1,), (2,)), ()), {"a": ((0, Fraction(1, 2)), [(1, 2)])},
+        {1: Fraction(2, 3), 2: {3: (Fraction(-1, 4),)}},
     ]
     for payload in cases:
-        assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True), payload
+        expected = json.dumps(payload, indent=2, sort_keys=True, default=format_rat)
+        assert cli._json_text(payload) == expected, payload
+    # Only rationals are rendered; any other unknown leaf still raises.
+    for payload in (object(), [{1, 2}], {"x": {1: object()}}):
+        with pytest.raises(AttributeError):
+            cli._json_text(payload)

@@ -5,17 +5,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dual_simplex_bland, envelope_bruteforce, envelope_full_sweep
+from oracles import dual_simplex_bland, envelope_bruteforce, envelope_full_sweep, normalize_by_envelope
 from supconvex import (
     SampledFunction,
     SplitMix64,
     concave_envelope,
     evaluate_certificate,
+    extremal_grid_report,
     lattice,
+    load_function,
     make_extremal,
     make_random,
     normalize_to_simplex_form,
     sampled_function,
+    save_function,
+    scaled_simplex_cover,
     verify_nfold,
     verify_pair,
 )
@@ -504,6 +508,46 @@ def test_rationals_stay_at_the_boundary(monkeypatch):
                 f = family(k, resolution, seed)
                 env = concave_envelope(f).envelope
                 assert env == sampled_function(f.lattice, envelope_full_sweep(f)[0])
+
+
+def test_no_kernel_reads_the_lattice_points(tmp_path):
+    # Lattices hold integer points; their rational view is made only on
+    # demand, and no pipeline asks for it.
+    lattice.cache_clear()
+    lats = [lattice(2, 5), lattice(2, 6), lattice(2, 8)]
+    save_function(_general(2, 5, 1), tmp_path / "f.json")
+    f = load_function(tmp_path / "f.json")
+    g, h = _general(2, 5, 2), make_random(2, 5, seed=1)
+    verify_nfold(f, 3)
+    verify_pair(f, g)
+    for func in (f, h):  # the sweep, and the affine path
+        res = concave_envelope(func)
+        for i in range(len(func.lattice)):
+            evaluate_certificate(res, i)
+    normalize_to_simplex_form(f)
+    extremal_grid_report(2, 2, 6)
+    scaled_simplex_cover(2, 4)
+    assert f.lattice is lats[0]
+    for lat in lats:
+        assert lattice(lat.k, lat.resolution) is lat  # the one the kernels used
+        assert "points" not in vars(lat)
+
+
+def test_normalize_matches_the_envelope_route_without_a_solver(monkeypatch):
+    built = _spy_solvers(monkeypatch)
+    for k, resolution in _PRUNE_SIZES:
+        for seed in range(1, 5):
+            f = _general(k, resolution, seed)
+            built.clear()
+            g = normalize_to_simplex_form(f)
+            assert built == []
+            assert g == normalize_by_envelope(f)
+            assert all(g.nums[v] == 0 for v in f.lattice.vertex_indices())
+    # No envelope is computed, so the envelope's size cap does not apply.
+    lat = lattice(3, 21)  # 2024 points
+    built.clear()
+    g = normalize_to_simplex_form(SampledFunction(lat, [p[0] for p in lat.int_points], 1))
+    assert built == [] and set(g.nums) == {0}
 
 
 def test_oversized_lattice_raises_before_the_plane_test(monkeypatch):

@@ -206,6 +206,9 @@ def test_frozen_extremal_report():
     assert report_json(rep) == GOLDEN_EXTREMAL_REPORT
     # byte reproducibility
     assert report_json(verify_nfold(make_extremal(1, 2), 2)) == GOLDEN_EXTREMAL_REPORT
+    # int tolerances are exact values too, written as rationals
+    text = report_json(verify_nfold(make_extremal(1, 2), 2, 0, 1))
+    assert '"tol_abs":"1","tol_rel":"0"' in text
 
 
 def test_frozen_pair_report():
