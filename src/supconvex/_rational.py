@@ -5,14 +5,19 @@ integrals, constants) is an exact rational number, a
 fractions.Fraction; ``Rat`` names the type.  The hottest loops run on
 plain ints: a sampled function holds integer numerators over one
 denominator (envelope.SampledFunction), read by the DP, the midpoint
-test, the envelope, function files and report means.  The simplex
-takes ints only, in its columns, objective and right hand side, and
-keeps a fraction-free basis (see exactlp): the envelope hands it
-integer lattice coordinates and a function's numerators, the geometry
-integer vertex coordinates over one denominator from ``scaled``.
-Bases, volumes and containment are inverted fraction-free; rationals
-remain at the boundary: returned weights, LP values and volumes,
-reports and certificates.
+test, the envelope, function files and report means; a geometric
+simplex holds integer vertex rows over one denominator
+(geometry.Simplex), and an averageable map piece the integer rows of
+[matrix | offset] over one denominator (averageable.AffinePiece).
+Rationals are brought to integers by ``scaled`` where a simplex is
+built from points (geometry.simplex), and for the query point of a
+containment test or of a piece's apply.  The LP
+simplex takes ints only, in its columns, objective and right hand
+side, and keeps a fraction-free basis (see exactlp): the envelope hands
+it integer lattice coordinates and a function's numerators, the
+geometry its vertex rows.  Bases, volumes and containment are inverted
+fraction-free; rationals remain at the boundary: returned weights, LP
+values and volumes, reports and certificates.
 """
 
 from __future__ import annotations

@@ -29,31 +29,32 @@ N = TRANSPORT_RESOLUTION.  Then, for every f on L_N at once,
     sum_x S_m(H_1 x + ... + H_m x) >= m sum_x f(x),
 
 S_m(s) being the best sum of m values of f over lattice points that
-sum to s, so no function is sampled and no tolerance is used.  Pieces
-are solved, applied and compared on integer numerators over one
-denominator; the rational matrices and volumes are formed only for the
-certificate and its report.
+sum to s, so no function is sampled and no tolerance is used.  A piece
+holds the integer rows of [matrix | offset] over one positive
+denominator, as a simplex holds its vertices: pieces are solved,
+averaged, applied and tested for integrality on those rows, and only
+the volumes and witnesses of the report are rational.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from math import lcm
 from operator import mul
 
-from ._rational import ONE, ZERO, Rat, scaled
+from ._rational import ONE, Rat, scaled
 from .exactlp import eliminate
 from .geometry import (
     BaryPoint,
     Simplex,
-    _integer_points,
     contains,
     lattice,
     relative_volume,
+    simplex,
     simplices_interior_intersect,
     standard_simplex,
 )
-from .subdivision import hypersimplex_vertices, hypersimplex_volume
+from .subdivision import hypersimplex_volume
 # Unused here; kept because benchmarks/tracing.py wraps this name in
 # this module, and its trace mode fails without it.
 from .supconvolve import sup_convolve_n  # noqa: F401
@@ -71,28 +72,26 @@ class UnsupportedCertificateError(ValueError):
 @dataclass(frozen=True)
 class AffinePiece:
     """x -> matrix @ x + offset on a simplex domain, in barycentric
-    coordinates."""
+    coordinates: rows are the integer rows of [matrix | offset] over
+    the positive denominator den."""
 
     domain: Simplex
-    matrix: tuple  # rows, each a tuple of rationals
-    offset: tuple
+    rows: tuple
+    den: int
 
-    @cached_property
-    def _numerators(self):
-        """(rows of [matrix | offset] as integers over den, den)."""
-        d = len(self.offset)
-        nums, den = scaled([*(v for row in self.matrix for v in row), *self.offset])
-        return [nums[r * d:(r + 1) * d] + [nums[d * d + r]] for r in range(d)], den
+    def _image(self, x, q):
+        """Numerators over den * q of the image of the point x / q."""
+        column = (*x, q)  # q is the offset column's coordinate
+        return tuple(sum(map(mul, row, column)) for row in self.rows)
 
     def apply(self, p: BaryPoint) -> BaryPoint:
-        rows, den = self._numerators
-        nums, p_den = scaled(p.coords)
-        nums.append(p_den)  # the offset column's coordinate
-        den *= p_den
-        return BaryPoint(tuple(Rat(sum(map(mul, row, nums)), den) for row in rows))
+        x, q = scaled(p.coords)
+        den = self.den * q
+        return BaryPoint(tuple(Rat(v, den) for v in self._image(x, q)))
 
     def image_simplex(self) -> Simplex:
-        return Simplex(tuple(self.apply(v) for v in self.domain.vertices))
+        dom = self.domain
+        return Simplex(tuple(self._image(row, dom.den) for row in dom.rows), self.den * dom.den)
 
 
 @dataclass(frozen=True)
@@ -149,14 +148,17 @@ def _piece_from_vertex_images(domain: Simplex, images) -> AffinePiece:
     Vertices of a nondegenerate simplex in {sum = 1} are linearly
     independent, so a pure matrix (offset zero) always exists.
     """
-    d = domain.k + 1
-    # Row r of the matrix solves (vertex j) . row = (image j)[r] for all j,
-    # on integer coordinates over one denominator; rows[r] is det * row r.
-    points, _ = _integer_points(domain.vertices + tuple(images))
-    det, rows = eliminate(points[:d], [[image[r] for image in points[d:]] for r in range(d)])
-    if rows is None:
+    # Row r of the matrix solves (vertex j) . row = (image j)[r] for all j.
+    # With vertices rows / D and images W / E, that is rows (E row) = D W[:, r],
+    # so the eliminated column r is det E times row r.
+    image = simplex(images)
+    rhs = [[domain.den * w[r] for w in image.rows] for r in range(domain.k + 1)]
+    det, cols = eliminate(domain.rows, rhs)
+    if cols is None:
         raise ValueError("degenerate domain simplex")
-    return AffinePiece(domain, tuple(tuple(Rat(v, det) for v in row) for row in rows), (ZERO,) * d)
+    sign = 1 if det > 0 else -1  # so that den = |det| E is positive
+    rows = tuple((*(sign * v for v in col), 0) for col in cols)
+    return AffinePiece(domain, rows, abs(det) * image.den)
 
 
 def _identity_map(tri: Simplex) -> PLMap:
@@ -194,12 +196,10 @@ def _average_pieces(maps, m: int):
     out = []
     for dom_piece in multi[0].pieces if multi else (maps[0].pieces[0],):
         pieces = [dom_piece if len(mp.pieces) > 1 else mp.pieces[0] for mp in maps]
-        matrix = tuple(
-            tuple(sum(cells, ZERO) / m for cells in zip(*rows))
-            for rows in zip(*(p.matrix for p in pieces))
-        )
-        offset = tuple(sum(offs, ZERO) / m for offs in zip(*(p.offset for p in pieces)))
-        out.append(AffinePiece(dom_piece.domain, matrix, offset))
+        den = lcm(*(p.den for p in pieces))
+        per_piece = [[[c * (den // p.den) for c in row] for row in p.rows] for p in pieces]
+        rows = tuple(tuple(map(sum, zip(*same_row))) for same_row in zip(*per_piece))
+        out.append(AffinePiece(dom_piece.domain, rows, den * m))
     return tuple(out)
 
 
@@ -247,7 +247,7 @@ def _wedge_certificate() -> AverageabilityCertificate:
     axis = (_midpoint(e[0], e[2]), _midpoint(e[1], e[3]))
     pieces = []
     for i in range(4):
-        wedge = Simplex((e[i], e[(i + 1) % 4], axis[0], axis[1]))
+        wedge = simplex((e[i], e[(i + 1) % 4], axis[0], axis[1]))
         images = (e[(i + 1) % 4], e[(i + 2) % 4], axis[0], axis[1])
         pieces.append(_piece_from_vertex_images(wedge, images))
     rotation = PLMap("wedge-rotation", tuple(pieces))
@@ -262,7 +262,7 @@ def medial_certificate() -> AverageabilityCertificate:
     e = tri.vertices
     images = (e[1], e[2], e[0], e[3])
     rotation = PLMap("three-cycle", (_piece_from_vertex_images(tri, images),))
-    target_simplex = Simplex(
+    target_simplex = simplex(
         (_midpoint(e[0], e[1]), _midpoint(e[1], e[2]), _midpoint(e[2], e[0]), e[3])
     )
 
@@ -303,7 +303,7 @@ def _permutation_witness(mp: PLMap, lat) -> str:
     needs no assignment, since the domain tiling proves its domain is T.
     """
     for idx, piece in enumerate(mp.pieces):
-        if piece._numerators[1] != 1:
+        if any(c % piece.den for row in piece.rows for c in row):
             return f"piece {idx} is not integral"
     n = lat.resolution
     if len(mp.pieces) == 1:
@@ -311,18 +311,16 @@ def _permutation_witness(mp: PLMap, lat) -> str:
     else:
         owned, rest = [], lat.int_points
         for piece in mp.pieces:
-            # verts w = x / n as verts (n w) = den x, solved for X = det n w.
-            verts, den = _integer_points(piece.domain.vertices)
-            det, solution = eliminate(list(zip(*verts)), [[den * c for c in x] for x in rest])
+            # The weights w of x / n solve rows^T (n w) = den x; X = det n w.
+            cols, den = list(zip(*piece.domain.rows)), piece.domain.den
+            det, solution = eliminate(cols, [[den * c for c in x] for x in rest])
             inside = [
                 sum(ws) == det * n and all(w * det >= 0 for w in ws) for ws in solution
             ]
             owned.append((piece, [x for x, keep in zip(rest, inside) if keep]))
             rest = [x for x, keep in zip(rest, inside) if not keep]
     images = sorted(
-        tuple(sum(map(mul, row, (*x, n))) for row in piece._numerators[0])
-        for piece, points in owned
-        for x in points
+        tuple(c // piece.den for c in piece._image(x, n)) for piece, points in owned for x in points
     )
     return "" if images == list(lat.int_points) else f"does not permute L_{n}"
 
@@ -332,7 +330,7 @@ def verify_certificate(cert: AverageabilityCertificate) -> VerificationReport:
 
     Every check is exact.  The transport check proves the lattice form
     of the push-forward: every piece of every map is integral (its
-    integer numerators have denominator 1), and each map permutes the
+    denominator divides every entry of its rows), and each map permutes the
     lattice L_N at N = TRANSPORT_RESOLUTION.  Then H_i x lies in L_N
     for every x in L_N, so S_m(H_1 x + ... + H_m x) >= f(H_1 x) + ...
     + f(H_m x), and summing over x, each sum over H_i x being a sum over

@@ -259,6 +259,8 @@ def _cmd_constants(args):
 
 
 def _cmd_subdivide(args):
+    if args.svg and args.k != 2:
+        raise _UsageError("--svg requires --k 2")
     cells = subdivide(args.k, args.n)
     payload = {
         "k": args.k,
@@ -275,8 +277,6 @@ def _cmd_subdivide(args):
         ],
     }
     if args.svg:
-        if args.k != 2:
-            raise _UsageError("--svg requires --k 2")
         with open(args.svg, "w") as fh:
             fh.write(subdivision_svg(args.n))
     return payload, 0

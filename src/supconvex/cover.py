@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from math import ceil
 
 from ._rational import ONE, ZERO, Rat
-from .geometry import BaryPoint, Simplex, _check_dim, standard_simplex
+from .geometry import BaryPoint, Simplex, _check_dim, lattice
 from .subdivision import cell_vertices, enumerate_shifts, subdivide
 
 # Cell refinements find_cover tries beyond the translate scale.
@@ -336,21 +336,16 @@ def scaled_simplex_cover(k: int, n: int):
     _check_dim(k)
     if n < k + 1:
         raise ValueError(f"cover needs n >= k+1, got k={k}, n={n}")
-    base = standard_simplex(k).vertices
     shifts = enumerate_shifts(k, n - k)
-    simplices = []
-    for v in shifts:
-        verts = tuple(
-            BaryPoint(tuple((Rat(k) * e.coords[j] + v[j]) / n for j in range(k + 1)))
-            for e in base
-        )
-        simplices.append(Simplex(verts))
-    from .geometry import lattice
-
+    # Vertex i of (k T + v) / n is (k e_i + v) / n.
+    simplices = tuple(
+        Simplex(tuple(tuple(k * (i == j) + s for j, s in enumerate(v)) for i in range(k + 1)), n)
+        for v in shifts
+    )
     # A point p = ints / (n k) lies in (k T + v) / n iff n p >= v, that
     # is, ints >= k v componentwise.
     for ints in lattice(k, n * k).int_points:
         covered = any(all(c >= k * s for c, s in zip(ints, v)) for v in shifts)
         if not covered:  # pragma: no cover - coverage is guaranteed for n >= k+1
             raise ArithmeticError(f"lattice point {ints} / {n * k} uncovered")
-    return tuple(simplices)
+    return simplices

@@ -13,20 +13,22 @@ the standard simplex itself has volume exactly 1.  Parallel hyperplanes
 of simplices with different coordinate totals remain directly
 comparable.
 
-Everything is exact, with no floating point.  Volumes, containment and
-overlap scale a simplex's vertices, and the query point, to integers
-over one common denominator D and eliminate fraction-free
-(exactlp.eliminate); only the returned volumes, |det| / D**k, are
-rational.
+Everything is exact, with no floating point.  A simplex holds its
+vertices once, as integer rows over one positive denominator D in
+lowest terms; simplex() is where rational vertices are scaled.
+Volumes, containment and overlap eliminate on those rows fraction-free
+(exactlp.eliminate), containment scaling only its query point; only
+the returned volumes, |det| / D**k, are rational.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb
+from itertools import islice
+from math import comb, gcd, lcm
 
-from ._rational import ONE, ZERO, Rat, scaled
+from ._rational import ZERO, Rat, scaled
 from .exactlp import eliminate
 
 # Hard cap on the simplex dimension k.  Enumeration sizes grow like
@@ -72,54 +74,60 @@ def bary_point(values) -> BaryPoint:
 
 @dataclass(frozen=True)
 class Simplex:
-    """A k-simplex given by k+1 barycentric vertices.
+    """A k-simplex given by k+1 barycentric vertices, vertex i being
+    rows[i] / den: integer rows over one positive denominator, reduced
+    to lowest terms on construction, so equal simplices compare and
+    hash equal.
 
     Construction is lightweight; degeneracy (zero volume) is detected by
     the operations that need nondegeneracy and signalled with
     DegenerateSimplexError.
     """
 
-    vertices: tuple
+    rows: tuple
+    den: int
 
     def __post_init__(self):
-        dims = {v.dim for v in self.vertices}
-        if len(dims) != 1:
+        widths = {len(row) for row in self.rows}
+        if len(widths) != 1:
             raise ValueError("simplex vertices must share one dimension")
-        (d,) = dims
-        if len(self.vertices) != d + 1:
-            raise ValueError(
-                f"need {d + 1} vertices for a {d}-simplex, got {len(self.vertices)}"
-            )
+        (d,) = widths
+        if len(self.rows) != d:
+            raise ValueError(f"need {d} vertices for a {d - 1}-simplex, got {len(self.rows)}")
+        if self.den < 1:
+            raise ValueError(f"simplex denominator must be positive, got {self.den}")
+        g = gcd(self.den, *(c for row in self.rows for c in row))
+        object.__setattr__(self, "rows", tuple(tuple(c // g for c in row) for row in self.rows))
+        object.__setattr__(self, "den", self.den // g)
 
     @property
     def k(self) -> int:
-        return len(self.vertices) - 1
+        return len(self.rows) - 1
+
+    @cached_property
+    def vertices(self) -> tuple:
+        """The vertices as BaryPoints of rationals rows[i] / den, made on
+        first use."""
+        den = self.den
+        return tuple(BaryPoint(tuple(Rat(c, den) for c in row)) for row in self.rows)
 
 
 def simplex(points) -> Simplex:
-    return Simplex(tuple(p if isinstance(p, BaryPoint) else bary_point(p) for p in points))
+    """The simplex with the given vertices, BaryPoints or sequences of
+    rational-like values, scaled to integers over one denominator."""
+    coords = [p.coords if isinstance(p, BaryPoint) else bary_point(p).coords for p in points]
+    nums, den = scaled([c for p in coords for c in p])
+    it = iter(nums)
+    return Simplex(tuple(tuple(islice(it, len(p))) for p in coords), den)
 
 
 def standard_simplex(k: int) -> Simplex:
     _check_dim(k)
-    verts = []
-    for i in range(k + 1):
-        coords = [ZERO] * (k + 1)
-        coords[i] = ONE
-        verts.append(BaryPoint(tuple(coords)))
-    return Simplex(tuple(verts))
+    return Simplex(tuple(tuple(int(i == j) for j in range(k + 1)) for i in range(k + 1)), 1)
 
 
 def barycenter(k: int) -> BaryPoint:
     return BaryPoint(tuple(Rat(1, k + 1) for _ in range(k + 1)))
-
-
-def _integer_points(points):
-    """Coordinates of points as integers over one common denominator D:
-    (rows, D), rows[i][j] = D * points[i].coords[j]."""
-    nums, den = scaled([c for p in points for c in p.coords])
-    d = len(points[0].coords)
-    return [nums[i:i + d] for i in range(0, len(nums), d)], den
 
 
 def _chart_det(verts) -> int:
@@ -137,27 +145,27 @@ def relative_volume(s: Simplex):
 
     |det| of the chart matrix of vertex differences, whose chart is
     chosen so the standard simplex has determinant exactly 1; computed
-    on integer coordinates over D, it is |det| / D**k.
+    on the integer rows over D, it is |det| / D**k.
     """
-    verts, den = _integer_points(s.vertices)
-    return Rat(abs(_chart_det(verts)), den ** s.k)
+    return Rat(abs(_chart_det(s.rows)), s.den ** s.k)
 
 
 def contains(s: Simplex, p: BaryPoint) -> bool:
     """Exact membership test: p lies in s (boundary included).
 
-    Solves for the barycentric weights w of p with respect to the
-    vertices of s, as X = det * w on integer coordinates over one
-    denominator, and checks they are a convex combination.
+    With p = x / q on integers, the barycentric weights w of p with
+    respect to the vertices rows / D solve rows^T (q w) = D x; the
+    elimination gives X = det * q * w, and p is inside when the weights
+    are a convex combination.
     """
     if p.dim != s.k:
         raise ValueError("point and simplex dimensions differ")
-    (*verts, point), _ = _integer_points(s.vertices + (p,))
-    det, solution = eliminate(list(zip(*verts)), [point])  # vertices as columns
+    x, q = scaled(p.coords)
+    det, solution = eliminate(list(zip(*s.rows)), [[s.den * c for c in x]])  # vertices as columns
     if solution is None:
         raise DegenerateSimplexError("zero-volume simplex")
     weights = solution[0]
-    return sum(weights) == det and all(w * det >= 0 for w in weights)
+    return sum(weights) == det * q and all(w * det >= 0 for w in weights)
 
 
 def simplices_interior_intersect(a: Simplex, b: Simplex) -> bool:
@@ -166,8 +174,8 @@ def simplices_interior_intersect(a: Simplex, b: Simplex) -> bool:
     Maximises t subject to: a point with all barycentric weights >= t in
     both simplices exists.  The optimum is positive exactly when the
     open interiors meet; infeasibility means even the closed simplices
-    are disjoint.  The coordinate rows, scaled by the common denominator
-    D of both vertex sets, make every column an integer vector.
+    are disjoint.  Both row sets, brought over the lcm D of the two
+    denominators, make every column an integer vector.
     """
     # Looked up at call time, so that a wrapper installed on
     # exactlp.solve_lp (as benchmarks/tracing.py does) sees these solves.
@@ -176,9 +184,10 @@ def simplices_interior_intersect(a: Simplex, b: Simplex) -> bool:
     if a.k != b.k:
         raise ValueError("simplex dimensions differ")
     d = a.k + 1
-    verts, _ = _integer_points(a.vertices + b.vertices)
-    _chart_det(verts[:d])
-    _chart_det(verts[d:])
+    _chart_det(a.rows)
+    _chart_det(b.rows)
+    den = lcm(a.den, b.den)
+    verts = [[c * (den // s.den) for c in row] for s in (a, b) for row in s.rows]
     # Column for t: weights t on every vertex of a minus every vertex of b,
     # then the two weight-sum equations; then a's slack weights, and b's,
     # negated in the coordinate rows.

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from oracles import sampled_transport
@@ -30,6 +31,19 @@ EXPECTED_JACOBIANS = {
     (3, 2): Fraction(1, 2),
     (3, 3): Fraction(1, 27),
 }
+
+
+def _affine_piece(domain, matrix, offset):
+    # x -> matrix x + offset, as the integer rows of [matrix | offset]
+    # over their common denominator.
+    entries = [[Fraction(v) for v in (*row, o)] for row, o in zip(matrix, offset)]
+    den = lcm(*(v.denominator for row in entries for v in row))
+    return AffinePiece(domain, tuple(tuple(int(v * den) for v in row) for row in entries), den)
+
+
+def _matrix_and_offset(piece):
+    rows = [[Fraction(c, piece.den) for c in row] for row in piece.rows]
+    return tuple(tuple(row[:-1]) for row in rows), tuple(row[-1] for row in rows)
 
 
 def test_certificate_table():
@@ -93,15 +107,17 @@ def test_cyclic_matrices_are_permutations():
     cert = averaging_certificate(3, 3)
     for mp in cert.maps:
         (piece,) = mp.pieces
-        for row in piece.matrix:
+        matrix, offset = _matrix_and_offset(piece)
+        for row in matrix:
             assert sorted(row) == [0, 0, 0, 1]
-        assert all(o == 0 for o in piece.offset)
+        assert all(o == 0 for o in offset)
     for k in range(1, 5):
         d = k + 1
         identity = tuple(tuple(int(r == c) for c in range(d)) for r in range(d))
         (piece,) = averaging_certificate(k, 1).maps[0].pieces
-        assert piece.matrix == identity
-        assert all(o == 0 for o in piece.offset)
+        matrix, offset = _matrix_and_offset(piece)
+        assert matrix == identity
+        assert all(o == 0 for o in offset)
         # (1, 1) is served by the identity family, so build the rotations directly.
         maps = averageable._cyclic_certificate(k).maps
         assert [mp.name for mp in maps] == [f"rotate{i}" for i in range(k)]
@@ -111,12 +127,14 @@ def test_cyclic_matrices_are_permutations():
                 tuple(int((r - i) % d == c) for c in range(d)) for r in range(d)
             )
             (piece,) = mp.pieces
-            assert piece.matrix == rotation
-            assert all(o == 0 for o in piece.offset)
+            matrix, offset = _matrix_and_offset(piece)
+            assert matrix == rotation
+            assert all(o == 0 for o in offset)
     for cert in (averaging_certificate(3, 2), medial_certificate()):
         (piece,) = cert.maps[0].pieces
         assert cert.maps[0].name == "identity"
-        assert piece.matrix == tuple(tuple(int(r == c) for c in range(4)) for r in range(4))
+        matrix, _ = _matrix_and_offset(piece)
+        assert matrix == tuple(tuple(int(r == c) for c in range(4)) for r in range(4))
 
 
 def test_piece_apply_matches_the_rational_formula():
@@ -128,7 +146,7 @@ def test_piece_apply_matches_the_rational_formula():
         (0, 0, Fraction(7, 4)),
     )
     offset = (Fraction(1, 3), -1, Fraction(2, 7))
-    piece = AffinePiece(simplex([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), matrix, offset)
+    piece = _affine_piece(simplex([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), matrix, offset)
     points = [*lattice(2, 3).points, bary_point(["1/6", "5/12", "5/12"]), bary_point([2, -1, 0])]
     for p in points:
         want = tuple(
@@ -138,15 +156,22 @@ def test_piece_apply_matches_the_rational_formula():
         assert all(type(c) is Fraction for c in piece.apply(p).coords)
 
 
+def test_pieces_keep_a_positive_denominator():
+    # Vertices listed in odd order give the domain a negative determinant.
+    domain = simplex([(0, 1, 0), (1, 0, 0), (0, 0, 1)])
+    images = simplex([(0, 0, 1), (0, 1, 0), (1, 0, 0)]).vertices
+    piece = averageable._piece_from_vertex_images(domain, images)
+    assert piece.den > 0
+    assert tuple(map(piece.apply, domain.vertices)) == images
+    assert relative_volume(piece.image_simplex()) == 1
+
+
 def test_corrupted_certificate_fails():
     cert = averaging_certificate(2, 2)
     bad_map = cert.maps[1]
     (piece,) = bad_map.pieces
-    shifted = AffinePiece(
-        piece.domain,
-        piece.matrix,
-        tuple(o + Fraction(1, 7) for o in piece.offset),
-    )
+    matrix, offset = _matrix_and_offset(piece)
+    shifted = _affine_piece(piece.domain, matrix, tuple(o + Fraction(1, 7) for o in offset))
     corrupted = dataclasses.replace(
         cert, maps=(cert.maps[0], PLMap(bad_map.name, (shifted,)))
     )
@@ -172,7 +197,7 @@ def _volume_halving(cert):
     (piece,) = cert.maps[0].pieces
     half = Fraction(1, 2)
     matrix = ((1, 0, 0), (0, 1, half), (0, 0, half))
-    squash = dataclasses.replace(piece, matrix=matrix)
+    squash = _affine_piece(piece.domain, matrix, _matrix_and_offset(piece)[1])
     return dataclasses.replace(cert, maps=(PLMap("squash", (squash,)),))
 
 

@@ -178,6 +178,30 @@ def test_oversized_closures_exit_1_fast(capsys):
         assert "blends (cap" in capsys.readouterr().err
 
 
+def test_oversized_constants_exit_1_fast(capsys):
+    # Uncapped, the first sums 10**9 sixth powers and the second recurses
+    # 3000 deep in the Eulerian numbers, ending in a RecursionError.
+    for argv in (
+        ["constants", "--k", "6", "--n", "1000000000"],
+        ["constants", "--k", "3000", "--n", "2"],
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_svg_without_k2_exits_1_before_listing_cells(capsys, tmp_path):
+    # k = 3, n = 60 has 108,030 cells, listed in over a second.
+    svg_path = tmp_path / "cells.svg"
+    start = time.perf_counter()
+    assert main(["subdivide", "--k", "3", "--n", "60", "--svg", str(svg_path)]) == 1
+    assert time.perf_counter() - start < 1
+    assert not svg_path.exists()
+    assert capsys.readouterr().err == "error: --svg requires --k 2\n"
+
+
 def test_closure_over_budget_stops_within_its_blend_round(capsys):
     # Level 2 of (3, 4) starts from 640 corner translates, so its first
     # blend round alone would build 408,960 blends; the default budget

@@ -14,7 +14,10 @@ from supconvex import (
     find_cover,
     relative_volume,
     replay_derivation,
+    enumerate_shifts,
     scaled_simplex_cover,
+    simplex,
+    standard_simplex,
     subdivide,
 )
 from supconvex.cli import main
@@ -134,6 +137,19 @@ def test_scaled_simplex_cover_counts():
             assert len(cover) == comb(n, k)
             for s in cover:
                 assert relative_volume(s) == Fraction(k, n) ** k
+
+
+def test_scaled_simplex_cover_matches_the_rational_construction():
+    # The vertices (k e + v) / n, built from the standard simplex's
+    # Fraction vertices, as the cover was built before it held integer rows.
+    for k in (1, 2, 3):
+        base = standard_simplex(k).vertices
+        for n in range(k + 1, 7):
+            want = tuple(
+                simplex([[(k * c + s) / Fraction(n) for c, s in zip(e.coords, v)] for e in base])
+                for v in enumerate_shifts(k, n - k)
+            )
+            assert scaled_simplex_cover(k, n) == want
 
 
 def test_scaled_simplex_cover_k1_n2():

@@ -8,6 +8,7 @@ from oracles import fraction_contains, fraction_interior_intersect, fraction_rel
 
 from supconvex import (
     DegenerateSimplexError,
+    Simplex,
     SplitMix64,
     bary_point,
     barycenter,
@@ -78,6 +79,26 @@ def test_half_scale_corner_volume():
 def test_medial_triangle_volume():
     s = simplex([("1/2", "1/2", "0"), ("0", "1/2", "1/2"), ("1/2", "0", "1/2")])
     assert relative_volume(s) == Fraction(1, 4)
+
+
+def test_simplex_compares_values_not_spellings():
+    half = Fraction(1, 2)
+    spellings = [
+        Simplex(((2, 0, 0), (1, 1, 0), (1, 0, 1)), 2),
+        Simplex(((6, 0, 0), (3, 3, 0), (3, 0, 3)), 6),  # not in lowest terms
+        simplex([(1, 0, 0), (Fraction(2, 4), Fraction(2, 4), 0), ("1/2", "0", "1/2")]),
+        simplex([("1", 0, "0"), ("1/2", "0.5", 0), (half, 0, Fraction(3, 6))]),
+        simplex([bary_point([1, 0, 0]), bary_point(["2/4", half, "0"]), (half, 0, half)]),
+    ]
+    for s in spellings:
+        assert s == spellings[0] and hash(s) == hash(spellings[0])
+        assert (s.rows, s.den) == (((2, 0, 0), (1, 1, 0), (1, 0, 1)), 2)
+        assert s.vertices == tuple(map(bary_point, ([1, 0, 0], [half, half, 0], [half, 0, half])))
+    assert simplex([(1, 0, 0), (half, half, 0), (0, 0, 1)]) != spellings[0]
+    with pytest.raises(ValueError, match="share one dimension"):
+        Simplex(((1, 0, 0), (0, 1)), 1)
+    with pytest.raises(ValueError, match="need 3 vertices for a 2-simplex, got 2"):
+        simplex([(1, 0, 0), (0, 1, 0)])
 
 
 def test_volume_invariant_under_relabelings():
