@@ -21,6 +21,7 @@ import functools
 import io
 import json
 import sys
+from dataclasses import asdict
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -32,8 +33,6 @@ from .averageable import (
     verify_certificate,
 )
 from .combinat import (
-    asymptotic_bound,
-    closed_form_constant,
     constant_report,
     rate_constant_conjectured,
     rate_constant_covering,
@@ -242,14 +241,8 @@ def _emit(payload, args) -> None:
 
 
 def _cmd_constants(args):
-    rep = constant_report(args.k, args.n)
     payload = {
-        "k": rep.k,
-        "n": rep.n,
-        "descent_sum": rep.descent_sum,
-        "power_sum": rep.power_sum,
-        "closed_form": rep.closed_form,
-        "covering_bound": rep.covering_bound,
+        **asdict(constant_report(args.k, args.n)),
         "rate_conjectured": rate_constant_conjectured(args.k),
         "rate_covering": rate_constant_covering(args.k),
         "worpitzky_ok": worpitzky_check(args.k, args.n),
@@ -367,7 +360,7 @@ def _cmd_cover(args):
         for t in cert.family:
             entry = {
                 "level": t.level,
-                "offset": t.offset,
+                "offset": [Rat(o, t.den) for o in t.offset],
                 "constant": t.constant,
             }
             if args.traces:

@@ -17,7 +17,6 @@ All values are exact rationals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import comb, factorial
 
 from ._rational import Rat
@@ -29,22 +28,14 @@ from .geometry import _check_dim
 FOLD_CAP = 10**6
 
 
-@cache
-def _eulerian_raw(k: int, l: int) -> int:
-    if l < 0 or l > k - 1:
-        return 0
-    if l == 0:
-        return 1
-    return (l + 1) * _eulerian_raw(k - 1, l) + (k - l) * _eulerian_raw(k - 1, l - 1)
-
-
 def eulerian(k: int, l: int) -> int:
-    """Number of permutations of 1..k with exactly l descents."""
+    """Number of permutations of 1..k with exactly l descents, by the
+    explicit sum over j <= l of (-1)^j C(k+1, j) (l+1-j)^k."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if not 0 <= l <= k - 1:
         raise ValueError(f"descent count must be in 0..{k - 1}, got {l}")
-    return _eulerian_raw(k, l)
+    return sum((-1) ** j * comb(k + 1, j) * (l + 1 - j) ** k for j in range(l + 1))
 
 
 def descent_sum_constant(k: int, n: int):
@@ -52,7 +43,7 @@ def descent_sum_constant(k: int, n: int):
     _check_kn(k, n)
     total = Rat(0)
     for m in range(1, k + 1):
-        total += Rat(n - m, n) * comb(n + k - m, k) * _eulerian_raw(k, m - 1)
+        total += Rat(n - m, n) * comb(n + k - m, k) * eulerian(k, m - 1)
     return total / Rat(n) ** k
 
 
@@ -86,7 +77,7 @@ def sharp_constant(k: int, n: int):
 def worpitzky_check(k: int, n: int) -> bool:
     """Verify n^k equals the Eulerian-binomial decomposition."""
     _check_kn(k, n)
-    total = sum(comb(n + k - m, k) * _eulerian_raw(k, m - 1) for m in range(1, k + 1))
+    total = sum(comb(n + k - m, k) * eulerian(k, m - 1) for m in range(1, k + 1))
     return total == n**k
 
 

@@ -19,39 +19,56 @@ production rules are
   combination offset ((n-1)o' + o'')/n at the same level is good with
   1 + ((n-1)C' + C'')/n.
 
-Offsets produced by blending carry denominators beyond n^level, so
-offsets are stored as exact rationals with whatever denominator the
-derivation produced.  A closure enumerates derivable translates level
-by level (deduplicating by offset, keeping the smallest constant, with
-a node budget); a cover certificate then selects a family A of level-l
-translates covering T with |A| < n^(l(k+1)), which yields the positive
-derived constant (1 - |A|/n^(l(k+1))) / sum of constants.
+Every offset is an exact multiple of a power of n: a corner step and a
+blend each divide by n once, and a closure runs BLEND_ROUNDS blend
+rounds per level, so no level-l offset it builds nests more than
+BLEND_ROUNDS blends.  All level-l offsets therefore share the
+denominator den = n^(l*(BLEND_ROUNDS+1)), and a translate holds its
+offset as integer numerators over that den; the closure, the coverage
+masks and the uncovered-cell proof run on plain ints, and rationals
+are made only where a payload prints an offset.  A closure enumerates
+derivable translates level by level (deduplicating by offset, keeping
+the smallest constant, with a node budget); a cover certificate then
+selects a family A of level-l translates covering T with
+|A| < n^(l(k+1)), which yields the positive derived constant
+(1 - |A|/n^(l(k+1))) / sum of constants.
 
 Cover certification subdivides T into hypersimplex cells and requires
 every cell to sit inside one chosen translate.  The test is exact and
-needs only integers: cell (m, s) at resolution R has the vertices
-(u + s)/R over 0/1 vectors u with m <= k ones, so its coordinatewise
-minimum is s/R, and the translate o + T/n^level is {p in T : p >= o};
-hence the cell lies in the translate iff s_i >= ceil(R*o_i) for every
-i.  Some coverable regions need cells finer than the translate scale
-(a reversed middle cell never fits in an upright translate of its own
-size), so certification may refine the cell resolution a bounded
-number of times before giving up; a cell with a vertex or barycenter
-outside every candidate translate is a proof that no refinement can
-help, and the search reports failure.
+needs only integers.  The translate o/den + T/n^level is
+{p in T : p >= o/den}, so a point c/R of T lies in it iff
+c_i >= ceil(R*o_i/den) for every i (GoodTranslate.thresholds).  Cell
+(m, s) at resolution R has the vertices (u + s)/R over 0/1 vectors u
+with m <= k ones, so its coordinatewise minimum is s/R, and the cell
+lies in the translate iff s meets the thresholds at R.  Some coverable
+regions need cells finer than the translate scale (a reversed middle
+cell never fits in an upright translate of its own size), so
+certification may refine the cell resolution a bounded number of times
+before giving up; a cell with a vertex (u + s at resolution R) or
+barycenter (the sum of its d vertices at resolution R*d) outside every
+candidate translate is a proof that no refinement can help, and the
+search reports failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from functools import cache
+from operator import add, ge
 
-from ._rational import ONE, ZERO, Rat
-from .geometry import BaryPoint, Simplex, _check_dim, lattice
-from .subdivision import cell_vertices, enumerate_shifts, subdivide
+from ._rational import ZERO, Rat
+from .geometry import Simplex, _check_dim, lattice
+# Unused here; kept because benchmarks/tracing.py wraps this name in
+# this module, and its trace mode fails without it.
+from .subdivision import cell_vertices  # noqa: F401
+from .subdivision import enumerate_shifts, hypersimplex_vertices, subdivide
 
 # Cell refinements find_cover tries beyond the translate scale.
 MAX_REFINE = 2
+
+# Blend rounds a closure runs per level; they fix each level's offset
+# denominator.
+BLEND_ROUNDS = 2
 
 # Blends one closure may build; a round that would pass it raises
 # ValueError before it starts.
@@ -60,7 +77,12 @@ BLEND_CAP = 450_000
 
 @dataclass(frozen=True)
 class GoodTranslate:
-    """Translate offset + T/n^level, good with the given constant."""
+    """Translate offset/den + T/n^level, good with the given constant.
+
+    offset holds integer numerators over den, the one denominator
+    n^(level*(BLEND_ROUNDS+1)) of every level-`level` offset a closure
+    builds; the constant is an exact rational.
+    """
 
     k: int
     n: int
@@ -72,17 +94,19 @@ class GoodTranslate:
     def __post_init__(self):
         if any(o < 0 for o in self.offset):
             raise ValueError("offset must be componentwise nonnegative")
-        if sum(self.offset, ZERO) != 1 - self.scale:
+        if sum(self.offset) * self.n**self.level != self.den * (self.n**self.level - 1):
             raise ValueError("offset total inconsistent with scale")
 
     @property
-    def scale(self):
-        return Rat(1, self.n**self.level)
+    def den(self) -> int:
+        return self.n ** (self.level * (BLEND_ROUNDS + 1))
 
-    def contains_point(self, p: BaryPoint) -> bool:
-        """p in offset + scale*T reduces to p >= offset componentwise
-        (coordinate sums already match)."""
-        return all(c >= o for c, o in zip(p.coords, self.offset))
+    def thresholds(self, resolution: int) -> tuple:
+        """Per coordinate, the least c_i with c_i/resolution >= o_i/den,
+        that is ceil(resolution*o_i/den): a point c/resolution of T lies
+        in the translate iff c >= thresholds componentwise (the
+        coordinate sums already match)."""
+        return tuple(-(-resolution * o // self.den) for o in self.offset)
 
 
 @dataclass(frozen=True)
@@ -95,18 +119,14 @@ class ClosureResult:
 
 
 def _root_translate(k: int, n: int) -> GoodTranslate:
-    return GoodTranslate(k, n, 0, tuple(ZERO for _ in range(k + 1)), ZERO, ("root",))
-
-
-def _mix(n: int, p, q):
-    """((n-1)*p + q)/n for rationals p and q, normalised once."""
-    pd, qd = p.denominator, q.denominator
-    return Rat((n - 1) * p.numerator * qd + q.numerator * pd, pd * qd * n)
+    return GoodTranslate(k, n, 0, (0,) * (k + 1), ZERO, ("root",))
 
 
 def _corner_child(t: GoodTranslate, i: int) -> GoodTranslate:
     n = t.n
-    offset = tuple(_mix(n, ONE if j == i else ZERO, o) for j, o in enumerate(t.offset))
+    # ((n-1)e_i + o/den)/n over the next level's den, den*n^(BLEND_ROUNDS+1).
+    corner, lift = (n - 1) * t.den, n**BLEND_ROUNDS
+    offset = tuple((corner * (j == i) + o) * lift for j, o in enumerate(t.offset))
     constant = 1 + t.constant / Rat(n) ** (t.k + 1)
     return GoodTranslate(t.k, n, t.level + 1, offset, constant, ("corner", i, t.derivation))
 
@@ -115,13 +135,20 @@ def _blend(a: GoodTranslate, b: GoodTranslate) -> GoodTranslate:
     if a.level != b.level:
         raise ValueError("blending requires equal levels")
     n = a.n
-    offset = tuple(_mix(n, oa, ob) for oa, ob in zip(a.offset, b.offset))
-    constant = 1 + _mix(n, a.constant, b.constant)
+    # Exact for at most BLEND_ROUNDS nested blends in one level.
+    offset = tuple(((n - 1) * oa + ob) // n for oa, ob in zip(a.offset, b.offset))
+    constant = 1 + ((n - 1) * a.constant + b.constant) / n
     return GoodTranslate(a.k, n, a.level, offset, constant, ("blend", a.derivation, b.derivation))
 
 
 def replay_derivation(k: int, n: int, derivation) -> GoodTranslate:
-    """Rebuild a translate from its derivation trace alone."""
+    """Rebuild a translate from its derivation trace alone.
+
+    Every trace a closure builds nests at most BLEND_ROUNDS blends in one
+    level, and replays exactly.  A deeper trace can reach an offset that
+    the level's denominator cannot hold; the blend's floor division then
+    breaks the offset total, and GoodTranslate raises ValueError.
+    """
     tag = derivation[0]
     if tag == "root":
         return _root_translate(k, n)
@@ -132,14 +159,13 @@ def replay_derivation(k: int, n: int, derivation) -> GoodTranslate:
     raise ValueError(f"unknown derivation tag {tag!r}")
 
 
-def closure_good(
-    k: int, n: int, max_level: int, blend_rounds: int = 2, budget: int = 4000
-) -> ClosureResult:
+def closure_good(k: int, n: int, max_level: int, budget: int = 4000) -> ClosureResult:
     """Enumerate derivable good translates up to max_level.
 
     Per offset the smallest known constant is kept.  Enumeration is
     deterministic: corner children of all previous-level translates,
-    then a fixed number of blend rounds over the sorted current level.
+    then BLEND_ROUNDS blend rounds over the sorted current level, so
+    every level-l offset is exact over n^(l*(BLEND_ROUNDS+1)).
     When the node budget is hit the result is returned with
     truncated=True rather than failing.  The budget is checked before
     each blend round and after the blends of each translate within
@@ -153,7 +179,7 @@ def closure_good(
         raise ValueError(f"need n >= 2, got {n}")
     if max_level < 0:
         raise ValueError("max_level must be >= 0")
-    levels = [{(ZERO,) * (k + 1): _root_translate(k, n)}]
+    levels = [{(0,) * (k + 1): _root_translate(k, n)}]
     truncated = False
     total = 1
     blends = 0
@@ -168,7 +194,7 @@ def closure_good(
         for parent in levels[-1].values():
             for i in range(k + 1):
                 consider(_corner_child(parent, i))
-        for _ in range(blend_rounds):
+        for _ in range(BLEND_ROUNDS):
             if total + len(current) > budget:
                 truncated = True
                 break
@@ -223,9 +249,10 @@ def coverage_masks(translates, cells, resolution: int):
 
     Bit idx stands for cells[idx], a cell of subdivide(k, resolution).
     at_least[i][c] holds the cells with shift[i] >= c; a translate's
-    mask is the AND of at_least[i][ceil(resolution*o_i)] over its offset
-    o.  Offsets are below 1, so every threshold is at most resolution,
-    where the mask is empty (no cell has a shift entry that large).
+    mask is the AND of at_least[i][c_i] over its thresholds c at this
+    resolution.  Offsets are below 1, so every threshold is at most
+    resolution, where the mask is empty (no cell has a shift entry that
+    large).
     """
     at_least = [[0] * (resolution + 1) for _ in range(cells[0].k + 1)]
     for idx, cell in enumerate(cells):
@@ -238,8 +265,8 @@ def coverage_masks(translates, cells, resolution: int):
     masks = []
     for t in translates:
         mask = -1
-        for row, o in zip(at_least, t.offset):
-            mask &= row[ceil(resolution * o)]
+        for row, c in zip(at_least, t.thresholds(resolution)):
+            mask &= row[c]
         masks.append(mask)
     return masks
 
@@ -275,17 +302,17 @@ def find_cover(k: int, n: int, level: int, translates=None):
             union |= cov
         if union != all_cells:
             missed = all_cells & ~union
+            limits = cache(lambda res: [t.thresholds(res) for t in pool])
             for idx, cell in enumerate(cells):
                 if not missed >> idx & 1:
                     continue
-                verts = cell_vertices(cell)
+                verts = [tuple(map(add, u, cell.shift)) for u in hypersimplex_vertices(k, cell.m)]
                 d = len(verts)
-                bary = BaryPoint(
-                    tuple(sum((v.coords[i] for v in verts), ZERO) / d for i in range(k + 1))
-                )
-                for p in verts + [bary]:
-                    if not any(t.contains_point(p) for t in pool):
-                        return None  # provably uncoverable, refinement useless
+                # A vertex v at resolution R is d*v at R*d; the barycenter is
+                # the sum of the d vertices at R*d.
+                points = [tuple(d * c for c in v) for v in verts] + [tuple(map(sum, zip(*verts)))]
+                if not all(any(all(map(ge, p, c)) for c in limits(resolution * d)) for p in points):
+                    return None  # provably uncoverable, refinement useless
             continue  # coverable but cells too coarse; refine
         uncovered = all_cells
         chosen = []

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import comb, gcd, lcm
 
 from . import __version__
@@ -192,21 +192,8 @@ class InequalityReport:
         return self.verdict != "fail"
 
     def to_payload(self) -> dict:
-        return {
-            "kind": self.kind,
-            "k": self.k,
-            "n": self.n,
-            "resolution": self.resolution,
-            "constant": self.constant,
-            "constant_kind": self.constant_kind,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "tol_rel": self.tol_rel,
-            "tol_abs": self.tol_abs,
-            "verdict": self.verdict,
-            "provenance": self.provenance,
-        }
+        # The fields in order, not copied: asdict's deep copy costs 20x.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def report_json(report) -> str:

@@ -25,6 +25,13 @@ grid_representatives_scan is the extremal grid report's earlier search
 for cell representatives, kept whole: it tests every lattice point
 against every cell with the package's cell_contains, and checks the
 one-pass floor rule that replaced it.
+fraction_closure and fraction_find_cover are the good-translate closure
+and cover search as they were when offsets were Fractions with
+whatever denominator the derivation produced: corner and blend steps
+through _mix, coverage by ceil(R*o) on Fractions, and the uncovered-cell
+proof on the package's Fraction cell vertices and their barycenters
+(cells come from the package's subdivide).  They check the integer
+offsets over one denominator per level that replaced them.
 """
 
 import math
@@ -442,3 +449,103 @@ def sampled_transport(cert, functions, tol_rel=Fraction(1, 20), tol_abs=Fraction
         if lhs < rhs - (tol_rel * abs(rhs) + tol_abs):
             return False, f"function {t}: {lhs} < {rhs} minus tolerance"
     return True, ""
+
+
+# -- the Fraction good-translate closure and cover search --------------------
+
+
+def _mix(n, p, q):
+    """((n-1)*p + q)/n."""
+    return ((n - 1) * p + q) / n
+
+
+def fraction_closure(k, n, max_level, budget=4000, blend_rounds=2):
+    """(translates, truncated): every derivable translate as a tuple
+    (level, offset, constant), ordered by (level, offset), with offsets
+    and constants in Fractions, under the package's budget rule and
+    without its blend cap."""
+    zero = Fraction(0)
+    levels = [{(zero,) * (k + 1): zero}]
+    truncated = False
+    total = 1
+    for _ in range(max_level):
+        current = {}
+
+        def consider(offset, constant):
+            if offset not in current or constant < current[offset]:
+                current[offset] = constant
+
+        for o, c in levels[-1].items():
+            for i in range(k + 1):
+                consider(
+                    tuple(_mix(n, Fraction(int(j == i)), x) for j, x in enumerate(o)),
+                    1 + c / Fraction(n) ** (k + 1),
+                )
+        for _ in range(blend_rounds):
+            if total + len(current) > budget:
+                truncated = True
+                break
+            snapshot = [(o, current[o]) for o in sorted(current)]
+            for oa, ca in snapshot:
+                for ob, cb in snapshot:
+                    if oa != ob:
+                        consider(tuple(_mix(n, a, b) for a, b in zip(oa, ob)), 1 + _mix(n, ca, cb))
+                if total + len(current) > budget:
+                    truncated = True
+                    break
+            if truncated:
+                break
+        total += len(current)
+        levels.append(current)
+        if total > budget:
+            truncated = True
+            break
+    translates = [
+        (level, o, level_map[o]) for level, level_map in enumerate(levels) for o in sorted(level_map)
+    ]
+    return translates, truncated
+
+
+def fraction_find_cover(k, n, level, pool, max_refine=2):
+    """(outcome, resolution, certificate) for a pool of (offset, constant)
+    pairs of level-`level` translates: outcome is "cover", "uncoverable"
+    (a cell vertex or barycenter lies in no translate), "too-many" or
+    "unresolved" (still uncovered after max_refine refinements);
+    resolution is the last one tried, and the certificate (chosen pairs,
+    sum of constants, derived constant) is given for "cover" only."""
+    from supconvex import cell_vertices, subdivide
+
+    pool = sorted(pool, key=lambda t: (t[1], t[0]))
+    bound = n ** (level * (k + 1))
+    for extra in range(max_refine + 1):
+        resolution = n ** (level + extra)
+        cells = subdivide(k, resolution)
+        coverage = [
+            {
+                idx
+                for idx, cell in enumerate(cells)
+                if all(s >= math.ceil(resolution * x) for s, x in zip(cell.shift, o))
+            }
+            for o, _ in pool
+        ]
+        if set().union(*coverage) != set(range(len(cells))):
+            for idx, cell in enumerate(cells):
+                if any(idx in cov for cov in coverage):
+                    continue
+                verts = [v.coords for v in cell_vertices(cell)]
+                bary = tuple(sum(col) / len(verts) for col in zip(*verts))
+                for p in verts + [bary]:
+                    if not any(all(c >= x for c, x in zip(p, o)) for o, _ in pool):
+                        return "uncoverable", resolution, None
+            continue
+        uncovered = set(range(len(cells)))
+        chosen = []
+        while uncovered:
+            best = max(range(len(pool)), key=lambda i: (len(coverage[i] & uncovered), -i))
+            chosen.append(pool[best])
+            uncovered -= coverage[best]
+        if len(chosen) >= bound:
+            return "too-many", resolution, None
+        total = sum(c for _, c in chosen)
+        return "cover", resolution, (chosen, total, (1 - Fraction(len(chosen), bound)) / total)
+    return "unresolved", resolution, None

@@ -44,6 +44,12 @@ def test_eulerian_out_of_range():
         eulerian(0, 0)
 
 
+def test_eulerian_of_a_large_order():
+    # A recursion over k would run 3000 deep; one descent has 2^k - k - 1
+    # permutations.
+    assert eulerian(3000, 1) == 2**3000 - 3001
+
+
 def test_constant_examples():
     assert sharp_constant(1, 2) == Fraction(1, 2)
     assert sharp_constant(2, 3) == Fraction(5, 9)

@@ -1,9 +1,11 @@
 import hashlib
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from oracles import fraction_closure, fraction_find_cover
 from supconvex import (
     GoodTranslate,
     bary_point,
@@ -24,23 +26,25 @@ from supconvex.cli import main
 from supconvex.cover import MAX_REFINE, coverage_masks
 
 
+def _offset(t):
+    return tuple(Fraction(o, t.den) for o in t.offset)
+
+
 def test_closure_k1_n2_level1():
-    closure = closure_good(1, 2, 1, blend_rounds=1)
+    closure = closure_good(1, 2, 1)
     assert not closure.truncated
-    level1 = closure.at_level(1)
-    by_offset = {t.offset: t.constant for t in level1}
+    by_offset = {_offset(t): t.constant for t in closure.at_level(1)}
     half = Fraction(1, 2)
     quarter = Fraction(1, 4)
-    assert by_offset == {
+    # the corners and the first blend round's midpoint
+    assert {
         (half, Fraction(0)): 1,
         (Fraction(0), half): 1,
         (quarter, quarter): 2,
-    }
+    }.items() <= by_offset.items()
     # a second blend round mixes the midpoint back with the corners
-    deeper = {t.offset: t.constant for t in closure_good(1, 2, 1).at_level(1)}
-    assert by_offset.items() <= deeper.items()
-    assert deeper[(Fraction(1, 8), Fraction(3, 8))] == Fraction(5, 2)
-    assert deeper[(Fraction(3, 8), Fraction(1, 8))] == Fraction(5, 2)
+    assert by_offset[(Fraction(1, 8), Fraction(3, 8))] == Fraction(5, 2)
+    assert by_offset[(Fraction(3, 8), Fraction(1, 8))] == Fraction(5, 2)
 
 
 def test_closure_k2_n2_level1():
@@ -51,13 +55,13 @@ def test_closure_k2_n2_level1():
     assert len(corners) == 3
     assert len(blends) == 3
     half = Fraction(1, 2)
-    assert {t.offset for t in corners} == {
+    assert {_offset(t) for t in corners} == {
         (half, 0, 0),
         (0, half, 0),
         (0, 0, half),
     }
     quarter = Fraction(1, 4)
-    assert {t.offset for t in blends} == {
+    assert {_offset(t) for t in blends} == {
         (quarter, quarter, 0),
         (quarter, 0, quarter),
         (0, quarter, quarter),
@@ -76,17 +80,83 @@ def test_replay_derivations():
 
 
 def test_translate_validation():
+    # Level-1 offsets at n = 2 are numerators over den = 8.
     with pytest.raises(ValueError):
-        GoodTranslate(1, 2, 1, (Fraction(-1, 4), Fraction(3, 4)), 1, ("root",))
+        GoodTranslate(1, 2, 1, (-2, 6), 1, ("root",))  # (-1/4, 3/4)
     with pytest.raises(ValueError):
-        GoodTranslate(1, 2, 1, (Fraction(1, 4), Fraction(1, 2)), 1, ("root",))
+        GoodTranslate(1, 2, 1, (2, 4), 1, ("root",))  # (1/4, 1/2)
 
 
-def test_contains_point():
-    t = GoodTranslate(1, 2, 1, (Fraction(1, 2), Fraction(0)), 1, ("root",))
-    assert t.contains_point(bary_point([Fraction(3, 4), Fraction(1, 4)]))
-    assert t.contains_point(bary_point([1, 0]))
-    assert not t.contains_point(bary_point([Fraction(1, 4), Fraction(3, 4)]))
+def test_thresholds():
+    t = GoodTranslate(1, 2, 1, (4, 0), 1, ("root",))  # offset (1/2, 0)
+    assert t.den == 8
+
+    def inside(coords, resolution):
+        return all(c >= m for c, m in zip(coords, t.thresholds(resolution)))
+
+    assert inside((3, 1), 4)  # (3/4, 1/4)
+    assert inside((1, 0), 1)  # the vertex (1, 0)
+    assert not inside((1, 3), 4)  # (1/4, 3/4)
+    assert t.thresholds(3) == (2, 0)  # ceil(3/2)
+
+
+def test_replay_rejects_a_third_nested_blend():
+    # Over den = 8 the corners of k = 1, n = 2 are (4, 0) and (0, 4); two
+    # nested blends give (3, 1), and a third would need (3/16, 5/16).
+    c0 = ("corner", 0, ("root",))
+    c1 = ("corner", 1, ("root",))
+    twice = ("blend", ("blend", c0, c1), c0)
+    assert replay_derivation(1, 2, twice).offset == (3, 1)
+    with pytest.raises(ValueError):
+        replay_derivation(1, 2, ("blend", twice, c1))
+
+
+def test_integer_cover_matches_the_fraction_oracles(monkeypatch):
+    # The resolutions find_cover subdivides at show where it stopped, so a
+    # proof that rejects a pool early is checked, not only its None.
+    resolutions = []
+
+    def subdivide_at(k, resolution):
+        resolutions.append(resolution)
+        return subdivide(k, resolution)
+
+    monkeypatch.setattr("supconvex.cover.subdivide", subdivide_at)
+    rng = random.Random(22)
+    outcomes = set()
+    refined = 0
+    for k in (1, 2, 3):
+        for n in (2, 3, 4):
+            for level in (1, 2):
+                budget = rng.choice((20, 60, 150))
+                closure = closure_good(k, n, level, budget=budget)
+                want, truncated = fraction_closure(k, n, level, budget=budget)
+                assert [(t.level, _offset(t), t.constant) for t in closure.translates] == want
+                assert closure.truncated == truncated
+                pool = closure.at_level(level)
+                if not pool:
+                    continue
+                oracle_pool = [(o, c) for lv, o, c in want if lv == level]
+                picks = [range(len(pool))] + [
+                    sorted(rng.sample(range(len(pool)), rng.randint(1, len(pool))))
+                    for _ in range(2)
+                ]
+                for idx in picks:
+                    resolutions.clear()
+                    cert = find_cover(k, n, level, translates=[pool[i] for i in idx])
+                    outcome, resolution, want_cert = fraction_find_cover(
+                        k, n, level, [oracle_pool[i] for i in idx]
+                    )
+                    outcomes.add(outcome)
+                    assert resolutions[-1] == resolution, (k, n, level, idx)
+                    assert (cert is not None) == (outcome == "cover"), (k, n, level, idx)
+                    if cert is not None:
+                        chosen, total, derived = want_cert
+                        assert [(_offset(t), t.constant) for t in cert.family] == chosen
+                        assert cert.cert_resolution == resolution
+                        assert (cert.sum_constants, cert.derived_constant) == (total, derived)
+                        refined += resolution > n**level
+    assert {"cover", "uncoverable", "too-many"} <= outcomes
+    assert refined
 
 
 def test_find_cover_k1_n2_exact():
@@ -120,12 +190,11 @@ def test_find_cover_honest_failure():
     # The three corner translates of the k=2 subdivision miss the
     # barycenter (1/3, 1/3, 1/3): every offset has an entry 1/2 > 1/3,
     # so no refinement can help and the search must report failure.
-    half = Fraction(1, 2)
-    zero = Fraction(0)
+    # The offsets are numerators over den = 8.
     pool = [
-        GoodTranslate(2, 2, 1, (half, zero, zero), 1, ("root",)),
-        GoodTranslate(2, 2, 1, (zero, half, zero), 1, ("root",)),
-        GoodTranslate(2, 2, 1, (zero, zero, half), 1, ("root",)),
+        GoodTranslate(2, 2, 1, (4, 0, 0), 1, ("root",)),
+        GoodTranslate(2, 2, 1, (0, 4, 0), 1, ("root",)),
+        GoodTranslate(2, 2, 1, (0, 0, 4), 1, ("root",)),
     ]
     assert find_cover(2, 2, 1, translates=pool) is None
 
@@ -183,7 +252,7 @@ def test_coverage_masks_match_the_vertex_oracle(k, n, level):
             oracle = sum(
                 1 << idx
                 for idx, vs in enumerate(verts)
-                if all(t.contains_point(v) for v in vs)
+                if all(c >= o for v in vs for c, o in zip(v.coords, _offset(t)))
             )
             assert mask == oracle, (t.offset, resolution)
 
