@@ -52,6 +52,7 @@ from .envelope import (
     EnvelopeResult,
     SampledFunction,
     concave_envelope,
+    envelope_values,
     evaluate_certificate,
     normalize_to_simplex_form,
     sampled_function,

@@ -39,7 +39,7 @@ from .combinat import (
     worpitzky_check,
 )
 from .cover import best_cover
-from .envelope import concave_envelope
+from .envelope import concave_envelope, envelope_values
 from .geometry import bary_point, relative_volume
 from .harness import (
     DEFAULT_TOL_ABS,
@@ -291,11 +291,10 @@ def _cmd_classify(args):
 
 def _cmd_envelope(args):
     f = load_function(args.input)
+    if not args.certificates:
+        return {"envelope": function_payload(envelope_values(f))}, 0
     env = concave_envelope(f)
-    payload = {"envelope": function_payload(env.envelope)}
-    if args.certificates:
-        payload["certificates"] = env.certificates
-    return payload, 0
+    return {"envelope": function_payload(env.envelope), "certificates": env.certificates}, 0
 
 
 def _cmd_supconv(args):

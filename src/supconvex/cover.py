@@ -179,6 +179,8 @@ def closure_good(k: int, n: int, max_level: int, budget: int = 4000) -> ClosureR
         raise ValueError(f"need n >= 2, got {n}")
     if max_level < 0:
         raise ValueError("max_level must be >= 0")
+    if budget < 1:  # the root alone would pass it
+        raise ValueError(f"budget must be >= 1, got {budget}")
     levels = [{(0,) * (k + 1): _root_translate(k, n)}]
     truncated = False
     total = 1

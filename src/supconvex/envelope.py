@@ -32,28 +32,43 @@ dropped before the sweep (see hull_candidates).  The kept columns stay
 in lattice order, so Bland's rule picks among them as before, and
 certificate indices are mapped back to the lattice.
 
-The k+1 vertex columns form a diagonal basis that is feasible for
-every z, so the first point solves from there; subsequent points reuse
-the previous optimal basis, which stays dual feasible when the right
-hand side moves.  Where it is still primal feasible it is optimal
+There are two sweeps, one per entry point, and both visit the points
+in lattice order.  The k+1 vertex columns form a diagonal basis that is
+feasible for every z, so the first point solves from there; subsequent
+points hand the solver the basis it last returned, which stays dual
+feasible when the right hand side moves, since reduced costs do not
+depend on it.  Where that basis is still primal feasible it is optimal
 again, and the solver returns it without pricing, re-inverting or
-re-checking it, being the tuple it returned; elsewhere the dual
-simplex repairs it in a handful of pivots.  Being the basis the solver
-last proved optimal, it skips the dual simplex's dual-feasibility
-pass, and each pivot prices only the columns the ratio test reads.
+re-checking it, being the tuple it returned.
+
+- concave_envelope, the ordered certificate sweep, repairs an
+  infeasible basis by the dual simplex, which skips its
+  dual-feasibility pass (the basis was proved optimal) and prices at
+  each pivot only the columns its ratio test reads.  Its bases, pivots
+  and certificates depend on nothing but f, and each value comes with
+  its certificate: the supporting lattice points and their exact
+  weights, the only rationals the sweep makes.
+- envelope_values, the values sweep, serves the reports, which read
+  only mean(env).  Before the dual simplex it tries the bases proved
+  optimal at z's earlier neighbours z - e_a + e_b (a < b, at most
+  k(k+1)/2 of them): any of them that is primal feasible at z is
+  optimal there (complementary slackness), and is returned without
+  pricing.  On the benchmark's general k = 2, N = 8 inputs that halves
+  the dual runs, from 24.9 to 10.8 per sweep.  A reused basis can be
+  another optimum than the ordered sweep's at a degenerate point, so
+  this sweep returns values only; they are the same values.
+
 The solver keeps each basis fraction-free, as integers adj = det B^-1
 and det, so its pricing, ratio tests and pivots run in plain integers
-(see exactlp); the sweep's rational optima are put over one
-denominator once, at its end.
-Every envelope value comes with a certificate: the supporting lattice
-points and exact weights realising it.
+(see exactlp), and each optimum is read as an integer numerator over
+det; the sweep puts them over their lcm once, at its end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from ._rational import Rat, scaled
@@ -63,15 +78,19 @@ from .geometry import BaryLattice, BaryPoint
 # Cap on the lattice size C(N + k, k) of one sweep, one LP per point
 # over the hull candidates, O(|L| |candidates|) exact work.  It admits
 # k = 3, N = 20 (1771 points).  On a 2-vCPU host the largest accepted
-# sweeps of the benchmark's general (pivoting) family, which keep 27-51%
-# of their columns, took 0.11 and 0.05 s (concave and spikes; k = 1,
-# N = 1770), 0.8 and 0.2 s (k = 2, N = 58), 2.3 and 0.6 s (k = 3,
-# N = 20), 3.4 and 0.7 s (k = 4, N = 11), 4.2 and 1.0 s (k = 5, N = 8)
-# and 9.6 and 3.2 s (k = 6, N = 7, 1716 points).  A strictly concave f
-# (-sum p_i^2) passes every midpoint test and keeps every column, so its
-# sweeps still bound the cap: 1.8 s (k = 1), 7.1 s (k = 2), 12.6 s
-# (k = 3), 10.3 s (k = 4), 12.2 s (k = 5) and 23-27 s (k = 6; 15-18 s
-# adjusted for the host's speed).
+# values sweeps (envelope_values) of the benchmark's general (pivoting)
+# family, which keep 27-51% of their columns, took 0.07 and 0.01 s
+# (concave and spikes; k = 1, N = 1770), 0.13 and 0.02 s (k = 2,
+# N = 58), 0.8 and 0.07 s (k = 3, N = 20), 1.3-1.8 and 0.08 s (k = 4,
+# N = 11), 2.5 and 0.1 s (k = 5, N = 8) and 5.2-5.5 and 0.2 s (k = 6,
+# N = 7, 1716 points); certificate sweeps (concave_envelope) took
+# 0.08-7.7 and 0.02-2.1 s.  A strictly concave f (-sum p_i^2) passes
+# every midpoint test and keeps every column, so its sweeps still bound
+# the cap.  Values sweeps took 1.1-1.5 s (k = 1; the same pivots as the
+# certificate sweep), 5.9 s (k = 2), 9.4-12.2 s (k = 3), 8.9-9.2 s
+# (k = 4), 9.3-9.4 s (k = 5) and 21-23 s (k = 6); certificate sweeps
+# 1.2-2.0, 6.2-7.0, 10.1-12.5, 10.9-11.5, 11.9-14.3 and 25-30 s, wall
+# time, one to three runs each.
 ENVELOPE_CAP = 1771
 
 
@@ -201,30 +220,71 @@ def _vertex_plane(f: SampledFunction):
     return plane
 
 
-def concave_envelope(f: SampledFunction) -> EnvelopeResult:
+@lru_cache(maxsize=8)
+def _earlier_neighbours(lat: BaryLattice):
+    """Per lattice point z, the indices of its neighbours z - e_a + e_b
+    with a < b, the ones that precede z in lattice order, nearest
+    first."""
+    near = []
+    for p in lat.int_points:
+        found = []
+        for a in range(lat.k + 1):
+            if p[a]:
+                for b in range(a + 1, lat.k + 1):
+                    q = list(p)
+                    q[a] -= 1
+                    q[b] += 1
+                    found.append(lat.index(q))
+        near.append(tuple(sorted(found, reverse=True)))
+    return tuple(near)
+
+
+def _sweep(f: SampledFunction, certify: bool):
+    """The envelope, and with certify the certificates (else None)."""
     lat = f.lattice
     check_envelope_cap(lat)
     plane = _vertex_plane(f)
     if plane is not None:
-        return EnvelopeResult(f, SampledFunction(lat, plane, f.den * lat.resolution), _vertex_weights(lat))
+        env = SampledFunction(lat, plane, f.den * lat.resolution)
+        return env, _vertex_weights(lat) if certify else None
     nums = f.nums
     kept = hull_candidates(f)
     solver = ExactSimplexSolver([lat.int_points[j] for j in kept], [nums[j] for j in kept])
     basis = [kept.index(j) for j in lat.vertex_indices()]
-    env_values = []  # the LP optima: envelope values times f.den
-    certificates = []
+    near = None if certify else _earlier_neighbours(lat)
+    proved = []  # per visited point, the (basis, adj, det) its solve kept
+    env_nums, dets, certificates = [], [], []  # env_nums[i] / dets[i]: env times f.den
     for i, ints in enumerate(lat.int_points):
+        if near is not None:
+            solver.fallbacks = [proved[j] for j in near[i]]
         sol = solver.solve(ints, basis=basis)
         if sol.status != "optimal":  # pragma: no cover - LP is always feasible/bounded
             raise ArithmeticError(f"envelope LP status {sol.status}")
-        assert sol.value >= nums[i], "envelope fell below the function"
-        env_values.append(sol.value)
-        certificates.append(
-            tuple((kept[c], w) for c, w in sorted(sol.x.items()) if w.numerator > 0)
-        )
+        num, det = sol.num, sol.det
+        assert num >= nums[i] * det, "envelope fell below the function"
+        env_nums.append(num)
+        dets.append(det)
+        if certify:
+            certificates.append(tuple((kept[c], Rat(w, det)) for c, w, _ in sorted(sol.support) if w > 0))
+        else:
+            proved.append(solver.proved)
         basis = sol.basis
-    env_nums, den = scaled(env_values)
-    return EnvelopeResult(f, SampledFunction(lat, env_nums, den * f.den), tuple(certificates))
+    den = lcm(*dets)
+    env = SampledFunction(lat, [v * (den // d) for v, d in zip(env_nums, dets)], den * f.den)
+    return env, tuple(certificates) if certify else None
+
+
+def concave_envelope(f: SampledFunction) -> EnvelopeResult:
+    """The envelope of f with a certificate at every lattice point."""
+    return EnvelopeResult(f, *_sweep(f, True))
+
+
+def envelope_values(f: SampledFunction) -> SampledFunction:
+    """The envelope of f alone: the same values as concave_envelope,
+    from a sweep that also tries the bases proved at the point's earlier
+    neighbours, and so may end on another optimal basis where the LP is
+    degenerate."""
+    return _sweep(f, False)[0]
 
 
 def normalize_to_simplex_form(f: SampledFunction) -> SampledFunction:

@@ -49,9 +49,11 @@ Edmonds' update: every row r other than row becomes
 det (adj and xb change sign when p < 0, as in every dual pivot).  The
 division is exact because p times the new inverse is the new basis's
 adjugate up to sign, an integer matrix.  A basis is first inverted
-fraction-free too, by ``eliminate``, so rationals appear only in the
-returned x_j = xb[r] / det (a zero x_j is the shared ZERO) and value
-sum_r C_j xb[r] / det, j = B_r, one integer dot product.
+fraction-free too, by ``eliminate``.  A Solution holds its optimum in
+integers, det and the pairs (B_r, xb[r]) with their costs, so the
+value's numerator sum_r C_j xb[r], j = B_r, is one integer dot product;
+x_j = xb[r] / det (a zero x_j is the shared ZERO) and the value are
+made as rationals only when read.
 
 Reduced costs do not depend on the right hand side, so a basis once
 proved optimal stays dual feasible, and it is optimal again for every
@@ -66,6 +68,17 @@ optimal.  The very tuple the solve returned (Solution.basis), which is
 the one kept, is known by identity and skips the checks of its column
 indices too; any other basis is checked first and then compared by
 value, as (2, 1.0) == (2, 1) and (True, 1) == (1, 1).
+
+The same argument holds for any other basis this solver proved
+optimal, so a caller may set ``fallbacks`` to such (basis, adj, det)
+triples, each read from ``proved`` after an earlier solve.  When the
+kept basis it is handed is infeasible, a solve tests each fallback in
+order, row by row on its kept adj, and returns the first one that is
+primal feasible, as proved and with no pricing, before it runs the
+dual simplex.  The envelope's two sweeps differ only in this: the
+certificate sweep sets no fallbacks, so its bases and pivots are those
+of the ordered warm sweep, and the values sweep sets the bases proved
+at the point's earlier lattice neighbours (see envelope).
 
 ``eliminate``, the package's one elimination routine, works on
 integers only and returns det A and det A times A^-1 b.  Besides the
@@ -82,7 +95,30 @@ from operator import add, mul
 
 from ._rational import ZERO, Rat
 
-Solution = namedtuple("Solution", "status value x basis")
+
+class Solution(namedtuple("Solution", "status basis det support")):
+    """A solve's result in integers: support holds (j, X_j, c_j) per
+    basic column j of the problem, in basis order, with x_j = X_j / det
+    and c_j its cost, so the optimal value is num / det.  Every field but
+    status is None unless status is "optimal".  value and x, the
+    rational views, are made when read."""
+
+    __slots__ = ()
+
+    @property
+    def num(self):
+        return None if self.support is None else sum(v * c for _, v, c in self.support)
+
+    @property
+    def value(self):
+        return None if self.support is None else Rat(self.num, self.det)
+
+    @property
+    def x(self):
+        if self.support is None:
+            return None
+        det = self.det
+        return {j: Rat(v, det) if v else ZERO for j, v, _ in self.support}
 
 
 def _require_ints(name, values):
@@ -148,13 +184,28 @@ class ExactSimplexSolver:
         self._rows = tuple(zip(*self._ints))  # the columns, transposed
         self._costs = _require_ints("objective", list(objective))
         self._identity = [[int(c == r) for c in range(self.m)] for r in range(self.m)]
-        self._proved = None  # (basis, adj, det) of the last warm solve proved optimal
+        # (basis, adj, det) of the basis the last warm solve proved
+        # optimal, and more such triples, proved by this solver, that a
+        # hit on the kept basis tries where that basis is infeasible.
+        self.proved = None
+        self.fallbacks = ()
 
     # -- basis linear algebra -------------------------------------------
 
     @staticmethod
     def _mat_vec(rows, vec):
         return [sum(map(mul, row, vec)) for row in rows]
+
+    @staticmethod
+    def _feasible(adj, b):
+        """adj b, row by row, or None at the first negative entry."""
+        xb = []
+        for row in adj:
+            v = sum(map(mul, row, b))
+            if v < 0:
+                return None
+            xb.append(v)
+        return xb
 
     @staticmethod
     def _pivot(adj, det, xb, basis, row, direction, entering):
@@ -263,7 +314,7 @@ class ExactSimplexSolver:
         b = _require_ints("rhs", rhs)
         if basis is None:
             return self._two_phase(b)
-        kept = self._proved
+        kept = self.proved
         hit = kept is not None and basis is kept[0]  # checked when it was proved
         if not hit:
             basis = list(basis)
@@ -280,6 +331,11 @@ class ExactSimplexSolver:
             xb = self._mat_vec(adj, b)
             if all(v >= 0 for v in xb):
                 return self._solution("optimal", xb, det, kept[0])
+            for other in self.fallbacks:
+                xo = None if other is kept else self._feasible(other[1], b)
+                if xo is not None:  # dual feasible since proved, so optimal
+                    self.proved = other
+                    return self._solution("optimal", xo, other[2], other[0])
             # Pivot on a copy, so that the kept inverse survives.
             adj, basis = [row[:] for row in adj], list(basis)
             status, det = self._dual(adj, det, xb, basis, False)
@@ -302,7 +358,7 @@ class ExactSimplexSolver:
         if status == "optimal":
             # adj belongs to this call, and nothing changes it after the
             # return; a later hit pivots on a copy.
-            self._proved = (sol.basis, adj, det)
+            self.proved = (sol.basis, adj, det)
         return sol
 
     def _two_phase(self, b) -> Solution:
@@ -339,10 +395,8 @@ class ExactSimplexSolver:
     def _solution(self, status, xb, det, basis) -> Solution:
         if status != "optimal":
             return Solution(status, None, None, None)
-        n_real = len(self._ints)
-        x = {j: Rat(v, det) if v else ZERO for j, v in zip(basis, xb) if j < n_real}
-        value = sum(self._costs[j] * v for j, v in zip(basis, xb) if j < n_real)
-        return Solution("optimal", Rat(value, det), x, basis)
+        n_real, costs = len(self._ints), self._costs
+        return Solution("optimal", basis, det, tuple((j, v, costs[j]) for j, v in zip(basis, xb) if j < n_real))
 
 
 def solve_lp(columns, objective, rhs):

@@ -42,7 +42,7 @@ from math import comb, gcd, lcm
 from . import __version__
 from ._rational import Rat, format_rat
 from .combinat import sharp_constant
-from .envelope import SampledFunction, check_envelope_cap, concave_envelope
+from .envelope import SampledFunction, check_envelope_cap, concave_envelope, envelope_values
 # Unused here; kept because benchmarks/tracing.py wraps this name in
 # this module, and its trace mode fails without it.
 from .envelope import normalize_to_simplex_form  # noqa: F401
@@ -221,7 +221,7 @@ def _report(kind: str, n: int, inputs, conv, tol_rel, tol_abs) -> InequalityRepo
     f = inputs[0]
     means = [mean(h) for h in inputs]
     lhs = mean(conv) - sum(means, Rat(0)) / len(means)
-    rhs = mean(concave_envelope(f).envelope) - means[0]
+    rhs = mean(envelope_values(f)) - means[0]
     constant = sharp_constant(f.k, n)
     verdict, ratio = _verdict(lhs, rhs, constant, tol_rel, tol_abs)
     prov = {name: function_digest(h) for name, h in zip("fg", inputs)}

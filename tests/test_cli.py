@@ -213,6 +213,16 @@ def test_closure_over_budget_stops_within_its_blend_round(capsys):
     assert payload["truncated"] is True and payload["found"] is False
 
 
+def test_cover_budget_below_one_exits_1(capsys):
+    # The root translate alone passes such a budget, so no closure is
+    # built; --budget 1 keeps its pinned truncation (exit 2).
+    for budget in ("0", "-1"):
+        code = main(["cover", "--k", "2", "--n", "2", "--max-level", "1", "--budget", budget])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: budget must be >= 1, got {budget}\n"
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     out = tmp_path / "payload.json"
     code, shown = run(

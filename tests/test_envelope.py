@@ -10,6 +10,7 @@ from supconvex import (
     SampledFunction,
     SplitMix64,
     concave_envelope,
+    envelope_values,
     evaluate_certificate,
     extremal_grid_report,
     lattice,
@@ -559,3 +560,149 @@ def test_oversized_lattice_raises_before_the_plane_test(monkeypatch):
     with pytest.raises(ValueError, match=r"envelope over 2024 lattice points \(cap 1771\)"):
         concave_envelope(SampledFunction(lat, [0] * len(lat), 1))
     assert tested == []
+
+
+def _strictly_concave(k, resolution, seed):
+    """-sum p_i^2 on the integer points, plus seed times an affine part:
+    every point touches its envelope, so the prune keeps every column
+    and the LPs are as degenerate as they get."""
+    lat = lattice(k, resolution)
+    return SampledFunction(lat, [seed * p[0] - sum(c * c for c in p) for p in lat.int_points], 1)
+
+
+_VALUES_FAMILIES = {
+    "general": _general,  # a concave bump at even seeds, spikes at odd ones
+    "strictly_concave": _strictly_concave,
+    "ties": _ties,
+    "affine": _AFFINE_FAMILIES["make_random"],
+}
+
+# (k, N) of the values-sweep tests, and the sizes at which the
+# brute-force oracle, which inverts every (k+1)-subset of the lattice
+# columns in Fractions, takes well under a second (k = 4, N = 2 takes
+# several).
+_VALUES_SIZES = ((1, 3), (1, 9), (2, 3), (2, 4), (2, 8), (3, 2), (3, 4), (4, 2), (4, 3))
+_ORACLE_SIZES = {(1, 3), (1, 9), (2, 3), (2, 4), (3, 2)}
+
+
+@pytest.mark.parametrize("family", sorted(_VALUES_FAMILIES))
+def test_envelope_values_match_the_certificate_sweep_and_the_oracle(family):
+    for k, resolution in _VALUES_SIZES:
+        for seed in (1, 2):
+            f = _VALUES_FAMILIES[family](k, resolution, seed)
+            env = envelope_values(f)
+            assert env == concave_envelope(f).envelope
+            if (k, resolution) in _ORACLE_SIZES and seed == 1:
+                assert list(env.values) == envelope_bruteforce(f)
+
+
+def _solve_bases(monkeypatch):
+    """Per ExactSimplexSolver.solve call: the basis handed in, the basis
+    returned, and whether the dual simplex ran."""
+    calls = []
+    solve, dual = ExactSimplexSolver.solve, ExactSimplexSolver._dual
+
+    def solve_spy(self, rhs, basis=None):
+        calls.append([basis, None, False])
+        sol = solve(self, rhs, basis)
+        calls[-1][1] = sol.basis
+        return sol
+
+    def dual_spy(self, *args):
+        calls[-1][2] = True
+        return dual(self, *args)
+
+    monkeypatch.setattr(ExactSimplexSolver, "solve", solve_spy)
+    monkeypatch.setattr(ExactSimplexSolver, "_dual", dual_spy)
+    return calls
+
+
+def test_values_sweep_reuses_neighbour_bases_the_ordered_sweep_does_not_reach(monkeypatch):
+    # A neighbour hit returns a proved basis other than the one handed in
+    # without running the dual simplex; the ordered sweep never does.  At
+    # degenerate points the hit may be another optimum than the ordered
+    # sweep's, with the same value.
+    calls = _solve_bases(monkeypatch)
+    hits = elsewhere = 0
+    for family in ("general", "strictly_concave", "ties"):
+        for k, resolution in ((2, 5), (2, 8), (3, 4)):
+            for seed in (1, 2):
+                f = _VALUES_FAMILIES[family](k, resolution, seed)
+                calls.clear()
+                ordered = concave_envelope(f)
+                if not calls:
+                    continue  # the affine path
+                assert all(b_in == b_out or dual for b_in, b_out, dual in calls[1:])
+                ordered_bases = [b_out for _, b_out, _ in calls]
+                calls.clear()
+                assert envelope_values(f) == ordered.envelope
+                assert len(calls) == len(f.lattice)
+                hits += sum(b_in != b_out and not dual for b_in, b_out, dual in calls[1:])
+                elsewhere += sum(set(b_out) != set(o) for (_, b_out, _), o in zip(calls, ordered_bases))
+    assert hits > 0 and elsewhere > 0, (hits, elsewhere)
+
+
+def test_values_sweep_runs_fewer_dual_simplexes(monkeypatch):
+    calls = _solve_bases(monkeypatch)
+    runs = {}
+    for sweep in (concave_envelope, envelope_values):
+        calls.clear()
+        for k, resolution, seed in ((2, 8, 1), (2, 8, 2), (3, 4, 3), (3, 4, 4)):
+            sweep(_general(k, resolution, seed))
+        runs[sweep] = sum(dual for _, _, dual in calls)
+    assert 0 < runs[envelope_values] < runs[concave_envelope], runs
+
+
+def _fractions_made(fn, *args):
+    """(result, the number of Fraction constructions while fn ran)."""
+    made = []
+    new = Fraction.__new__.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is new:
+            made.append(1)
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, len(made)
+
+
+def test_sweeps_make_no_fraction_but_the_printed_weights(monkeypatch):
+    calls = _solve_bases(monkeypatch)
+    f = _general(2, 8, 1)
+    env, made = _fractions_made(envelope_values, f)
+    assert any(dual for _, _, dual in calls) and made == 0
+    res, made = _fractions_made(concave_envelope, f)
+    assert res.envelope == env
+    assert made == sum(len(cert) for cert in res.certificates)
+
+
+def test_envelope_values_over_the_cap_raise_before_any_solver(monkeypatch):
+    import supconvex.envelope as envelope
+
+    built = _spy_solvers(monkeypatch)
+    tested = []
+    monkeypatch.setattr(envelope, "_vertex_plane", lambda f: tested.append(f))
+    lat = lattice(3, 21)  # 2024 points
+    with pytest.raises(ValueError, match=r"envelope over 2024 lattice points \(cap 1771\)"):
+        envelope_values(SampledFunction(lat, [0] * len(lat), 1))
+    assert tested == [] and built == []
+
+
+def test_reports_and_the_plain_envelope_command_skip_certificates(monkeypatch, tmp_path, capsys):
+    import supconvex.cli as cli
+    import supconvex.harness as harness
+
+    def refuse(f):
+        raise AssertionError("certificate sweep")
+
+    monkeypatch.setattr(harness, "concave_envelope", refuse)
+    monkeypatch.setattr(cli, "concave_envelope", refuse)
+    f, g = _general(2, 5, 1), _general(2, 5, 2)
+    assert verify_nfold(f, 2).rhs == verify_pair(f, g).rhs > 0
+    save_function(f, tmp_path / "f.json")
+    assert cli.main(["envelope", "--input", str(tmp_path / "f.json")]) == 0
+    assert '"certificates"' not in capsys.readouterr().out
