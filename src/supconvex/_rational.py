@@ -23,6 +23,8 @@ values and volumes, reports and certificates.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction as Rat
 
 ZERO = Rat(0)
@@ -37,9 +39,28 @@ def scaled(values):
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+# The exponent of a decimal literal such as '1e-3'.
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def parse_rat(text: str):
-    """Parse 'p/q', an integer literal, or a decimal like '0.25' exactly."""
-    return Rat(text.strip())
+    """Parse 'p/q', an integer literal, or a decimal like '0.25' or
+    '1e-3' exactly.
+
+    Raises ValueError for a malformed literal, a zero denominator, or an
+    exponent beyond the interpreter's int-string digit limit; that one
+    is refused before its power of ten is built, which for '1e10000000'
+    alone takes seconds.
+    """
+    text = text.strip()
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    exponent = _EXPONENT.search(text)
+    if exponent and int(exponent[1]) > limit:
+        raise ValueError(f"exponent beyond {limit} in {text!r}")
+    try:
+        return Rat(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rat(x) -> str:

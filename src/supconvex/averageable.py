@@ -48,13 +48,14 @@ from .geometry import (
     BaryPoint,
     Simplex,
     contains,
+    contains_points,
     lattice,
     relative_volume,
     simplex,
     simplices_interior_intersect,
     standard_simplex,
 )
-from .subdivision import hypersimplex_volume
+from .subdivision import cell_volume
 # Unused here; kept because benchmarks/tracing.py wraps this name in
 # this module, and its trace mode fails without it.
 from .supconvolve import sup_convolve_n  # noqa: F401
@@ -176,7 +177,7 @@ def _midpoint(a: BaryPoint, b: BaryPoint) -> BaryPoint:
 
 def _scaled_slice_region(k: int, m: int) -> TargetRegion:
     """(1/m) * slice(k, m) inside T: all coordinates at most 1/m."""
-    vol = hypersimplex_volume(k, m) / Rat(m) ** k
+    vol = cell_volume(k, m, m)
 
     def member(p: BaryPoint) -> bool:
         return all(m * c <= 1 for c in p.coords)
@@ -298,9 +299,9 @@ def _permutation_witness(mp: PLMap, lat) -> str:
     "" when it is.
 
     Each lattice point goes to the first piece whose domain contains it,
-    as in PLMap.apply: one elimination per piece solves for the
-    barycentric weights of all points still unassigned.  A single piece
-    needs no assignment, since the domain tiling proves its domain is T.
+    as in PLMap.apply: one contains_points call per piece tests all the
+    points still unassigned.  A single piece needs no assignment, since
+    the domain tiling proves its domain is T.
     """
     for idx, piece in enumerate(mp.pieces):
         if any(c % piece.den for row in piece.rows for c in row):
@@ -311,12 +312,7 @@ def _permutation_witness(mp: PLMap, lat) -> str:
     else:
         owned, rest = [], lat.int_points
         for piece in mp.pieces:
-            # The weights w of x / n solve rows^T (n w) = den x; X = det n w.
-            cols, den = list(zip(*piece.domain.rows)), piece.domain.den
-            det, solution = eliminate(cols, [[den * c for c in x] for x in rest])
-            inside = [
-                sum(ws) == det * n and all(w * det >= 0 for w in ws) for ws in solution
-            ]
+            inside = contains_points(piece.domain, rest, n)
             owned.append((piece, [x for x, keep in zip(rest, inside) if keep]))
             rest = [x for x, keep in zip(rest, inside) if not keep]
     images = sorted(

@@ -30,7 +30,10 @@ Otherwise the LPs run over the hull candidates only: a point p with
 the envelope, so an optimal LP never weighs it, and its column is
 dropped before the sweep (see hull_candidates).  The kept columns stay
 in lattice order, so Bland's rule picks among them as before, and
-certificate indices are mapped back to the lattice.
+certificate indices are mapped back to the lattice.  The lattice moves
+z -> z - e_a + e_b (a < b) are enumerated once per lattice
+(_neighbours), into two tables: the midpoint triples this test reads,
+and the earlier neighbours the values sweep below reads.
 
 There are two sweeps, one per entry point, and both visit the points
 in lattice order.  The k+1 vertex columns form a diagonal basis that is
@@ -50,13 +53,14 @@ re-checking it, being the tuple it returned.
   weights, the only rationals the sweep makes.
 - envelope_values, the values sweep, serves the reports, which read
   only mean(env).  Before the dual simplex it tries the bases proved
-  optimal at z's earlier neighbours z - e_a + e_b (a < b, at most
-  k(k+1)/2 of them): any of them that is primal feasible at z is
-  optimal there (complementary slackness), and is returned without
-  pricing.  On the benchmark's general k = 2, N = 8 inputs that halves
-  the dual runs, from 24.9 to 10.8 per sweep.  A reused basis can be
-  another optimum than the ordered sweep's at a degenerate point, so
-  this sweep returns values only; they are the same values.
+  optimal at z's earlier neighbours, its moves z - e_a + e_b (a < b,
+  at most k(k+1)/2 of them, nearest first): any of them that is primal
+  feasible at z is optimal there (complementary slackness), and is
+  returned without pricing.  On the benchmark's general k = 2, N = 8
+  inputs that halves the dual runs, from 24.9 to 10.8 per sweep.  A
+  reused basis can be another optimum than the ordered sweep's at a
+  degenerate point, so this sweep returns values only; they are the
+  same values.
 
 The solver keeps each basis fraction-free, as integers adj = det B^-1
 and det, so its pricing, ratio tests and pivots run in plain integers
@@ -164,23 +168,33 @@ def check_envelope_cap(lat: BaryLattice) -> None:
 
 
 @lru_cache(maxsize=8)
-def _midpoint_triples(lat: BaryLattice):
-    """(p, p + d, p - d) as lattice indices, for every point p and every
-    d = e_a - e_b with both ends in the lattice."""
-    triples = []
-    for i, p in enumerate(lat.int_points):
-        for b in range(lat.k + 1):
-            for a in range(b):
-                if p[a] and p[b]:
-                    d = [(t == a) - (t == b) for t in range(lat.k + 1)]
-                    hi = lat.index([x + y for x, y in zip(p, d)])
-                    triples.append((i, hi, lat.index([x - y for x, y in zip(p, d)])))
-    return tuple(triples)
+def _neighbours(lat: BaryLattice):
+    """The lattice moves z -> z - e_a + e_b (a < b), enumerated once, as
+    two tables of lattice indices: per point z, its earlier neighbours,
+    the moves of z, which precede z in lattice order, nearest first (a
+    descending, then b ascending); and every midpoint triple
+    (p, p + d, p - d) with d = e_a - e_b and both ends in the lattice,
+    where p - d is p's move (a, b) and p is the move (a, b) of p + d."""
+    k = lat.k
+    moves = [  # per point, {(a, b): index of its move (a, b)}
+        {
+            (a, b): lat.index([c - (t == a) + (t == b) for t, c in enumerate(ints)])
+            for a in range(k, -1, -1)
+            if ints[a]
+            for b in range(a + 1, k + 1)
+        }
+        for ints in lat.int_points
+    ]
+    near = tuple(tuple(found.values()) for found in moves)
+    triples = tuple(
+        (p, hi, moves[p][ab]) for hi, found in enumerate(moves) for ab, p in found.items() if ab in moves[p]
+    )
+    return near, triples
 
 
 def hull_candidates(f: SampledFunction):
     """Ascending lattice indices of the points p with 2 f(p) >=
-    f(p + d) + f(p - d) for every d of _midpoint_triples.
+    f(p + d) + f(p - d) for every midpoint triple of _neighbours.
 
     A point failing that midpoint test lies strictly below the envelope,
     so no optimal LP weighs it, and its column has a negative reduced
@@ -188,7 +202,7 @@ def hull_candidates(f: SampledFunction):
     vertices have no such d and are always kept.
     """
     nums = f.nums
-    below = {p for p, hi, lo in _midpoint_triples(f.lattice) if 2 * nums[p] < nums[hi] + nums[lo]}
+    below = {p for p, hi, lo in _neighbours(f.lattice)[1] if 2 * nums[p] < nums[hi] + nums[lo]}
     return [i for i in range(len(nums)) if i not in below]
 
 
@@ -220,25 +234,6 @@ def _vertex_plane(f: SampledFunction):
     return plane
 
 
-@lru_cache(maxsize=8)
-def _earlier_neighbours(lat: BaryLattice):
-    """Per lattice point z, the indices of its neighbours z - e_a + e_b
-    with a < b, the ones that precede z in lattice order, nearest
-    first."""
-    near = []
-    for p in lat.int_points:
-        found = []
-        for a in range(lat.k + 1):
-            if p[a]:
-                for b in range(a + 1, lat.k + 1):
-                    q = list(p)
-                    q[a] -= 1
-                    q[b] += 1
-                    found.append(lat.index(q))
-        near.append(tuple(sorted(found, reverse=True)))
-    return tuple(near)
-
-
 def _sweep(f: SampledFunction, certify: bool):
     """The envelope, and with certify the certificates (else None)."""
     lat = f.lattice
@@ -251,7 +246,7 @@ def _sweep(f: SampledFunction, certify: bool):
     kept = hull_candidates(f)
     solver = ExactSimplexSolver([lat.int_points[j] for j in kept], [nums[j] for j in kept])
     basis = [kept.index(j) for j in lat.vertex_indices()]
-    near = None if certify else _earlier_neighbours(lat)
+    near = None if certify else _neighbours(lat)[0]
     proved = []  # per visited point, the (basis, adj, det) its solve kept
     env_nums, dets, certificates = [], [], []  # env_nums[i] / dets[i]: env times f.den
     for i, ints in enumerate(lat.int_points):

@@ -17,8 +17,11 @@ Everything is exact, with no floating point.  A simplex holds its
 vertices once, as integer rows over one positive denominator D in
 lowest terms; simplex() is where rational vertices are scaled.
 Volumes, containment and overlap eliminate on those rows fraction-free
-(exactlp.eliminate), containment scaling only its query point; only
-the returned volumes, |det| / D**k, are rational.
+(exactlp.eliminate); only the returned volumes, |det| / D**k, are
+rational.  Containment has one solve, contains_points, which tests many
+integer points x / q against one simplex in a single elimination;
+contains scales its one query point to integers and calls it, and the
+averageable transport check calls it once per map piece.
 """
 
 from __future__ import annotations
@@ -150,22 +153,29 @@ def relative_volume(s: Simplex):
     return Rat(abs(_chart_det(s.rows)), s.den ** s.k)
 
 
-def contains(s: Simplex, p: BaryPoint) -> bool:
-    """Exact membership test: p lies in s (boundary included).
+def contains_points(s: Simplex, xs, q: int) -> list:
+    """Exact membership of each point x / q in s (boundary included),
+    for integer vectors x over one positive integer q, from one
+    elimination.
 
-    With p = x / q on integers, the barycentric weights w of p with
-    respect to the vertices rows / D solve rows^T (q w) = D x; the
-    elimination gives X = det * q * w, and p is inside when the weights
-    are a convex combination.
+    The barycentric weights w of x / q with respect to the vertices
+    rows / D solve rows^T (q w) = D x; the elimination gives
+    X = det * q * w, and x / q is inside when the weights are a convex
+    combination.
     """
+    # The vertices are the columns.
+    det, solution = eliminate(list(zip(*s.rows)), [[s.den * c for c in x] for x in xs])
+    if solution is None:
+        raise DegenerateSimplexError("zero-volume simplex")
+    return [sum(ws) == det * q and all(w * det >= 0 for w in ws) for ws in solution]
+
+
+def contains(s: Simplex, p: BaryPoint) -> bool:
+    """Exact membership test: p lies in s (boundary included)."""
     if p.dim != s.k:
         raise ValueError("point and simplex dimensions differ")
     x, q = scaled(p.coords)
-    det, solution = eliminate(list(zip(*s.rows)), [[s.den * c for c in x]])  # vertices as columns
-    if solution is None:
-        raise DegenerateSimplexError("zero-volume simplex")
-    weights = solution[0]
-    return sum(weights) == det * q and all(w * det >= 0 for w in weights)
+    return contains_points(s, [x], q)[0]
 
 
 def simplices_interior_intersect(a: Simplex, b: Simplex) -> bool:

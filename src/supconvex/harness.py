@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields
 from math import comb, gcd, lcm
 
 from . import __version__
-from ._rational import Rat, format_rat
+from ._rational import Rat, format_rat, parse_rat
 from .combinat import sharp_constant
 from .envelope import SampledFunction, check_envelope_cap, concave_envelope, envelope_values
 # Unused here; kept because benchmarks/tracing.py wraps this name in
@@ -51,7 +51,7 @@ from .prng import SplitMix64
 # Unused here; kept because benchmarks/tracing.py wraps this name in
 # this module, and its trace mode fails without it.
 from .subdivision import cell_contains  # noqa: F401
-from .subdivision import cell_vertices, subdivide
+from .subdivision import cell_vertices, floor_rule, subdivide
 from .supconvolve import check_dp_cap, sup_convolve_n, sup_convolve_pair
 
 DEFAULT_TOL_REL = Rat(1, 20)
@@ -73,8 +73,10 @@ def function_payload(f: SampledFunction) -> dict:
 def function_from_payload(data) -> SampledFunction:
     """Validate a function-file document and build the function.  The
     row count is checked against C(N + k, k) before the lattice is
-    built, so a short file claiming a huge N fails at once.  Each row
-    is reduced, and the rows go over the lcm of their denominators."""
+    built, so a short file claiming a huge N fails at once.  The rows
+    go over the lcm of their denominators, as written; SampledFunction
+    puts the result in lowest terms, its one form, so reducing each row
+    first would change nothing."""
     if not isinstance(data, dict):
         raise ValueError("function file must be a JSON object")
     missing = {"k", "N", "values"} - set(data)
@@ -92,7 +94,7 @@ def function_from_payload(data) -> SampledFunction:
     if len(rows) != expected:
         raise ValueError(f"expected {expected} rows, got {len(rows)}")
     lat = lattice(k, n_res)
-    reduced = []
+    nums, dens = [], []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != k + 3:
             raise ValueError(f"row {i}: expected {k + 3} entries")
@@ -105,10 +107,10 @@ def function_from_payload(data) -> SampledFunction:
             raise ValueError(f"row {i}: entries must be integers")
         if den <= 0:
             raise ValueError(f"row {i}: denominator must be positive")
-        g = gcd(num, den)
-        reduced.append((num // g, den // g))
-    common = lcm(*(d for _, d in reduced))
-    return SampledFunction(lat, [v * (common // d) for v, d in reduced], common)
+        nums.append(num)
+        dens.append(den)
+    common = lcm(*dens)
+    return SampledFunction(lat, [v * (common // d) for v, d in zip(nums, dens)], common)
 
 
 def save_function(f: SampledFunction, path) -> None:
@@ -150,7 +152,7 @@ def make_random(k: int, resolution: int, seed: int, roughness=1) -> SampledFunct
     SplitMix64(seed), whether or not the roughness gate lets the draw
     through, so the stream never depends on the roughness.
     """
-    rough = Rat(str(roughness)) if isinstance(roughness, (str, float)) else Rat(roughness)
+    rough = parse_rat(str(roughness)) if isinstance(roughness, (str, float)) else Rat(roughness)
     if not 0 <= rough <= 1:
         raise ValueError("roughness must lie in [0, 1]")
     lat = lattice(k, resolution)
@@ -318,11 +320,10 @@ def extremal_grid_report(k: int, n: int, resolution: int) -> ExtremalGridReport:
     the 1/(N/n) grid need N / n >= (k + 1) / min(m, k + 1 - m).  Many
     other N work as well.
 
-    Representatives come from one integer pass over the lattice by the
-    floor rule: with q_i, r_i = divmod(n c_i, N) for the integer
-    coordinates c, the point lies strictly inside a cell iff no r_i is
-    0, and that cell is (m, shift) = (n - sum(q), q).  Each cell takes
-    the first such point in lattice order.
+    Representatives come from one pass of subdivision.floor_rule over
+    the lattice's integer points c / N: a point off every cell boundary
+    lies strictly inside the cell (m, shift) the rule gives, and each
+    cell takes the first such point in lattice order.
     """
     f = make_extremal(k, resolution)
     _check_caps(f.lattice, n)
@@ -331,14 +332,9 @@ def extremal_grid_report(k: int, n: int, resolution: int) -> ExtremalGridReport:
     lat = f.lattice
     reps = {}
     for idx, ints in enumerate(lat.int_points):
-        floors = []
-        for c in ints:
-            q, r = divmod(n * c, resolution)
-            if not r:
-                break
-            floors.append(q)
-        else:
-            reps.setdefault((n - sum(floors), tuple(floors)), idx)
+        m, shift, on_boundary = floor_rule(ints, resolution, n)
+        if not on_boundary:
+            reps.setdefault((m, shift), idx)
     rows = []
     lhs = Rat(0)
     rhs = Rat(0)

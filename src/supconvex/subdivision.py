@@ -12,23 +12,29 @@ subdivision the backbone of every exact integral in the package.
 Cells are classified by the floor rule: for z in T, v = floor(n z)
 componentwise and m = n - sum(v).  Points with some n*z_i integral lie
 on a cell boundary; the floor rule still assigns them a deterministic
-cell, and the classification marks them as boundary points.
+cell, and the classification marks them as boundary points.  The rule
+has one implementation, floor_rule, on a point's integer coordinates
+over their common denominator: classify_point and the extremal grid
+report's representative pass both call it.
 
 Volumes come from an independent geometric route, a recursive
 triangulation of the hypersimplex by pulling the lexicographically
 smallest vertex, so that the classical count (the Eulerian number) can
-be checked against exact determinants rather than assumed.
+be checked against exact determinants rather than assumed.  Every cell
+of level m has the volume of slice(k, m) over n**k, which cell_volume
+computes once per (k, m, n) for the cells, the subdivision's volume
+check, the extremal profile and the averaging targets.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
-from math import comb, floor
+from math import comb
 
-from ._rational import ONE, Rat
+from ._rational import ONE, Rat, scaled
 from .geometry import BaryPoint, _check_dim, compositions, relative_volume, simplex
 
 # Cap on the cells of one subdivision, checked before any is listed.
@@ -94,6 +100,13 @@ def hypersimplex_volume(k: int, m: int):
     )
 
 
+@lru_cache(maxsize=256)
+def cell_volume(k: int, m: int, n: int):
+    """Relative volume of one level-m cell (slice(k, m) + shift)/n; the
+    same for every shift."""
+    return hypersimplex_volume(k, m) / Rat(n) ** k
+
+
 @dataclass(frozen=True)
 class SubdivisionCell:
     """One cell (slice(k, m) + shift)/n of the subdivision of T."""
@@ -112,7 +125,7 @@ class SubdivisionCell:
         return Rat(self.n - self.m, self.n)
 
     def relative_volume(self):
-        return hypersimplex_volume(self.k, self.m) / Rat(self.n) ** self.k
+        return cell_volume(self.k, self.m, self.n)
 
 
 def cell_count(k: int, n: int) -> int:
@@ -145,7 +158,7 @@ def subdivide(k: int, n: int):
     for m in range(1, min(k, n) + 1):
         shifts = enumerate_shifts(k, n - m)
         cells.extend(SubdivisionCell(n=n, m=m, shift=shift) for shift in shifts)
-        total_volume += len(shifts) * hypersimplex_volume(k, m) / Rat(n) ** k
+        total_volume += len(shifts) * cell_volume(k, m, n)
     keys = {(c.m, c.shift) for c in cells}
     assert len(keys) == len(cells), "duplicate subdivision cells"
     assert total_volume == 1, f"cell volumes sum to {total_volume}, not 1"
@@ -178,8 +191,21 @@ def cell_contains(cell: SubdivisionCell, point: BaryPoint, strict: bool = False)
 CellLocation = namedtuple("CellLocation", "m shift on_boundary")
 
 
+def floor_rule(ints, q: int, n: int):
+    """The floor rule at the point ints / q of T, in integers:
+    (m, shift, on_boundary) with shift = floor(n ints / q) componentwise,
+    m = n - sum(shift), and on_boundary when some n ints_i / q is an
+    integer.  A point off every boundary lies in the interior of the
+    cell (m, shift), and there 1 <= m <= min(k, n) for ints of length
+    k + 1."""
+    parts = [divmod(n * c, q) for c in ints]
+    shift = tuple(floor for floor, _ in parts)
+    return n - sum(shift), shift, not all(rest for _, rest in parts)
+
+
 def classify_point(k: int, n: int, point: BaryPoint) -> CellLocation:
-    """Locate a point of T in the subdivision by the floor rule.
+    """Locate a point of T in the subdivision by the floor rule, on the
+    point's integer coordinates over their common denominator.
 
     Boundary points (some n*z_i integral) belong to several closed
     cells; the floor rule picks one deterministically and the result is
@@ -194,22 +220,11 @@ def classify_point(k: int, n: int, point: BaryPoint) -> CellLocation:
         raise ValueError("point dimension mismatch")
     if any(c < 0 for c in point.coords) or point.total != 1:
         raise ValueError("point must lie in the standard simplex")
-    floors = []
-    boundary = False
-    for c in point.coords:
-        y = n * c
-        f = floor(y)  # an int, so shifts serialize and compare
-        if y == f:
-            boundary = True
-        floors.append(f)
-    m = n - sum(floors)
+    m, shift, boundary = floor_rule(*scaled(point.coords), n)
     if m == 0:
-        for i, f in enumerate(floors):
-            if f > 0:
-                floors[i] = f - 1
-                break
-        m = 1
-    return CellLocation(m, tuple(floors), boundary)
+        i = next(i for i, f in enumerate(shift) if f > 0)
+        return CellLocation(1, (*shift[:i], shift[i] - 1, *shift[i + 1:]), boundary)
+    return CellLocation(m, shift, boundary)
 
 
 PerLevel = namedtuple("PerLevel", "m cell_count cell_relative_volume value")
@@ -251,7 +266,7 @@ def extremal_profile(k: int, n: int) -> ExtremalProfile:
     for m in range(1, min(k, n) + 1):
         count = len(enumerate_shifts(k, n - m))
         assert count == comb(n + k - m, k), f"cell count mismatch at m={m}"
-        vol = hypersimplex_volume(k, m) / Rat(n) ** k
+        vol = cell_volume(k, m, n)
         value = Rat(n - m, n)
         rows.append(PerLevel(m, count, vol, value))
         lhs += count * vol * value

@@ -25,6 +25,11 @@ grid_representatives_scan is the extremal grid report's earlier search
 for cell representatives, kept whole: it tests every lattice point
 against every cell with the package's cell_contains, and checks the
 one-pass floor rule that replaced it.
+midpoint_triples and earlier_neighbours are the envelope's two
+lattice-move tables as they were before one enumeration of the moves
+z -> z - e_a + e_b built both, kept whole; fraction_floor_rule is
+classify_point's floor loop on Fraction coordinates before the floor
+rule ran on integers, kept whole up to its m = 0 fix-up.
 fraction_closure and fraction_find_cover are the good-translate closure
 and cover search as they were when offsets were Fractions with
 whatever denominator the derivation produced: corner and blend steps
@@ -168,6 +173,53 @@ def grid_representatives_scan(k: int, n: int, resolution: int):
         )
         rows.append((cell.m, cell.shift, rep))
     return rows
+
+
+def midpoint_triples(lat):
+    """(p, p + d, p - d) as lattice indices, for every point p and every
+    d = e_a - e_b with both ends in the lattice."""
+    triples = []
+    for i, p in enumerate(lat.int_points):
+        for b in range(lat.k + 1):
+            for a in range(b):
+                if p[a] and p[b]:
+                    d = [(t == a) - (t == b) for t in range(lat.k + 1)]
+                    hi = lat.index([x + y for x, y in zip(p, d)])
+                    triples.append((i, hi, lat.index([x - y for x, y in zip(p, d)])))
+    return tuple(triples)
+
+
+def earlier_neighbours(lat):
+    """Per lattice point z, the indices of its neighbours z - e_a + e_b
+    with a < b, the ones that precede z in lattice order, nearest
+    first."""
+    near = []
+    for p in lat.int_points:
+        found = []
+        for a in range(lat.k + 1):
+            if p[a]:
+                for b in range(a + 1, lat.k + 1):
+                    q = list(p)
+                    q[a] -= 1
+                    q[b] += 1
+                    found.append(lat.index(q))
+        near.append(tuple(sorted(found, reverse=True)))
+    return tuple(near)
+
+
+def fraction_floor_rule(n: int, coords):
+    """(m, shift, on_boundary) of the floor rule at the Fraction point
+    coords: v = floor(n z) componentwise, m = n - sum(v), on the
+    boundary when some n z_i is an integer."""
+    floors = []
+    boundary = False
+    for c in coords:
+        y = n * c
+        f = math.floor(y)
+        if y == f:
+            boundary = True
+        floors.append(f)
+    return n - sum(floors), tuple(floors), boundary
 
 
 def supconv_bruteforce(f, n: int):

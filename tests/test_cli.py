@@ -15,7 +15,7 @@ from supconvex import (
     sup_convolve_pair,
 )
 from supconvex import cli
-from supconvex._rational import format_rat
+from supconvex._rational import format_rat, parse_rat
 from supconvex.cli import main
 
 
@@ -395,6 +395,35 @@ def test_reused_parser_prints_json_after_csv_to_file(capsys, tmp_path):
     code, payload = run_json(capsys, *argv)
     assert code == 0
     assert payload["descent_sum"] == "1/2"
+
+
+@pytest.mark.parametrize("literal", ["1/0", "1e99999999", "1e-99999999", " 1E+4301 "])
+def test_bad_rational_arguments_fail_fast_with_one_error_line(capsys, tmp_path, literal):
+    path = tmp_path / "f.json"
+    save_function(make_random(1, 3, seed=1), path)
+    for argv in (
+        ["classify", "--k", "2", "--n", "3", "--point", f"{literal},1/2,1/2"],
+        ["random", "--k", "2", "--N", "3", "--roughness", literal],
+        ["verify-t1", "--input", str(path), "--n", "2", "--tol-rel", literal],
+        ["verify-t1", "--input", str(path), "--n", "2", "--tol-abs", literal],
+    ):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "") and elapsed < 1, (argv, code, elapsed)
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+@pytest.mark.parametrize("text", ["1/2", " 1/2 ", "0.25", "3", "1e-3", "-7/4", "2.5E+2", "1e4300"])
+def test_rational_literals_parse_as_before(text):
+    assert parse_rat(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("roughness", [Fraction(1, 4), 0.25, "0.25", "1/4", " 25e-2"])
+def test_roughness_of_every_type_parses_as_before(roughness):
+    assert make_random(2, 5, seed=3, roughness=roughness) == make_random(2, 5, seed=3, roughness="1/4")
+    assert make_random(2, 5, seed=3, roughness=1) == make_random(2, 5, seed=3, roughness="1")
 
 
 def test_usage_error_leaves_the_reused_parser_clean(capsys):

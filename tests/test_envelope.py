@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dual_simplex_bland, envelope_bruteforce, envelope_full_sweep, normalize_by_envelope
+from oracles import (
+    dual_simplex_bland,
+    earlier_neighbours,
+    envelope_bruteforce,
+    envelope_full_sweep,
+    midpoint_triples,
+    normalize_by_envelope,
+)
 from supconvex import (
     SampledFunction,
     SplitMix64,
@@ -24,7 +31,7 @@ from supconvex import (
     verify_nfold,
     verify_pair,
 )
-from supconvex.envelope import hull_candidates
+from supconvex.envelope import _neighbours, hull_candidates
 from supconvex.exactlp import ExactSimplexSolver
 
 
@@ -246,6 +253,17 @@ def test_pruned_sweep_matches_the_full_sweep_byte_for_byte(family):
             dropped += len(f.lattice) - len(hull_candidates(f))
             total += len(f.lattice)
     assert 0 < dropped < total  # the prune bites on every family
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_one_move_table_gives_both_tables_it_replaced(k):
+    for resolution in range(1, 7):
+        lat = lattice(k, resolution)
+        near, triples = _neighbours(lat)
+        assert near == earlier_neighbours(lat)
+        assert len(set(triples)) == len(triples)
+        assert set(triples) == set(midpoint_triples(lat))
+        assert _neighbours(lat) is _neighbours(lattice(k, resolution))  # built once
 
 
 def _check_prune(f):

@@ -19,6 +19,8 @@ from supconvex import (
     simplices_interior_intersect,
     standard_simplex,
 )
+from supconvex._rational import scaled
+from supconvex.geometry import contains_points
 
 
 def test_lattice_counts_match_binomial():
@@ -254,3 +256,41 @@ def test_integer_geometry_matches_the_fraction_oracles(k):
     assert seen["degenerate"] >= 6
     assert seen[True] and seen[False], seen
     assert seen[("overlap", True)] and seen[("overlap", False)], seen
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_contains_points_agrees_with_contains_point_by_point(k):
+    rng = SplitMix64(300 + k)
+    d = k + 1
+    seen = Counter()
+    for trial in range(24):
+        verts = [_vertex(rng, k) for _ in range(d)]
+        if trial % 6 == 5:
+            # Degenerate: the last vertex is an affine combination of the others.
+            weights = [Fraction(3, 2), Fraction(-1, 2)] + [0] * (k - 2) if k > 1 else [1]
+            verts[-1] = _combination(verts[:k], weights)
+        s = simplex(verts)
+        try:
+            relative_volume(s)
+        except DegenerateSimplexError:
+            for xs in ([], [[1] + [0] * k]):
+                with pytest.raises(DegenerateSimplexError):
+                    contains_points(s, xs, 1)
+            seen["degenerate"] += 1
+            continue
+        points = [_combination(verts, _weights(rng, d, zeros=z % d)) for z in range(4)]
+        points += [_combination(verts, _weights(rng, d, negative=True)), _vertex(rng, k), *verts]
+        points.append(bary_point([c * Fraction(8, 7) for c in points[0].coords]))  # off {sum = 1}
+        want = [contains(s, p) for p in points]
+        assert want == [fraction_contains(s, p) for p in points]
+        # All points over their common denominator, in one call ...
+        nums, q = scaled([c for p in points for c in p.coords])
+        xs = [nums[i * d:(i + 1) * d] for i in range(len(points))]
+        assert contains_points(s, xs, q) == want
+        # ... and each over its own, and at a scaled-up denominator.
+        for p, inside in zip(points, want):
+            x, den = scaled(p.coords)
+            assert contains_points(s, [x], den) == contains_points(s, [[3 * c for c in x]], 3 * den) == [inside]
+        assert contains_points(s, [], q) == []
+        seen.update(want)
+    assert seen[True] and seen[False] and seen["degenerate"] >= 4, seen

@@ -79,6 +79,26 @@ def test_representation_does_not_depend_on_how_a_function_was_built():
     assert function_digest(loaded) == function_digest(built) == GOLDEN_MIXED_DIGEST
 
 
+def test_unreduced_rows_load_to_the_reduced_function():
+    rows = [[0, 3, 2, 4], [1, 2, 1, 3], [2, 1, 0, 5], [3, 0, -14, 6]]
+    reduced = [[0, 3, 1, 2], [1, 2, 1, 3], [2, 1, 0, 1], [3, 0, -7, 3]]
+    loaded = function_from_payload({"k": 1, "N": 3, "values": rows})
+    want = function_from_payload({"k": 1, "N": 3, "values": reduced})
+    assert loaded == want
+    assert (loaded.nums, loaded.den) == (want.nums, want.den) == ((3, 2, 0, -14), 6)
+    assert function_payload(loaded)["values"] == reduced
+    rng = SplitMix64(11)
+    for seed in range(6):
+        f = make_random(2, 5, seed=seed, roughness=Fraction(1, 2))
+        doc = function_payload(f)
+        for row in doc["values"]:
+            factor = 1 + rng.next_below(6)
+            row[-2:] = [row[-2] * factor, row[-1] * factor]
+        g = function_from_payload(doc)
+        assert g == f and (g.nums, g.den) == (f.nums, f.den)
+        assert function_digest(g) == function_digest(f)
+
+
 def test_payload_validation_rejects_bad_input():
     f = make_random(1, 2, seed=1)
     good = function_payload(f)

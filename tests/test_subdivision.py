@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from oracles import vertex_usage_oracle
+from oracles import fraction_floor_rule, vertex_usage_oracle
 from supconvex import (
     SplitMix64,
     SubdivisionCell,
@@ -23,7 +23,8 @@ from supconvex import (
     simplices_interior_intersect,
     subdivide,
 )
-from supconvex.subdivision import CELL_CAP, cell_count
+from supconvex._rational import scaled
+from supconvex.subdivision import CELL_CAP, cell_count, floor_rule
 
 
 def test_enumerate_shifts_counts_and_order():
@@ -148,6 +149,49 @@ def test_classify_agrees_with_feasibility_oracle():
                     assert loc.m == n - best
                     assert loc.shift in argmax
                 assert cell_contains(SubdivisionCell(n, loc.m, loc.shift), z)
+
+
+def _rational_point(rng, k, n, kind):
+    """A seeded point of T: a generic rational one, a lattice point of
+    resolution n or of a multiple of it, or one with a single
+    coordinate on a cell boundary."""
+    if kind == "lattice":
+        den = n * (1 + rng.next_below(3))
+        raw = [0] * (k + 1)
+        for _ in range(den):
+            raw[rng.next_below(k + 1)] += 1
+        return [Fraction(r, den) for r in raw]
+    raw = [1 + rng.next_below(97) for _ in range(k + 1)]
+    point = [Fraction(r, sum(raw)) for r in raw]
+    if kind == "boundary":
+        # Move coordinate 0 down to the multiple of 1/n below it, and
+        # give the difference to coordinate 1.
+        snap = Fraction(int(n * point[0]), n)
+        point[1] += point[0] - snap
+        point[0] = snap
+    return point
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_floor_rule_matches_the_fraction_floor_loop(k):
+    rng = SplitMix64(500 + k)
+    seen = set()
+    for trial in range(1000):
+        n = 1 + rng.next_below(6)
+        kind = ("generic", "lattice", "boundary")[trial % 3]
+        coords = _rational_point(rng, k, n, kind)
+        want = fraction_floor_rule(n, coords)
+        assert floor_rule(*scaled(coords), n) == want
+        loc = classify_point(k, n, bary_point(coords))
+        if want[0]:
+            assert tuple(loc) == want
+        else:  # a lattice point of resolution n: the m = 0 fix-up
+            assert loc.m == 1 and loc.on_boundary
+            assert cell_contains(SubdivisionCell(n, loc.m, loc.shift), bary_point(coords))
+        seen.add((kind, want[2], want[0] == 0))
+    assert {("generic", False, False), ("lattice", True, True)} <= seen
+    # For k = 1 a point with one coordinate on a boundary is a lattice point.
+    assert (k == 1) == (("boundary", True, False) not in seen)
 
 
 def test_random_interior_points_land_in_exactly_one_cell():
