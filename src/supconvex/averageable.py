@@ -351,7 +351,8 @@ def verify_certificate(cert: AverageabilityCertificate) -> VerificationReport:
             witness = ""
         checks.append(CheckResult(f"piece-measure:{mp.name}", not witness, witness))
 
-    avg = _average_pieces(cert.maps, cert.m)
+    # An empty family has no pieces to average, and so no image.
+    avg = _average_pieces(cert.maps, cert.m) if cert.maps else ()
     images = tuple(p.image_simplex() for p in avg)
     for idx, (piece, img) in enumerate(zip(avg, images)):
         ratio = relative_volume(img) / relative_volume(piece.domain)
@@ -360,7 +361,9 @@ def verify_certificate(cert: AverageabilityCertificate) -> VerificationReport:
             break
     else:
         witness = ""
-        if cert.jacobian != cert.target.rel_volume:
+        if len(cert.maps) != cert.m:
+            witness = f"{len(cert.maps)} maps to average, certificate says m = {cert.m}"
+        elif cert.jacobian != cert.target.rel_volume:
             witness = f"jacobian {cert.jacobian} differs from |S|/|T| = {cert.target.rel_volume}"
     checks.append(CheckResult("average-jacobian", not witness, witness))
 

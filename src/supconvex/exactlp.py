@@ -73,7 +73,8 @@ The same argument holds for any other basis this solver proved
 optimal, so a caller may set ``fallbacks`` to such (basis, adj, det)
 triples, each read from ``proved`` after an earlier solve.  When the
 kept basis it is handed is infeasible, a solve tests each fallback in
-order, row by row on its kept adj, and returns the first one that is
+order, row by row on its kept adj, skipping the kept triple and any
+triple already tested (by identity), and returns the first one that is
 primal feasible, as proved and with no pricing, before it runs the
 dual simplex.  The envelope's two sweeps differ only in this: the
 certificate sweep sets no fallbacks, so its bases and pivots are those
@@ -331,8 +332,14 @@ class ExactSimplexSolver:
             xb = self._mat_vec(adj, b)
             if all(v >= 0 for v in xb):
                 return self._solution("optimal", xb, det, kept[0])
+            # A triple listed more than once is tested once, found by
+            # identity: hashing a triple would walk its whole inverse.
+            tried = {id(kept)}
             for other in self.fallbacks:
-                xo = None if other is kept else self._feasible(other[1], b)
+                if id(other) in tried:
+                    continue
+                tried.add(id(other))
+                xo = self._feasible(other[1], b)
                 if xo is not None:  # dual feasible since proved, so optimal
                     self.proved = other
                     return self._solution("optimal", xo, other[2], other[0])

@@ -18,10 +18,17 @@ vertices once, as integer rows over one positive denominator D in
 lowest terms; simplex() is where rational vertices are scaled.
 Volumes, containment and overlap eliminate on those rows fraction-free
 (exactlp.eliminate); only the returned volumes, |det| / D**k, are
-rational.  Containment has one solve, contains_points, which tests many
-integer points x / q against one simplex in a single elimination;
-contains scales its one query point to integers and calls it, and the
-averageable transport check calls it once per map piece.
+rational.  One solve gives the barycentric weights of integer points
+x / q in a simplex's frame, and containment and overlap both read it.
+contains_points tests many points against one simplex in a single
+elimination; contains scales its one query point to integers and calls
+it, and the averageable transport check calls it once per map piece.
+The overlap test first looks for a facet of either simplex with every
+vertex of the other on its closed far side, from the weights of the
+other's vertices, in integers; only a pair that no facet separates goes
+to the exact LP.  The LP stays because facet separation is not
+complete: from k = 3 on, two simplices may be separable only by a plane
+through an edge of each.
 """
 
 from __future__ import annotations
@@ -153,18 +160,43 @@ def relative_volume(s: Simplex):
     return Rat(abs(_chart_det(s.rows)), s.den ** s.k)
 
 
+def _frame_weights(s: Simplex, xs):
+    """(det, X) with X[j] = det * q * w_j, w_j the barycentric weights
+    of the point xs[j] / q with respect to the vertices rows / D, for
+    integer vectors xs[j] over any positive q; (0, None) when the
+    vertices are linearly dependent (a degenerate simplex, or one in a
+    hyperplane through the origin).
+
+    w solves rows^T (q w) = D x, so one elimination of the vertex
+    columns against the columns D x gives every X.
+    """
+    return eliminate(list(zip(*s.rows)), [[s.den * c for c in x] for x in xs])
+
+
+def _facet_separates(a: Simplex, b: Simplex) -> bool:
+    """Whether every vertex of b has barycentric weight <= 0 for one
+    vertex i of a, so that the hyperplane of a's facet opposite vertex i
+    has all of b on its closed far side.
+
+    The weights are linear in the point, so every point of b has
+    w_i <= 0 while every interior point of a has w_i > 0.  A frame
+    that does not exist proves nothing.
+    """
+    det, weights = _frame_weights(a, b.rows)
+    if weights is None:
+        return False
+    return any(all(ws[i] * det <= 0 for ws in weights) for i in range(len(a.rows)))
+
+
 def contains_points(s: Simplex, xs, q: int) -> list:
     """Exact membership of each point x / q in s (boundary included),
     for integer vectors x over one positive integer q, from one
     elimination.
 
-    The barycentric weights w of x / q with respect to the vertices
-    rows / D solve rows^T (q w) = D x; the elimination gives
-    X = det * q * w, and x / q is inside when the weights are a convex
-    combination.
+    x / q is inside when its weights, X = det * q * w from
+    _frame_weights, are a convex combination.
     """
-    # The vertices are the columns.
-    det, solution = eliminate(list(zip(*s.rows)), [[s.den * c for c in x] for x in xs])
+    det, solution = _frame_weights(s, xs)
     if solution is None:
         raise DegenerateSimplexError("zero-volume simplex")
     return [sum(ws) == det * q and all(w * det >= 0 for w in ws) for ws in solution]
@@ -181,7 +213,13 @@ def contains(s: Simplex, p: BaryPoint) -> bool:
 def simplices_interior_intersect(a: Simplex, b: Simplex) -> bool:
     """Whether two full-dimensional simplices share an interior point.
 
-    Maximises t subject to: a point with all barycentric weights >= t in
+    First, in integers: a facet of either simplex with every vertex of
+    the other on its closed far side proves the interiors disjoint.
+    This settles the pieces of every tiling the averageable
+    certificates build.  It is not complete (from k = 3 on, two
+    simplices may be separable only by a plane through an edge of
+    each), so every pair that no facet separates goes to the LP, which
+    maximises t subject to: a point with all barycentric weights >= t in
     both simplices exists.  The optimum is positive exactly when the
     open interiors meet; infeasibility means even the closed simplices
     are disjoint.  Both row sets, brought over the lcm D of the two
@@ -196,6 +234,8 @@ def simplices_interior_intersect(a: Simplex, b: Simplex) -> bool:
     d = a.k + 1
     _chart_det(a.rows)
     _chart_det(b.rows)
+    if _facet_separates(a, b) or _facet_separates(b, a):
+        return False
     den = lcm(a.den, b.den)
     verts = [[c * (den // s.den) for c in row] for s in (a, b) for row in s.rows]
     # Column for t: weights t on every vertex of a minus every vertex of b,

@@ -289,6 +289,35 @@ def test_half_reflection_fails_transport_alone():
     assert sampled_transport(cert, functions) == (True, "")
 
 
+def test_overlapping_domains_still_fail_through_the_lp(monkeypatch):
+    # The two halves share an interior, so no facet separates them and
+    # the LP decides, once for the domains and once for their images
+    # under the identity.
+    calls = _lp_spy(monkeypatch)
+    report = verify_certificate(_overlapping_domains(averaging_certificate(2, 1)))
+    failed = {c.name: c.witness for c in report.checks if not c.passed}
+    assert failed["domain-tiling:overlap"] == "pieces 0 and 1 overlap"
+    assert failed["image-tiling"] == "pieces 0 and 1 overlap"
+    assert len(calls) == 2
+
+
+def test_family_without_its_m_maps_fails_average_jacobian():
+    cert = averaging_certificate(3, 2)
+    empty = verify_certificate(dataclasses.replace(cert, maps=()))
+    assert not empty.passed
+    assert [c.name for c in empty.checks] == ["average-jacobian", "image-tiling", "transport"]
+    failed = {c.name: c.witness for c in empty.checks if not c.passed}
+    assert failed["average-jacobian"] == "0 maps to average, certificate says m = 2"
+    assert failed["image-tiling"] == "volumes sum to 0, want 1/2"
+    # One map short: rotate1 / 2 sends T onto T / 2, which has the
+    # jacobian and the volume of slice(2, 2) / 2 and lies inside it, so
+    # the map count is the only check that fails.
+    cert = averaging_certificate(2, 2)
+    short = verify_certificate(dataclasses.replace(cert, maps=cert.maps[1:]))
+    failed = {c.name: c.witness for c in short.checks if not c.passed}
+    assert failed == {"average-jacobian": "1 maps to average, certificate says m = 2"}
+
+
 def test_unsupported_families_raise():
     for k, m in ((4, 2), (2, 3), (5, 1), (4, 3)):
         with pytest.raises(UnsupportedCertificateError):
@@ -363,3 +392,28 @@ def test_subdivide_output_bytes_are_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "e89fbe4f1c4dd0a1103fcfc0310dd446804d33400b06a117b43fecf76b9ea29f"
     )
+
+
+def _lp_spy(monkeypatch):
+    """A list that gets one entry per exactlp.solve_lp call."""
+    from supconvex import exactlp
+
+    calls = []
+    solve_lp = exactlp.solve_lp
+
+    def spy(*args):
+        calls.append(args)
+        return solve_lp(*args)
+
+    monkeypatch.setattr(exactlp, "solve_lp", spy)
+    return calls
+
+
+def test_supported_tilings_are_proved_by_facets_alone(monkeypatch):
+    # Every pair of domain pieces and of image pieces in the supported
+    # certificates is separated by a facet plane of one of the two, so
+    # no overlap LP runs.
+    calls = _lp_spy(monkeypatch)
+    for cert in SUPPORTED:
+        assert verify_certificate(cert).passed, (cert.k, cert.m)
+    assert calls == []

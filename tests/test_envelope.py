@@ -724,3 +724,34 @@ def test_reports_and_the_plain_envelope_command_skip_certificates(monkeypatch, t
     save_function(f, tmp_path / "f.json")
     assert cli.main(["envelope", "--input", str(tmp_path / "f.json")]) == 0
     assert '"certificates"' not in capsys.readouterr().out
+
+
+def test_values_sweep_tests_each_proved_fallback_once(monkeypatch):
+    # Earlier neighbours often share one proved triple, and the sweep
+    # lists it once per neighbour.  A solve tests each distinct triple
+    # at most once, in the order of first listing, so the values are
+    # unchanged.
+    solves = []
+    solve, feasible = ExactSimplexSolver.solve, ExactSimplexSolver._feasible
+
+    def solve_spy(self, rhs, basis=None):
+        ids = [id(t) for t in self.fallbacks]
+        solves.append([len(set(ids)), len(ids), 0])
+        return solve(self, rhs, basis)
+
+    def feasible_spy(adj, b):
+        solves[-1][2] += 1
+        return feasible(adj, b)
+
+    monkeypatch.setattr(ExactSimplexSolver, "solve", solve_spy)
+    monkeypatch.setattr(ExactSimplexSolver, "_feasible", staticmethod(feasible_spy))
+    shared = 0
+    for seed in range(1, 9):
+        f = _general(2, 8, seed)
+        solves.clear()
+        env = envelope_values(f)
+        assert all(tests <= distinct for distinct, _, tests in solves), seed
+        shared += sum(tests > 0 and distinct < given for distinct, given, tests in solves)
+        solves.clear()
+        assert env == concave_envelope(f).envelope
+    assert shared > 0

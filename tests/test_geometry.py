@@ -294,3 +294,99 @@ def test_contains_points_agrees_with_contains_point_by_point(k):
         assert contains_points(s, [], q) == []
         seen.update(want)
     assert seen[True] and seen[False] and seen["degenerate"] >= 4, seen
+
+
+# -- facet separation before the overlap LP ----------------------------------
+
+
+def _lp_calls(monkeypatch):
+    """A list that gets one entry per exactlp.solve_lp call."""
+    from supconvex import exactlp
+
+    calls = []
+    solve_lp = exactlp.solve_lp
+
+    def spy(*args):
+        calls.append(args)
+        return solve_lp(*args)
+
+    monkeypatch.setattr(exactlp, "solve_lp", spy)
+    return calls
+
+
+def _tetrahedron(points):
+    """The simplex of the points (x, y, z) under the affine map
+    p = 1/4 + (x, y, z, -x-y-z)/8 into {sum = 1}."""
+    quarter = Fraction(1, 4)
+    return simplex(
+        [
+            [quarter + Fraction(c) / 8 for c in (x, y, z, -x - y - z)]
+            for x, y, z in (map(Fraction, p) for p in points)
+        ]
+    )
+
+
+def test_edge_edge_pair_reaches_the_lp(monkeypatch):
+    # A lies in z <= 0 and B in z >= 0; they meet where A's edge on the
+    # x-axis crosses B's edge on the y-axis.  Only the plane z = 0,
+    # through an edge of each, separates them: every facet plane of
+    # either one cuts the other.
+    a = _tetrahedron([(1, 0, 0), (-1, 0, 0), (0, 1, -1), (0, -1, -1)])
+    b = _tetrahedron([(0, 1, 0), (0, -1, 0), (1, 0, 1), (-1, 0, 1)])
+    # B's lower edge lowered to z = -1/2 runs through A's interior.
+    sunk = _tetrahedron([(0, 1, "-1/2"), (0, -1, "-1/2"), (1, 0, 1), (-1, 0, 1)])
+    calls = _lp_calls(monkeypatch)
+    for pair, want in (((a, b), False), ((b, a), False), ((a, sunk), True), ((sunk, a), True)):
+        before = len(calls)
+        assert simplices_interior_intersect(*pair) is want
+        assert len(calls) == before + 1, pair
+        assert fraction_interior_intersect(*pair) is want
+
+
+def test_separating_facet_skips_the_lp(monkeypatch):
+    # Two corner cells of the 2-simplex: the line x_0 = 1/2 holds a
+    # facet of each.
+    a = simplex([("1", "0", "0"), ("1/2", "1/2", "0"), ("1/2", "0", "1/2")])
+    b = simplex([("0", "1", "0"), ("1/2", "1/2", "0"), ("0", "1/2", "1/2")])
+    calls = _lp_calls(monkeypatch)
+    assert not simplices_interior_intersect(a, b)
+    assert not simplices_interior_intersect(b, a)
+    assert calls == []
+    assert simplices_interior_intersect(standard_simplex(2), a)
+    assert len(calls) == 1
+
+
+def test_vertex_matrix_singular_but_chart_regular_goes_to_the_lp(monkeypatch):
+    # Segments on the line {sum = 0} through the origin: their vertex
+    # matrices are singular, so neither has a barycentric frame, yet
+    # their chart determinants are not zero.
+    seg = Simplex(((1, -1), (2, -2)), 1)
+    touching = Simplex(((2, -2), (3, -3)), 1)
+    across = simplex([("3/2", "-3/2"), ("3", "-3")])
+    with pytest.raises(DegenerateSimplexError):
+        contains(seg, bary_point(["3/2", "-3/2"]))
+    assert relative_volume(seg) == 1
+    calls = _lp_calls(monkeypatch)
+    cases = [((seg, seg), True), ((seg, touching), False), ((touching, seg), False)]
+    cases += [((seg, across), True), ((across, seg), True)]
+    for pair, want in cases:
+        before = len(calls)
+        assert simplices_interior_intersect(*pair) is want
+        assert len(calls) == before + 1, pair
+        assert fraction_interior_intersect(*pair) is want
+    # Against a simplex in {sum = 1}, that simplex's frame separates.
+    for pair in ((seg, standard_simplex(1)), (standard_simplex(1), seg)):
+        before = len(calls)
+        assert simplices_interior_intersect(*pair) is False
+        assert len(calls) == before
+        assert fraction_interior_intersect(*pair) is False
+
+
+def test_degenerate_simplices_raise_before_the_facet_test(monkeypatch):
+    flat = simplex([("1", "0", "0"), ("0", "1", "0"), ("1/2", "1/2", "0")])
+    far = simplex([("10", "-10", "1"), ("11", "-10", "0"), ("10", "-9", "0")])
+    calls = _lp_calls(monkeypatch)
+    for pair in ((flat, far), (far, flat)):
+        with pytest.raises(DegenerateSimplexError):
+            simplices_interior_intersect(*pair)
+    assert calls == []
