@@ -8,7 +8,10 @@ denominator (envelope.SampledFunction), read by the DP, the midpoint
 test, the envelope, function files and report means; a geometric
 simplex holds integer vertex rows over one denominator
 (geometry.Simplex), and an averageable map piece the integer rows of
-[matrix | offset] over one denominator (averageable.AffinePiece).
+[matrix | offset] over one denominator (averageable.AffinePiece).  The
+good-translate closure runs on integer offsets and integer constant
+numerators, each over its level's one denominator (cover.closure_good),
+and makes a rational constant only for each translate it keeps.
 Rationals are brought to integers by ``scaled`` where a simplex is
 built from points (geometry.simplex), and for the query point of a
 containment test or of a piece's apply.  The LP

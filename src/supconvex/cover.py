@@ -24,21 +24,26 @@ blend each divide by n once, and a closure runs BLEND_ROUNDS blend
 rounds per level, so no level-l offset it builds nests more than
 BLEND_ROUNDS blends.  All level-l offsets therefore share the
 denominator den = n^(l*(BLEND_ROUNDS+1)), and a translate holds its
-offset as integer numerators over that den; the closure, the coverage
-masks and the uncovered-cell proof run on plain ints, and rationals
-are made only where a payload prints an offset.  A closure enumerates
-derivable translates level by level (deduplicating by offset, keeping
-the smallest constant, with a node budget); a cover certificate then
-selects a family A of level-l translates covering T with
-|A| < n^(l(k+1)), which yields the positive derived constant
-(1 - |A|/n^(l(k+1))) / sum of constants.
+offset as integer numerators over that den.  The constants follow the
+same count, a corner step dividing by n^(k+1) and a blend by n: all
+level-l constants share the denominator constant_den(k, n, l) =
+n^(l*(k+1+BLEND_ROUNDS)).  So corner and blend steps run on (offset,
+constant numerator) pairs of integers, the closure, the coverage masks
+and the uncovered-cell proof compare plain ints, and rationals are made
+only for the translates a closure keeps and where a payload prints an
+offset.  A closure enumerates derivable translates level by level
+(deduplicating by offset, keeping the smallest constant, with a node
+budget); a cover certificate then selects a family A of level-l
+translates covering T with |A| < n^(l(k+1)), which yields the positive
+derived constant (1 - |A|/n^(l(k+1))) / sum of constants.
 
 Cover certification subdivides T into hypersimplex cells and requires
 every cell to sit inside one chosen translate.  The test is exact and
-needs only integers.  The translate o/den + T/n^level is
-{p in T : p >= o/den}, so a point c/R of T lies in it iff
-c_i >= ceil(R*o_i/den) for every i (GoodTranslate.thresholds).  Cell
-(m, s) at resolution R has the vertices (u + s)/R over 0/1 vectors u
+needs only integers, and it reads the cells' (m, shift) keys
+(subdivision.cell_keys), not cell objects.  The translate
+o/den + T/n^level is {p in T : p >= o/den}, so a point c/R of T lies in
+it iff c_i >= ceil(R*o_i/den) for every i (GoodTranslate.thresholds).
+Cell (m, s) at resolution R has the vertices (u + s)/R over 0/1 vectors u
 with m <= k ones, so its coordinatewise minimum is s/R, and the cell
 lies in the translate iff s meets the thresholds at R.  Some coverable
 regions need cells finer than the translate scale (a reversed middle
@@ -58,10 +63,10 @@ from operator import add, ge
 
 from ._rational import ZERO, Rat
 from .geometry import Simplex, _check_dim, lattice
-# Unused here; kept because benchmarks/tracing.py wraps this name in
-# this module, and its trace mode fails without it.
-from .subdivision import cell_vertices  # noqa: F401
-from .subdivision import enumerate_shifts, hypersimplex_vertices, subdivide
+# Unused here; kept because benchmarks/tracing.py wraps these names in
+# this module, and its trace mode fails without them.
+from .subdivision import cell_vertices, subdivide  # noqa: F401
+from .subdivision import cell_keys, enumerate_shifts, hypersimplex_vertices
 
 # Cell refinements find_cover tries beyond the translate scale.
 MAX_REFINE = 2
@@ -106,7 +111,8 @@ class GoodTranslate:
         that is ceil(resolution*o_i/den): a point c/resolution of T lies
         in the translate iff c >= thresholds componentwise (the
         coordinate sums already match)."""
-        return tuple(-(-resolution * o // self.den) for o in self.offset)
+        den = self.den
+        return tuple(-(-resolution * o // den) for o in self.offset)
 
 
 @dataclass(frozen=True)
@@ -118,45 +124,77 @@ class ClosureResult:
         return tuple(t for t in self.translates if t.level == level)
 
 
+def constant_den(k: int, n: int, level: int) -> int:
+    """The one denominator n^(level*(k+1+BLEND_ROUNDS)) of every
+    level-`level` constant a closure builds."""
+    return n ** (level * (k + 1 + BLEND_ROUNDS))
+
+
 def _root_translate(k: int, n: int) -> GoodTranslate:
     return GoodTranslate(k, n, 0, (0,) * (k + 1), ZERO, ("root",))
 
 
-def _corner_child(t: GoodTranslate, i: int) -> GoodTranslate:
-    n = t.n
-    # ((n-1)e_i + o/den)/n over the next level's den, den*n^(BLEND_ROUNDS+1).
-    corner, lift = (n - 1) * t.den, n**BLEND_ROUNDS
-    offset = tuple((corner * (j == i) + o) * lift for j, o in enumerate(t.offset))
-    constant = 1 + t.constant / Rat(n) ** (t.k + 1)
-    return GoodTranslate(t.k, n, t.level + 1, offset, constant, ("corner", i, t.derivation))
+def _corner(k: int, n: int, level: int, offset, num: int, i: int):
+    """The (offset, constant numerator) of the corner child toward
+    vertex i of the level-`level` translate (offset, num), over the next
+    level's denominators."""
+    # ((n-1)e_i + o/den)/n over den*n^(BLEND_ROUNDS+1), and
+    # 1 + (num/cden)/n^(k+1) over cden*n^(k+1+BLEND_ROUNDS).
+    corner = (n - 1) * n ** (level * (BLEND_ROUNDS + 1))
+    lift = n**BLEND_ROUNDS
+    one = constant_den(k, n, level) * n ** (k + 1)
+    return (
+        tuple((corner * (j == i) + o) * lift for j, o in enumerate(offset)),
+        (one + num) * lift,
+    )
 
 
-def _blend(a: GoodTranslate, b: GoodTranslate) -> GoodTranslate:
-    if a.level != b.level:
-        raise ValueError("blending requires equal levels")
-    n = a.n
-    # Exact for at most BLEND_ROUNDS nested blends in one level.
-    offset = tuple(((n - 1) * oa + ob) // n for oa, ob in zip(a.offset, b.offset))
-    constant = 1 + ((n - 1) * a.constant + b.constant) / n
-    return GoodTranslate(a.k, n, a.level, offset, constant, ("blend", a.derivation, b.derivation))
+def _blend(n: int, cden: int, a, b):
+    """The blend ((n-1)a + b)/n of two same-level (offset, constant
+    numerator) pairs over the level's denominators, the constant being
+    1 + ((n-1)C_a + C_b)/n with 1 = cden/cden.
+
+    Exact for at most BLEND_ROUNDS nested blends in one level.  A
+    constant that cden cannot hold raises ValueError; an offset that the
+    level's den cannot hold is floored, which GoodTranslate refuses.
+    """
+    (oa, ca), (ob, cb) = a, b
+    num, rest = divmod((n - 1) * ca + cb, n)
+    if rest:
+        raise ValueError("blend constant is not a multiple of the level's constant denominator")
+    return tuple(((n - 1) * x + y) // n for x, y in zip(oa, ob)), cden + num
 
 
 def replay_derivation(k: int, n: int, derivation) -> GoodTranslate:
-    """Rebuild a translate from its derivation trace alone.
+    """Rebuild a translate from its derivation trace alone, with the
+    closure's integer corner and blend steps.
 
     Every trace a closure builds nests at most BLEND_ROUNDS blends in one
-    level, and replays exactly.  A deeper trace can reach an offset that
-    the level's denominator cannot hold; the blend's floor division then
-    breaks the offset total, and GoodTranslate raises ValueError.
+    level, and replays exactly.  A deeper trace can reach an offset or a
+    constant that the level's denominators cannot hold; then the blend
+    raises ValueError, or its floor division breaks the offset total and
+    GoodTranslate raises ValueError.  Every node of the trace is checked.
     """
-    tag = derivation[0]
-    if tag == "root":
-        return _root_translate(k, n)
-    if tag == "corner":
-        return _corner_child(replay_derivation(k, n, derivation[2]), derivation[1])
-    if tag == "blend":
-        return _blend(replay_derivation(k, n, derivation[1]), replay_derivation(k, n, derivation[2]))
-    raise ValueError(f"unknown derivation tag {tag!r}")
+
+    def replay(trace):  # (translate, constant numerator)
+        tag = trace[0]
+        if tag == "root":
+            return _root_translate(k, n), 0
+        if tag == "corner":
+            parent, num = replay(trace[2])
+            level = parent.level + 1
+            offset, num = _corner(k, n, parent.level, parent.offset, num, trace[1])
+        elif tag == "blend":
+            (a, an), (b, bn) = replay(trace[1]), replay(trace[2])
+            if a.level != b.level:
+                raise ValueError("blending requires equal levels")
+            level = a.level
+            offset, num = _blend(n, constant_den(k, n, level), (a.offset, an), (b.offset, bn))
+        else:
+            raise ValueError(f"unknown derivation tag {tag!r}")
+        return GoodTranslate(k, n, level, offset, Rat(num, constant_den(k, n, level)), trace), num
+
+    return replay(derivation)[0]
 
 
 def closure_good(k: int, n: int, max_level: int, budget: int = 4000) -> ClosureResult:
@@ -165,7 +203,10 @@ def closure_good(k: int, n: int, max_level: int, budget: int = 4000) -> ClosureR
     Per offset the smallest known constant is kept.  Enumeration is
     deterministic: corner children of all previous-level translates,
     then BLEND_ROUNDS blend rounds over the sorted current level, so
-    every level-l offset is exact over n^(l*(BLEND_ROUNDS+1)).
+    every level-l offset is exact over n^(l*(BLEND_ROUNDS+1)) and every
+    constant over constant_den(k, n, l).  Candidates are (offset,
+    constant numerator) pairs, compared as integers; a GoodTranslate is
+    built only for each offset the closure keeps.
     When the node budget is hit the result is returned with
     truncated=True rather than failing.  The budget is checked before
     each blend round and after the blends of each translate within
@@ -181,33 +222,35 @@ def closure_good(k: int, n: int, max_level: int, budget: int = 4000) -> ClosureR
         raise ValueError("max_level must be >= 0")
     if budget < 1:  # the root alone would pass it
         raise ValueError(f"budget must be >= 1, got {budget}")
-    levels = [{(0,) * (k + 1): _root_translate(k, n)}]
+    # Per level, offset -> (constant numerator, derivation).
+    levels = [{(0,) * (k + 1): (0, ("root",))}]
     truncated = False
     total = 1
     blends = 0
-    for _ in range(max_level):
+    for level in range(1, max_level + 1):
         current: dict = {}
+        cden = constant_den(k, n, level)
 
-        def consider(t: GoodTranslate) -> None:
-            old = current.get(t.offset)
-            if old is None or t.constant < old.constant:
-                current[t.offset] = t
+        def consider(offset, num: int, derivation) -> None:
+            old = current.get(offset)
+            if old is None or num < old[0]:
+                current[offset] = (num, derivation)
 
-        for parent in levels[-1].values():
+        for offset, (num, derivation) in levels[-1].items():
             for i in range(k + 1):
-                consider(_corner_child(parent, i))
+                consider(*_corner(k, n, level - 1, offset, num, i), ("corner", i, derivation))
         for _ in range(BLEND_ROUNDS):
             if total + len(current) > budget:
                 truncated = True
                 break
-            snapshot = [current[o] for o in sorted(current)]
+            snapshot = [(o, *current[o]) for o in sorted(current)]
             blends += len(snapshot) * (len(snapshot) - 1)
             if blends > BLEND_CAP:
                 raise ValueError(f"closure needs at least {blends} blends (cap {BLEND_CAP})")
-            for a in snapshot:
-                for b in snapshot:
-                    if a is not b:
-                        consider(_blend(a, b))
+            for oa, ca, da in snapshot:
+                for ob, cb, db in snapshot:
+                    if oa is not ob:
+                        consider(*_blend(n, cden, (oa, ca), (ob, cb)), ("blend", da, db))
                 # current only grows, so the level ends over budget.
                 if total + len(current) > budget:
                     truncated = True
@@ -220,9 +263,11 @@ def closure_good(k: int, n: int, max_level: int, budget: int = 4000) -> ClosureR
             truncated = True
             break
     flat = []
-    for level_map in levels:
+    for level, level_map in enumerate(levels):
+        cden = constant_den(k, n, level)
         for offset in sorted(level_map):
-            flat.append(level_map[offset])
+            num, derivation = level_map[offset]
+            flat.append(GoodTranslate(k, n, level, offset, Rat(num, cden), derivation))
     return ClosureResult(tuple(flat), truncated)
 
 
@@ -246,20 +291,20 @@ class CoverCertificate:
         return len(self.family)
 
 
-def coverage_masks(translates, cells, resolution: int):
+def coverage_masks(translates, keys, resolution: int):
     """For each translate, the bitmask of the cells lying inside it.
 
-    Bit idx stands for cells[idx], a cell of subdivide(k, resolution).
-    at_least[i][c] holds the cells with shift[i] >= c; a translate's
-    mask is the AND of at_least[i][c_i] over its thresholds c at this
-    resolution.  Offsets are below 1, so every threshold is at most
-    resolution, where the mask is empty (no cell has a shift entry that
-    large).
+    Bit idx stands for the cell keys[idx] = (m, shift) of
+    cell_keys(k, resolution).  at_least[i][c] holds the cells with
+    shift[i] >= c; a translate's mask is the AND of at_least[i][c_i]
+    over its thresholds c at this resolution.  Offsets are below 1, so
+    every threshold is at most resolution, where the mask is empty (no
+    cell has a shift entry that large).
     """
-    at_least = [[0] * (resolution + 1) for _ in range(cells[0].k + 1)]
-    for idx, cell in enumerate(cells):
+    at_least = [[0] * (resolution + 1) for _ in keys[0][1]]
+    for idx, (_, shift) in enumerate(keys):
         bit = 1 << idx
-        for row, s in zip(at_least, cell.shift):
+        for row, s in zip(at_least, shift):
             row[s] |= bit
     for row in at_least:
         for c in range(resolution - 1, -1, -1):
@@ -276,12 +321,12 @@ def coverage_masks(translates, cells, resolution: int):
 def find_cover(k: int, n: int, level: int, translates=None):
     """Select a covering family among level-`level` good translates.
 
-    Certification subdivides T at resolution n^(level+r) for
-    r = 0..MAX_REFINE and requires each cell inside a single chosen
-    translate, tested by integer thresholds (coverage_masks); a greedy
-    set cover picks the family.  Returns None when no admissible cover
-    exists (some point provably uncovered, or the family is not smaller
-    than the trivial count).
+    Certification lists the cell keys of T at resolution n^(level+r)
+    for r = 0..MAX_REFINE (cell_keys) and requires each cell inside a
+    single chosen translate, tested by integer thresholds
+    (coverage_masks); a greedy set cover picks the family.  Returns
+    None when no admissible cover exists (some point provably
+    uncovered, or the family is not smaller than the trivial count).
     """
     if level < 1:
         raise ValueError("cover level must be >= 1")
@@ -296,19 +341,19 @@ def find_cover(k: int, n: int, level: int, translates=None):
     bound = n ** (level * (k + 1))
     for extra in range(MAX_REFINE + 1):
         resolution = n ** (level + extra)
-        cells = subdivide(k, resolution)
-        coverage = coverage_masks(pool, cells, resolution)
-        all_cells = (1 << len(cells)) - 1
+        keys = cell_keys(k, resolution)
+        coverage = coverage_masks(pool, keys, resolution)
+        all_cells = (1 << len(keys)) - 1
         union = 0
         for cov in coverage:
             union |= cov
         if union != all_cells:
             missed = all_cells & ~union
             limits = cache(lambda res: [t.thresholds(res) for t in pool])
-            for idx, cell in enumerate(cells):
+            for idx, (m, shift) in enumerate(keys):
                 if not missed >> idx & 1:
                     continue
-                verts = [tuple(map(add, u, cell.shift)) for u in hypersimplex_vertices(k, cell.m)]
+                verts = [tuple(map(add, u, shift)) for u in hypersimplex_vertices(k, m)]
                 d = len(verts)
                 # A vertex v at resolution R is d*v at R*d; the barycenter is
                 # the sum of the d vertices at R*d.

@@ -18,8 +18,11 @@ vertices once, as integer rows over one positive denominator D in
 lowest terms; simplex() is where rational vertices are scaled.
 Volumes, containment and overlap eliminate on those rows fraction-free
 (exactlp.eliminate); only the returned volumes, |det| / D**k, are
-rational.  One solve gives the barycentric weights of integer points
-x / q in a simplex's frame, and containment and overlap both read it.
+rational.  All three work in one chart, the drop-last-coordinate
+chart, so a simplex is degenerate for each exactly when its chart
+determinant is zero.  One solve gives the barycentric weights of
+integer points x / q in a simplex's chart frame, and containment and
+overlap both read it.
 contains_points tests many points against one simplex in a single
 elimination; contains scales its one query point to integers and calls
 it, and the averageable transport check calls it once per map piece.
@@ -37,6 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
 from math import comb, gcd, lcm
+from operator import mul
 
 from ._rational import ZERO, Rat, scaled
 from .exactlp import eliminate
@@ -160,17 +164,23 @@ def relative_volume(s: Simplex):
     return Rat(abs(_chart_det(s.rows)), s.den ** s.k)
 
 
-def _frame_weights(s: Simplex, xs):
+def _frame_weights(s: Simplex, xs, q: int):
     """(det, X) with X[j] = det * q * w_j, w_j the barycentric weights
-    of the point xs[j] / q with respect to the vertices rows / D, for
-    integer vectors xs[j] over any positive q; (0, None) when the
-    vertices are linearly dependent (a degenerate simplex, or one in a
-    hyperplane through the origin).
+    of the point xs[j] / q with respect to the vertices rows / D in the
+    chart of _chart_det, for integer vectors xs[j] over the positive q;
+    (0, None) when the simplex is degenerate.
 
-    w solves rows^T (q w) = D x, so one elimination of the vertex
-    columns against the columns D x gives every X.
+    w sums to 1 and matches the point in the chart coordinates (all but
+    the last), so q w solves the integer system whose rows are the
+    vertices' chart coordinates and a row of ones, against the columns
+    (D x[:-1], q).  Its det is +- the chart det, so every nondegenerate
+    simplex has a frame, also one in a hyperplane through the origin.
+    A point off the simplex's hyperplane gets the weights of its chart
+    projection.
     """
-    return eliminate(list(zip(*s.rows)), [[s.den * c for c in x] for x in xs])
+    coords = list(zip(*s.rows))
+    coords[-1] = (1,) * len(s.rows)
+    return eliminate(coords, [[s.den * c for c in x[:-1]] + [q] for x in xs])
 
 
 def _facet_separates(a: Simplex, b: Simplex) -> bool:
@@ -178,11 +188,12 @@ def _facet_separates(a: Simplex, b: Simplex) -> bool:
     vertex i of a, so that the hyperplane of a's facet opposite vertex i
     has all of b on its closed far side.
 
-    The weights are linear in the point, so every point of b has
-    w_i <= 0 while every interior point of a has w_i > 0.  A frame
-    that does not exist proves nothing.
+    The weights are affine in the chart coordinates, so every point of
+    b has w_i <= 0 while every interior point of a has w_i > 0: the
+    chart projections, and so the simplices, have disjoint interiors.
+    A degenerate a has no frame and proves nothing.
     """
-    det, weights = _frame_weights(a, b.rows)
+    det, weights = _frame_weights(a, b.rows, b.den)
     if weights is None:
         return False
     return any(all(ws[i] * det <= 0 for ws in weights) for i in range(len(a.rows)))
@@ -194,12 +205,18 @@ def contains_points(s: Simplex, xs, q: int) -> list:
     elimination.
 
     x / q is inside when its weights, X = det * q * w from
-    _frame_weights, are a convex combination.
+    _frame_weights, are all >= 0 and their combination of the
+    vertices' last coordinates is x's, which puts x / q on the
+    simplex's hyperplane.
     """
-    det, solution = _frame_weights(s, xs)
+    det, solution = _frame_weights(s, xs, q)
     if solution is None:
         raise DegenerateSimplexError("zero-volume simplex")
-    return [sum(ws) == det * q and all(w * det >= 0 for w in ws) for ws in solution]
+    last = [row[-1] for row in s.rows]
+    return [
+        all(w * det >= 0 for w in ws) and sum(map(mul, ws, last)) == det * s.den * x[-1]
+        for ws, x in zip(solution, xs)
+    ]
 
 
 def contains(s: Simplex, p: BaryPoint) -> bool:
@@ -323,11 +340,16 @@ def lattice(k: int, resolution: int) -> BaryLattice:
 def compositions(total: int, parts: int):
     """Yield all nonnegative integer tuples of given length and sum.
 
-    Ascending lexicographic order.
+    Ascending lexicographic order.  The prefixes of all but the last two
+    parts are listed level by level, each with what it leaves of the
+    total; the last two parts split that rest.
     """
     if parts == 1:
         yield (total,)
         return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    prefixes = [((), total)]
+    for _ in range(parts - 2):
+        prefixes = [(p + (c,), rest - c) for p, rest in prefixes for c in range(rest + 1)]
+    for p, rest in prefixes:
+        for c in range(rest + 1):
+            yield (*p, c, rest - c)

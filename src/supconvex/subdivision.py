@@ -143,26 +143,34 @@ def _check_cells(k: int, n: int) -> None:
         raise ValueError(f"subdivision k={k}, n={n} has {count} cells (cap {CELL_CAP})")
 
 
-def subdivide(k: int, n: int):
-    """All subdivision cells for T at parameter n, exactness checked.
+def cell_keys(k: int, n: int):
+    """The (m, shift) key of every cell of the subdivision of T at
+    parameter n, exactness checked.
 
-    Cells are ordered by level m, then lexicographically by shift.  Two
-    exact checks run on every call: the (m, shift) keys are pairwise
-    distinct, which by the floor rule means interiors are pairwise
-    disjoint (an interior point z reconstructs its cell uniquely as
-    v = floor(n z), m = n - sum(v)); and the relative volumes sum to 1.
+    Keys are ordered by level m, then lexicographically by shift.  Two
+    exact checks run on every call: the keys are pairwise distinct,
+    which by the floor rule means interiors are pairwise disjoint (an
+    interior point z reconstructs its cell uniquely as v = floor(n z),
+    m = n - sum(v)); and the relative volumes sum to 1.  subdivide
+    builds its cells from these keys, and the cover search reads the
+    keys alone.
     """
     _check_cells(k, n)
-    cells = []
+    keys = []
     total_volume = Rat(0)
     for m in range(1, min(k, n) + 1):
         shifts = enumerate_shifts(k, n - m)
-        cells.extend(SubdivisionCell(n=n, m=m, shift=shift) for shift in shifts)
+        keys.extend((m, shift) for shift in shifts)
         total_volume += len(shifts) * cell_volume(k, m, n)
-    keys = {(c.m, c.shift) for c in cells}
-    assert len(keys) == len(cells), "duplicate subdivision cells"
+    assert len(set(keys)) == len(keys), "duplicate subdivision cells"
     assert total_volume == 1, f"cell volumes sum to {total_volume}, not 1"
-    return cells
+    return keys
+
+
+def subdivide(k: int, n: int):
+    """All subdivision cells for T at parameter n, in the order of
+    cell_keys, whose exactness checks they pass."""
+    return [SubdivisionCell(n, m, shift) for m, shift in cell_keys(k, n)]
 
 
 def cell_vertices(cell: SubdivisionCell):

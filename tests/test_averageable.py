@@ -417,3 +417,25 @@ def test_supported_tilings_are_proved_by_facets_alone(monkeypatch):
     for cert in SUPPORTED:
         assert verify_certificate(cert).passed, (cert.k, cert.m)
     assert calls == []
+
+
+def test_one_verification_measures_each_distinct_simplex_once(monkeypatch):
+    # The volumes of domains, piece images and average images are read
+    # by several checks; each distinct simplex is measured once per call.
+    calls = []
+    relative_volume = averageable.relative_volume
+
+    def spy(s):
+        calls.append(s)
+        return relative_volume(s)
+
+    monkeypatch.setattr(averageable, "relative_volume", spy)
+    for cert in (*SUPPORTED, _overlapping_domains(averaging_certificate(2, 1))):
+        calls.clear()
+        verify_certificate(cert)
+        pieces = [p for mp in cert.maps for p in mp.pieces]
+        measured = {p.domain for p in pieces} | {p.image_simplex() for p in pieces}
+        averaged = averageable._average_pieces(cert.maps, cert.m)
+        measured |= {p.domain for p in averaged} | {p.image_simplex() for p in averaged}
+        assert len(calls) == len(set(calls)), (cert.k, cert.m)
+        assert set(calls) == measured, (cert.k, cert.m)

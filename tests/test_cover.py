@@ -8,6 +8,7 @@ import pytest
 from oracles import fraction_closure, fraction_find_cover
 from supconvex import (
     GoodTranslate,
+    SubdivisionCell,
     bary_point,
     best_cover,
     cell_vertices,
@@ -24,6 +25,7 @@ from supconvex import (
 )
 from supconvex.cli import main
 from supconvex.cover import MAX_REFINE, coverage_masks
+from supconvex.subdivision import cell_keys
 
 
 def _offset(t):
@@ -109,6 +111,11 @@ def test_replay_rejects_a_third_nested_blend():
     assert replay_derivation(1, 2, twice).offset == (3, 1)
     with pytest.raises(ValueError):
         replay_derivation(1, 2, ("blend", twice, c1))
+    # Nested level-0 blends keep the offset 0, but the constant
+    # 1 + 1/2 is not a multiple of that level's constant denominator 1.
+    root = ("root",)
+    with pytest.raises(ValueError):
+        replay_derivation(1, 2, ("blend", ("blend", root, root), root))
 
 
 def test_integer_cover_matches_the_fraction_oracles(monkeypatch):
@@ -116,11 +123,11 @@ def test_integer_cover_matches_the_fraction_oracles(monkeypatch):
     # proof that rejects a pool early is checked, not only its None.
     resolutions = []
 
-    def subdivide_at(k, resolution):
+    def cell_keys_at(k, resolution):
         resolutions.append(resolution)
-        return subdivide(k, resolution)
+        return cell_keys(k, resolution)
 
-    monkeypatch.setattr("supconvex.cover.subdivide", subdivide_at)
+    monkeypatch.setattr("supconvex.cover.cell_keys", cell_keys_at)
     rng = random.Random(22)
     outcomes = set()
     refined = 0
@@ -247,8 +254,10 @@ def test_coverage_masks_match_the_vertex_oracle(k, n, level):
     for extra in range(MAX_REFINE + 1):
         resolution = n ** (level + extra)
         cells = subdivide(k, resolution)
+        keys = cell_keys(k, resolution)
+        assert keys == [(cell.m, cell.shift) for cell in cells]
         verts = [cell_vertices(cell) for cell in cells]
-        for t, mask in zip(pool, coverage_masks(pool, cells, resolution), strict=True):
+        for t, mask in zip(pool, coverage_masks(pool, keys, resolution), strict=True):
             oracle = sum(
                 1 << idx
                 for idx, vs in enumerate(verts)
@@ -280,3 +289,35 @@ def test_cover_output_bytes_are_pinned(capsys, k, n, level, code, digest):
     assert main(["cover", "--k", str(k), "--n", str(n), "--max-level", str(level)]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_closure_builds_one_translate_per_kept_offset(monkeypatch):
+    # Candidates are integer pairs; a GoodTranslate is made, and
+    # validated, only for each offset the closure returns.
+    built = []
+    post_init = GoodTranslate.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(GoodTranslate, "__post_init__", counted)
+    for k, n, level, budget in ((1, 2, 2, 4000), (2, 3, 1, 4000), (2, 2, 2, 60), (3, 2, 1, 4000)):
+        built.clear()
+        closure = closure_good(k, n, level, budget=budget)
+        assert len(built) == len(closure.translates), (k, n, level, budget)
+    assert closure_good(2, 2, 2, budget=60).truncated
+
+
+def test_find_cover_builds_no_subdivision_cell(monkeypatch):
+    # The search reads the cells' (m, shift) keys alone, also where it
+    # refines and where it proves a cell uncoverable.
+    def refused(self, *args, **kwargs):
+        raise AssertionError("find_cover built a SubdivisionCell")
+
+    monkeypatch.setattr(SubdivisionCell, "__init__", refused)
+    assert find_cover(2, 3, 1).cert_resolution == 27
+    assert find_cover(2, 2, 1).cert_resolution == 4
+    assert find_cover(3, 3, 1) is None
+    corners = [GoodTranslate(2, 2, 1, o, 1, ("root",)) for o in ((4, 0, 0), (0, 4, 0), (0, 0, 4))]
+    assert find_cover(2, 2, 1, translates=corners) is None

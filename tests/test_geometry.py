@@ -296,6 +296,57 @@ def test_contains_points_agrees_with_contains_point_by_point(k):
     assert seen[True] and seen[False] and seen["degenerate"] >= 4, seen
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_contains_in_the_chart_matches_the_fraction_oracle(k):
+    # Simplices in the hyperplanes {sum = 0}, through the origin, {sum = 1}
+    # and {sum = 2/3}.  fraction_contains solves in the vertex frame,
+    # which a simplex through the origin lacks; containment is affine, so
+    # every simplex and point is also checked moved by e_0, which takes
+    # {sum = 0} to {sum = 1}.
+    rng = SplitMix64(500 + k)
+    d = k + 1
+    seen = Counter()
+
+    def moved(p):
+        return bary_point([c + (i == 0) for i, c in enumerate(p.coords)])
+
+    for trial in range(30):
+        total = (Fraction(0), Fraction(1), Fraction(2, 3))[trial % 3]
+        while True:  # redraw coincident or affinely dependent vertices
+            verts = [_vertex(rng, k, total) for _ in range(d)]
+            s = simplex(verts)
+            try:
+                relative_volume(s)
+                break
+            except DegenerateSimplexError:
+                seen["redrawn"] += 1
+        points = [
+            _combination(verts, _weights(rng, d)),  # interior
+            _combination(verts, _weights(rng, d, zeros=1 + trial % k if k > 1 else 1)),  # boundary
+            _combination(verts, _weights(rng, d, negative=True)),  # outside
+            _vertex(rng, k, total),  # in the hyperplane
+            *verts,
+        ]
+        # Off the hyperplane, over the interior point and over a vertex.
+        points += [
+            bary_point([c + Fraction(i == 0, 5) for i, c in enumerate(p.coords)])
+            for p in points[:1] + verts[:1]
+        ]
+        got = [contains(s, p) for p in points]
+        nums, q = scaled([c for p in points for c in p.coords])
+        assert contains_points(s, [nums[i * d:(i + 1) * d] for i in range(len(points))], q) == got
+        assert got == [fraction_contains(simplex(map(moved, verts)), moved(p)) for p in points]
+        if total:
+            assert got == [fraction_contains(s, p) for p in points]
+        else:
+            with pytest.raises(DegenerateSimplexError):
+                fraction_contains(s, points[0])
+        assert got[-2:] == [False, False]
+        seen.update((total, inside) for inside in got)
+    for total in (0, 1, Fraction(2, 3)):
+        assert seen[(total, True)] and seen[(total, False)], seen
+
+
 # -- facet separation before the overlap LP ----------------------------------
 
 
@@ -358,21 +409,21 @@ def test_separating_facet_skips_the_lp(monkeypatch):
 
 def test_vertex_matrix_singular_but_chart_regular_goes_to_the_lp(monkeypatch):
     # Segments on the line {sum = 0} through the origin: their vertex
-    # matrices are singular, so neither has a barycentric frame, yet
-    # their chart determinants are not zero.
+    # matrices are singular, yet their chart determinants are not zero,
+    # and their frames are taken in the chart.  Touching segments are
+    # separated by an end point; only overlapping ones reach the LP.
     seg = Simplex(((1, -1), (2, -2)), 1)
     touching = Simplex(((2, -2), (3, -3)), 1)
     across = simplex([("3/2", "-3/2"), ("3", "-3")])
-    with pytest.raises(DegenerateSimplexError):
-        contains(seg, bary_point(["3/2", "-3/2"]))
+    assert contains(seg, bary_point(["3/2", "-3/2"]))
     assert relative_volume(seg) == 1
     calls = _lp_calls(monkeypatch)
-    cases = [((seg, seg), True), ((seg, touching), False), ((touching, seg), False)]
-    cases += [((seg, across), True), ((across, seg), True)]
-    for pair, want in cases:
+    cases = [((seg, seg), True, 1), ((seg, touching), False, 0), ((touching, seg), False, 0)]
+    cases += [((seg, across), True, 1), ((across, seg), True, 1)]
+    for pair, want, lp_calls in cases:
         before = len(calls)
         assert simplices_interior_intersect(*pair) is want
-        assert len(calls) == before + 1, pair
+        assert len(calls) == before + lp_calls, pair
         assert fraction_interior_intersect(*pair) is want
     # Against a simplex in {sum = 1}, that simplex's frame separates.
     for pair in ((seg, standard_simplex(1)), (standard_simplex(1), seg)):
