@@ -22,7 +22,7 @@ import io
 import json
 import sys
 from dataclasses import asdict
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
 from ._rational import Rat, format_rat, parse_rat
@@ -180,13 +180,49 @@ def _flatten(obj, prefix, rows) -> None:
         rows.append((prefix, "" if obj is None else str(obj)))
 
 
+@functools.lru_cache(maxsize=None)
+def _row_template(kinds, inner):
+    """The %-template of one row at indent inner: a column of kind int
+    is written as %d, one of kind Rat as the quoted string of
+    format_rat."""
+    return "[" + ",".join("\n" + inner + ('  "%s"' if t is Rat else "  %d") for t in kinds) + "\n" + inner + "]"
+
+
+def _row_kinds(rows):
+    """The type of each column of rows, a non-empty sequence of
+    equal-length lists or tuples, when each column is all int or all
+    Rat; else None."""
+    width = len(rows[0]) if type(rows[0]) in (list, tuple) else 0
+    if not width or not all(type(row) in (list, tuple) and len(row) == width for row in rows):
+        return None
+    kinds = set(map(type, chain.from_iterable(rows)))
+    if kinds == {int}:
+        return (int,) * width
+    if not kinds <= {int, Rat}:
+        return None
+    kinds = tuple(map(type, rows[0]))
+    return kinds if all(set(map(type, col)) == {t} for t, col in zip(kinds, zip(*rows))) else None
+
+
+def _rows_text(rows, kinds, inner):
+    """Each row of rows written by its _row_template."""
+    row = _row_template(kinds, inner)
+    if Rat not in kinds:
+        return [row % tuple(r) for r in rows]
+    cols = [list(map(format_rat, col)) if t is Rat else col for t, col in zip(kinds, zip(*rows))]
+    return [row % r for r in zip(*cols)]
+
+
 def _json_text(obj, pad="") -> str:
     """json.dumps(obj, indent=2, sort_keys=True, default=format_rat),
     byte for byte, without the pure-Python encoder that indent selects:
     a rational is written as the string format_rat gives, containers
-    recurse (a tuple as a list), a list of equal-length int rows is
-    formatted with one template, and any other leaf goes to json.dumps,
-    its newlines indented to pad."""
+    recurse (a tuple as a list), and any other leaf goes to json.dumps,
+    its newlines indented to pad.  A list of equal-length rows whose
+    every column is all int or all rational (the int rows of a payload)
+    is formatted with one template, and so is a list of non-empty lists
+    of such rows that share one template (the (index, weight) pairs of
+    envelope certificates)."""
     inner = pad + "  "
     kind = type(obj)
     if kind is str:
@@ -205,14 +241,20 @@ def _json_text(obj, pad="") -> str:
         )
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     if (kind is list or kind is tuple) and obj:
-        width = len(obj[0]) if type(obj[0]) in (list, tuple) else 0
-        if (
-            width
-            and all(type(row) in (list, tuple) and len(row) == width for row in obj)
-            and set(map(type, chain.from_iterable(obj))) == {int}
+        kinds = _row_kinds(obj) if type(obj[0]) in (list, tuple) else None
+        if kinds:
+            items = _rows_text(obj, kinds, inner)
+        elif (
+            type(obj[0]) in (list, tuple)
+            and all(type(item) in (list, tuple) and item for item in obj)
+            and (kinds := _row_kinds(rows := list(chain.from_iterable(obj))))
         ):
-            row = "[" + ",".join(["\n" + inner + "  %d"] * width) + "\n" + inner + "]"
-            items = (row % tuple(r) for r in obj)
+            deeper = inner + "  "
+            texts = iter(_rows_text(rows, kinds, deeper))
+            items = (
+                "[\n" + deeper + (",\n" + deeper).join(islice(texts, len(item))) + "\n" + inner + "]"
+                for item in obj
+            )
         else:
             items = (_json_text(item, inner) for item in obj)
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"

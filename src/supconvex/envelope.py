@@ -36,31 +36,39 @@ z -> z - e_a + e_b (a < b) are enumerated once per lattice
 and the earlier neighbours the values sweep below reads.
 
 There are two sweeps, one per entry point, and both visit the points
-in lattice order.  The k+1 vertex columns form a diagonal basis that is
-feasible for every z, so the first point solves from there; subsequent
-points hand the solver the basis it last returned, which stays dual
-feasible when the right hand side moves, since reduced costs do not
-depend on it.  Where that basis is still primal feasible it is optimal
-again, and the solver returns it without pricing, re-inverting or
-re-checking it, being the tuple it returned.
+in lattice order in one call of the solver's kernel,
+ExactSimplexSolver.sweep.  The k+1 vertex columns form a diagonal basis
+that is feasible for every z, so the first point solves from there;
+each later point starts from the basis proved at the point before,
+which stays dual feasible when the right hand side moves, since reduced
+costs do not depend on it.  Where that basis is still primal feasible
+it is optimal again, and the kernel keeps it without pricing,
+re-inverting or re-checking it.  Per point the kernel returns the
+proved (basis, adj, det) and xb = adj z in integers, so the value's
+numerator is sum_r f(B_r) xb[r] over det, and a certificate weight is
+xb[r] / det.
 
 - concave_envelope, the ordered certificate sweep, repairs an
   infeasible basis by the dual simplex, which skips its
   dual-feasibility pass (the basis was proved optimal) and prices at
-  each pivot only the columns its ratio test reads.  Its bases, pivots
-  and certificates depend on nothing but f, and each value comes with
-  its certificate: the supporting lattice points and their exact
-  weights, the only rationals the sweep makes.
+  each pivot only the columns its ratio test reads.  A dual step's
+  entering column does not depend on z, so the solver keeps each step
+  it computes and replays it where the sweep takes it again: on the
+  benchmark's general k = 2, N = 8 inputs a sweep takes 50.6 dual
+  pivots and computes 28.5 of them.  Its bases, pivots and
+  certificates depend on nothing but f, and each value comes with its
+  certificate: the supporting lattice points and their exact weights,
+  the only rationals the sweep makes.
 - envelope_values, the values sweep, serves the reports, which read
   only mean(env).  Before the dual simplex it tries the bases proved
   optimal at z's earlier neighbours, its moves z - e_a + e_b (a < b,
   at most k(k+1)/2 of them, nearest first): any of them that is primal
   feasible at z is optimal there (complementary slackness), and is
-  returned without pricing.  On the benchmark's general k = 2, N = 8
-  inputs that halves the dual runs, from 24.9 to 10.8 per sweep.  A
-  reused basis can be another optimum than the ordered sweep's at a
-  degenerate point, so this sweep returns values only; they are the
-  same values.
+  returned without pricing.  On the same inputs that halves the dual
+  runs, from 24.9 to 10.8 per sweep (20.8 dual pivots, 16.7
+  computed).  A reused basis can be another optimum than the ordered
+  sweep's at a degenerate point, so this sweep returns values only;
+  they are the same values.
 
 The solver keeps each basis fraction-free, as integers adj = det B^-1
 and det, so its pricing, ratio tests and pivots run in plain integers
@@ -81,20 +89,19 @@ from .geometry import BaryLattice, BaryPoint
 
 # Cap on the lattice size C(N + k, k) of one sweep, one LP per point
 # over the hull candidates, O(|L| |candidates|) exact work.  It admits
-# k = 3, N = 20 (1771 points).  On a 2-vCPU host the largest accepted
-# values sweeps (envelope_values) of the benchmark's general (pivoting)
-# family, which keep 27-51% of their columns, took 0.07 and 0.01 s
-# (concave and spikes; k = 1, N = 1770), 0.13 and 0.02 s (k = 2,
-# N = 58), 0.8 and 0.07 s (k = 3, N = 20), 1.3-1.8 and 0.08 s (k = 4,
-# N = 11), 2.5 and 0.1 s (k = 5, N = 8) and 5.2-5.5 and 0.2 s (k = 6,
-# N = 7, 1716 points); certificate sweeps (concave_envelope) took
-# 0.08-7.7 and 0.02-2.1 s.  A strictly concave f (-sum p_i^2) passes
-# every midpoint test and keeps every column, so its sweeps still bound
-# the cap.  Values sweeps took 1.1-1.5 s (k = 1; the same pivots as the
-# certificate sweep), 5.9 s (k = 2), 9.4-12.2 s (k = 3), 8.9-9.2 s
-# (k = 4), 9.3-9.4 s (k = 5) and 21-23 s (k = 6); certificate sweeps
-# 1.2-2.0, 6.2-7.0, 10.1-12.5, 10.9-11.5, 11.9-14.3 and 25-30 s, wall
-# time, one to three runs each.
+# k = 3, N = 20 (1771 points).  On a 2-vCPU host, one fresh process per
+# sweep, the largest accepted values sweeps (envelope_values) of the
+# benchmark's general (pivoting) family, which keep 27-51% of their
+# columns, took 0.07 and 0.02 s (concave and spikes; k = 1, N = 1770),
+# 0.13 and 0.02 s (k = 2, N = 58), 0.6 and 0.04 s (k = 3, N = 20), 1.0
+# and 0.12 s (k = 4, N = 11), 1.8 and 0.12 s (k = 5, N = 8) and 3.5 and
+# 0.5 s (k = 6, N = 7, 1716 points); certificate sweeps
+# (concave_envelope) took 0.03-6.2 s.  A strictly concave f
+# (-sum p_i^2) passes every midpoint test and keeps every column, so its
+# sweeps still bound the cap: values sweeps took 1.1, 6.4, 9.1, 7.0, 7.5
+# and 13.6 s (k = 1..6), certificate sweeps 1.5, 5.4, 11.7, 6.9, 7.8 and
+# 17.1 s, wall time.  The dual steps a sweep keeps (see exactlp) raise
+# its process's peak RSS to at most 33 MiB (k = 6), from 24 MiB.
 ENVELOPE_CAP = 1771
 
 
@@ -244,26 +251,18 @@ def _sweep(f: SampledFunction, certify: bool):
         return env, _vertex_weights(lat) if certify else None
     nums = f.nums
     kept = hull_candidates(f)
-    solver = ExactSimplexSolver([lat.int_points[j] for j in kept], [nums[j] for j in kept])
-    basis = [kept.index(j) for j in lat.vertex_indices()]
+    costs = [nums[j] for j in kept]
+    solver = ExactSimplexSolver([lat.int_points[j] for j in kept], costs)
+    start = [kept.index(j) for j in lat.vertex_indices()]
     near = None if certify else _neighbours(lat)[0]
-    proved = []  # per visited point, the (basis, adj, det) its solve kept
     env_nums, dets, certificates = [], [], []  # env_nums[i] / dets[i]: env times f.den
-    for i, ints in enumerate(lat.int_points):
-        if near is not None:
-            solver.fallbacks = [proved[j] for j in near[i]]
-        sol = solver.solve(ints, basis=basis)
-        if sol.status != "optimal":  # pragma: no cover - LP is always feasible/bounded
-            raise ArithmeticError(f"envelope LP status {sol.status}")
-        num, det = sol.num, sol.det
-        assert num >= nums[i] * det, "envelope fell below the function"
+    for ((basis, _, det), xb), num_f in zip(solver.sweep(lat.int_points, start, near), nums):
+        num = sum(costs[c] * x for c, x in zip(basis, xb))
+        assert num >= num_f * det, "envelope fell below the function"
         env_nums.append(num)
         dets.append(det)
         if certify:
-            certificates.append(tuple((kept[c], Rat(w, det)) for c, w, _ in sorted(sol.support) if w > 0))
-        else:
-            proved.append(solver.proved)
-        basis = sol.basis
+            certificates.append(tuple((kept[c], Rat(w, det)) for c, w in sorted(zip(basis, xb)) if w > 0))
     den = lcm(*dets)
     env = SampledFunction(lat, [v * (den // d) for v, d in zip(env_nums, dets)], den * f.den)
     return env, tuple(certificates) if certify else None

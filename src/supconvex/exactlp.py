@@ -62,24 +62,35 @@ keeps the last basis a warm solve proved optimal, in its order, with
 its adj and det.  Handed that basis again, it reuses them instead of
 eliminating, and returns at once when the new basic solution is
 nonnegative: the primal simplex would find no entering column there.
-Where it is not, the dual simplex starts on a copy, without its
-dual-feasibility check, since the basis passed it when it was proved
-optimal.  The very tuple the solve returned (Solution.basis), which is
+Where it is not, the dual simplex starts on new outer lists (see
+_pivot), without its dual-feasibility check, since the basis passed it
+when it was proved optimal.  The very tuple the solve returned (Solution.basis), which is
 the one kept, is known by identity and skips the checks of its column
 indices too; any other basis is checked first and then compared by
 value, as (2, 1.0) == (2, 1) and (True, 1) == (1, 1).
 
-The same argument holds for any other basis this solver proved
-optimal, so a caller may set ``fallbacks`` to such (basis, adj, det)
-triples, each read from ``proved`` after an earlier solve.  When the
-kept basis it is handed is infeasible, a solve tests each fallback in
-order, row by row on its kept adj, skipping the kept triple and any
-triple already tested (by identity), and returns the first one that is
-primal feasible, as proved and with no pricing, before it runs the
-dual simplex.  The envelope's two sweeps differ only in this: the
-certificate sweep sets no fallbacks, so its bases and pivots are those
-of the ordered warm sweep, and the values sweep sets the bases proved
-at the point's earlier lattice neighbours (see envelope).
+The dual simplex keeps what its steps decide.  A dual pivot's leaving
+row is read off the right hand side, but given that row, the entering
+column (Bland's ratio rule over W_j < 0) and the direction
+d = adj A_enter depend only on the ordered basis, never on the right
+hand side.  So every step is kept on the solver under (ordered basis,
+leaving row), as (entering, d), or as "no column may enter", and a
+step taken again is replayed: the same pivot is made through
+``_pivot``, with nothing priced and no W formed.  A kept step also proves its basis dual
+feasible, as only such bases are pivoted from.
+
+``sweep`` runs the warm solves of a sequence of right hand sides in
+one call, as the envelope does per lattice point.  The first point goes
+through ``solve``; each later one starts from the basis the one before
+proved optimal, and is returned at once where that basis is primal
+feasible again.  With ``near``, where it is not, the sweep first tests
+the bases proved at the listed earlier points, each distinct one once,
+row by row: by the argument above, any that is primal feasible is
+optimal, and is returned with no pricing.  Only then does the dual
+simplex run, on new outer lists, so that no proved adj is changed (a
+pivot replaces rows and never edits one).  Per point the sweep returns
+the proved (basis, adj, det) and xb = adj b, in integers; no Solution
+is made past the first point.
 
 ``eliminate``, the package's one elimination routine, works on
 integers only and returns det A and det A times A^-1 b.  Besides the
@@ -185,11 +196,11 @@ class ExactSimplexSolver:
         self._rows = tuple(zip(*self._ints))  # the columns, transposed
         self._costs = _require_ints("objective", list(objective))
         self._identity = [[int(c == r) for c in range(self.m)] for r in range(self.m)]
-        # (basis, adj, det) of the basis the last warm solve proved
-        # optimal, and more such triples, proved by this solver, that a
-        # hit on the kept basis tries where that basis is infeasible.
+        # (basis, adj, det) of the basis the last warm solve or sweep
+        # proved optimal, and the dual steps taken: (ordered basis,
+        # leaving row) -> (entering, d), entering None where none may.
         self.proved = None
-        self.fallbacks = ()
+        self._steps = {}
 
     # -- basis linear algebra -------------------------------------------
 
@@ -210,7 +221,11 @@ class ExactSimplexSolver:
 
     @staticmethod
     def _pivot(adj, det, xb, basis, row, direction, entering):
-        """Edmonds' update of (adj, xb) in place; returns the new det."""
+        """Edmonds' update of (adj, xb) in place; returns the new det.
+
+        Each row of adj that changes is replaced by a new list, never
+        edited, so pivoting on a new outer list leaves the old inverse
+        intact."""
         p = direction[row]
         div = det if p > 0 else -det  # a negative divisor keeps det > 0
         base, x_row = adj[row], xb[row]
@@ -269,9 +284,10 @@ class ExactSimplexSolver:
         """Returns (status, det); status None when not dual feasible.
 
         With check false the caller vouches that the basis is dual
-        feasible, and no column is priced in full.
+        feasible, and no column is priced in full.  A step kept from an
+        earlier run is replayed without pricing, and vouches too.
         """
-        costs, ints = self._costs, self._ints
+        costs, ints, steps = self._costs, self._ints, self._steps
         while True:
             row = None
             for r in range(self.m):
@@ -279,32 +295,38 @@ class ExactSimplexSolver:
                     row = r
             if row is None:
                 return "optimal", det
-            if check:
-                # Only the handed-in basis can fail: every dual pivot
-                # keeps all reduced costs <= 0.
-                if any(rj > 0 for rj in self._reduced_costs(adj, det, basis, costs, len(ints))):
-                    return None, det
-                check = False
-            # W = adj[row] . A over all columns, as a sum of the rows of
-            # A; W_j >= 0 on every basic column.
-            w = None
-            for a, line in zip(adj[row], self._rows):
-                if a:
-                    term = [a * v for v in line]
-                    w = term if w is None else list(map(add, w, term))
-            y = self._prices(adj, basis, costs)
-            # Entering: the smallest j minimising r_j / w_j over w_j < 0,
-            # which for W_j, W_b < 0 is below r_b / w_b exactly when
-            # R_j W_b < R_b W_j.  Only these columns are priced.
-            entering = None
-            for j, wj in enumerate(w):
-                if wj < 0:
-                    rj = costs[j] * det - sum(map(mul, y, ints[j]))
-                    if entering is None or rj * wb < rb * wj:
-                        entering, rb, wb = j, rj, wj
+            key = (tuple(basis), row)
+            step = steps.get(key)
+            if step is None:
+                if check:
+                    # Only the handed-in basis can fail: every dual pivot
+                    # keeps all reduced costs <= 0.
+                    if any(rj > 0 for rj in self._reduced_costs(adj, det, basis, costs, len(ints))):
+                        return None, det
+                # W = adj[row] . A over all columns, as a sum of the rows
+                # of A; W_j >= 0 on every basic column.
+                w = None
+                for a, line in zip(adj[row], self._rows):
+                    if a:
+                        term = [a * v for v in line]
+                        w = term if w is None else list(map(add, w, term))
+                y = self._prices(adj, basis, costs)
+                # Entering: the smallest j minimising r_j / w_j over
+                # w_j < 0, which for W_j, W_b < 0 is below r_b / w_b
+                # exactly when R_j W_b < R_b W_j.  Only these columns are
+                # priced.
+                entering = None
+                for j, wj in enumerate(w):
+                    if wj < 0:
+                        rj = costs[j] * det - sum(map(mul, y, ints[j]))
+                        if entering is None or rj * wb < rb * wj:
+                            entering, rb, wb = j, rj, wj
+                d = None if entering is None else self._mat_vec(adj, ints[entering])
+                step = steps[key] = (entering, d)
+            check = False
+            entering, d = step
             if entering is None:
                 return "infeasible", det
-            d = self._mat_vec(adj, ints[entering])
             det = self._pivot(adj, det, xb, basis, row, d, entering)
 
     # -- public entry points ----------------------------------------------
@@ -332,19 +354,8 @@ class ExactSimplexSolver:
             xb = self._mat_vec(adj, b)
             if all(v >= 0 for v in xb):
                 return self._solution("optimal", xb, det, kept[0])
-            # A triple listed more than once is tested once, found by
-            # identity: hashing a triple would walk its whole inverse.
-            tried = {id(kept)}
-            for other in self.fallbacks:
-                if id(other) in tried:
-                    continue
-                tried.add(id(other))
-                xo = self._feasible(other[1], b)
-                if xo is not None:  # dual feasible since proved, so optimal
-                    self.proved = other
-                    return self._solution("optimal", xo, other[2], other[0])
-            # Pivot on a copy, so that the kept inverse survives.
-            adj, basis = [row[:] for row in adj], list(basis)
+            # Pivot on new outer lists, so that the kept inverse survives.
+            adj, basis = list(adj), list(basis)
             status, det = self._dual(adj, det, xb, basis, False)
         else:
             # The transposed basis (its columns as rows) eliminated
@@ -367,6 +378,54 @@ class ExactSimplexSolver:
             # return; a later hit pivots on a copy.
             self.proved = (sol.basis, adj, det)
         return sol
+
+    def sweep(self, points, basis, near=None):
+        """Per right hand side of points, in order, the proved optimal
+        (basis, adj, det) and xb = adj b, warm started from basis.
+
+        The first point is solved by solve.  Each later one first tries
+        the basis proved at the point before it; then, with near, the
+        bases proved at the earlier points near[i] (indices below i), in
+        order, each distinct triple once, found by identity (hashing one
+        would walk its whole inverse); then the dual simplex.  Every
+        point is checked as solve checks its right hand side, before the
+        first solve.  Raises ArithmeticError at a point with no optimum.
+        """
+        if any(len(b) != self.m for b in points):
+            raise ValueError("rhs length mismatch")
+        if not set(map(type, chain.from_iterable(points))) <= {int}:
+            i = next(i for i, b in enumerate(points) if not set(map(type, b)) <= {int})
+            _require_ints(f"point {i}", points[i])
+        first = self.solve(points[0], basis)
+        if first.status != "optimal":
+            raise ArithmeticError(f"sweep LP status {first.status} at point 0")
+        if self.proved is None or self.proved[0] is not first.basis:
+            self.solve(points[0], first.basis)  # a two-phase solve keeps no basis
+        kept = self.proved
+        mat_vec, feasible = self._mat_vec, self._feasible
+        results = [(kept, mat_vec(kept[1], points[0]))]
+        for i in range(1, len(points)):
+            b = points[i]
+            xb = mat_vec(kept[1], b)
+            if min(xb) < 0:
+                tried = {id(kept)}
+                for j in () if near is None else near[i]:
+                    other = results[j][0]
+                    if id(other) not in tried:
+                        tried.add(id(other))
+                        xo = feasible(other[1], b)
+                        if xo is not None:  # dual feasible since proved, so optimal
+                            kept, xb = other, xo
+                            break
+                else:
+                    basis, adj, det = list(kept[0]), list(kept[1]), kept[2]
+                    status, det = self._dual(adj, det, xb, basis, False)
+                    if status != "optimal":
+                        raise ArithmeticError(f"sweep LP status {status} at point {i}")
+                    kept = (tuple(basis), adj, det)
+            results.append((kept, xb))
+        self.proved = kept
+        return results
 
     def _two_phase(self, b) -> Solution:
         m = self.m

@@ -183,20 +183,18 @@ def _frame_weights(s: Simplex, xs, q: int):
     return eliminate(coords, [[s.den * c for c in x[:-1]] + [q] for x in xs])
 
 
-def _facet_separates(a: Simplex, b: Simplex) -> bool:
-    """Whether every vertex of b has barycentric weight <= 0 for one
-    vertex i of a, so that the hyperplane of a's facet opposite vertex i
-    has all of b on its closed far side.
+def _facet_separates(det, weights) -> bool:
+    """Whether every point, with weights X = (det, weights) in a
+    simplex a's frame (from _frame_weights), has weight <= 0 for one
+    vertex i of a, so that the hyperplane of a's facet opposite vertex
+    i has all of them on its closed far side.
 
     The weights are affine in the chart coordinates, so every point of
-    b has w_i <= 0 while every interior point of a has w_i > 0: the
-    chart projections, and so the simplices, have disjoint interiors.
-    A degenerate a has no frame and proves nothing.
+    their hull has w_i <= 0 while every interior point of a has
+    w_i > 0: given b's vertices, the chart projections, and so the
+    simplices, have disjoint interiors.
     """
-    det, weights = _frame_weights(a, b.rows, b.den)
-    if weights is None:
-        return False
-    return any(all(ws[i] * det <= 0 for ws in weights) for i in range(len(a.rows)))
+    return any(all(ws[i] * det <= 0 for ws in weights) for i in range(len(weights[0])))
 
 
 def contains_points(s: Simplex, xs, q: int) -> list:
@@ -230,10 +228,12 @@ def contains(s: Simplex, p: BaryPoint) -> bool:
 def simplices_interior_intersect(a: Simplex, b: Simplex) -> bool:
     """Whether two full-dimensional simplices share an interior point.
 
-    First, in integers: a facet of either simplex with every vertex of
-    the other on its closed far side proves the interiors disjoint.
-    This settles the pieces of every tiling the averageable
-    certificates build.  It is not complete (from k = 3 on, two
+    First, in integers: each simplex's vertices are weighted in the
+    other's frame (_frame_weights; a degenerate simplex has no frame and
+    raises DegenerateSimplexError), and a facet of either simplex with
+    every vertex of the other on its closed far side proves the
+    interiors disjoint.  This settles the pieces of every tiling the
+    averageable certificates build.  It is not complete (from k = 3 on, two
     simplices may be separable only by a plane through an edge of
     each), so every pair that no facet separates goes to the LP, which
     maximises t subject to: a point with all barycentric weights >= t in
@@ -249,9 +249,12 @@ def simplices_interior_intersect(a: Simplex, b: Simplex) -> bool:
     if a.k != b.k:
         raise ValueError("simplex dimensions differ")
     d = a.k + 1
-    _chart_det(a.rows)
-    _chart_det(b.rows)
-    if _facet_separates(a, b) or _facet_separates(b, a):
+    # Each frame's det is +- the simplex's chart det, so a degenerate
+    # simplex has none.
+    frames = _frame_weights(a, b.rows, b.den), _frame_weights(b, a.rows, a.den)
+    if any(weights is None for _, weights in frames):
+        raise DegenerateSimplexError("zero-volume simplex")
+    if any(_facet_separates(*frame) for frame in frames):
         return False
     den = lcm(a.den, b.den)
     verts = [[c * (den // s.den) for c in row] for s in (a, b) for row in s.rows]

@@ -145,6 +145,51 @@ def envelope_full_sweep(f):
     return tuple(values), tuple(certificates)
 
 
+def envelope_sweep_by_solves(f, neighbours):
+    """Per lattice point, (basis as a set of lattice indices, value,
+    certificate) of the envelope sweep made of one warm
+    ExactSimplexSolver.solve per point over the hull candidates, from
+    the vertex basis and then from the basis the solve before returned.
+
+    With neighbours, where that basis is infeasible at the point, the
+    bases proved at its earlier neighbours (envelope._neighbours) are
+    tested first, each distinct triple once, row by row in Fractions,
+    and the solve starts from the first feasible one, which it returns
+    as proved.  This is the values sweep; without, the certificate
+    sweep.  No vertex-plane shortcut is taken.
+    """
+    from supconvex.envelope import _neighbours, hull_candidates
+    from supconvex.exactlp import ExactSimplexSolver
+
+    lat = f.lattice
+    kept = hull_candidates(f)
+    solver = ExactSimplexSolver([lat.int_points[j] for j in kept], [f.nums[j] for j in kept])
+    near = _neighbours(lat)[0]
+
+    def feasible(triple, ints):
+        return all(sum(Fraction(a) * b for a, b in zip(row, ints)) >= 0 for row in triple[1])
+
+    basis = [kept.index(j) for j in lat.vertex_indices()]
+    proved, rows = [], []
+    for i, ints in enumerate(lat.int_points):
+        last = solver.proved
+        if neighbours and last is not None and basis is last[0] and not feasible(last, ints):
+            tried = {id(last)}
+            for j in near[i]:
+                if id(proved[j]) not in tried:
+                    tried.add(id(proved[j]))
+                    if feasible(proved[j], ints):
+                        solver.proved = proved[j]
+                        basis = proved[j][0]
+                        break
+        sol = solver.solve(ints, basis=basis)
+        proved.append(solver.proved)
+        certificate = tuple((kept[j], w) for j, w in sorted(sol.x.items()) if w > 0)
+        rows.append((frozenset(kept[j] for j in sol.basis), sol.value / f.den, certificate))
+        basis = sol.basis
+    return rows
+
+
 def normalize_by_envelope(f):
     """f minus the affine interpolant of its envelope's vertex values,
     from a full envelope sweep and the lattice's Fraction points."""

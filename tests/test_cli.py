@@ -8,8 +8,10 @@ import pytest
 from supconvex import (
     concave_envelope,
     function_payload,
+    load_function,
     make_extremal,
     make_random,
+    sampled_function,
     save_function,
     sup_convolve_n,
     sup_convolve_pair,
@@ -593,13 +595,29 @@ def test_every_subcommand_prints_pinned_bytes(capsys, tmp_path):
 
 
 def test_json_writer_matches_json_dumps_on_every_subcommand(capsys, tmp_path):
-    for _, argv in _subcommand_argvs(tmp_path):
+    # Besides every pinned command, envelope certificates of general
+    # inputs, whose LP weights are not the vertex weights of the
+    # normalised inputs above.
+    certified = []
+    for k, resolution, seed in ((1, 9, 1), (2, 8, 1), (2, 8, 2), (3, 4, 3)):
+        f = make_random(k, resolution, seed=seed)
+        spiked = [v + (1 + Fraction(1, seed + 2) if i % 5 == 2 else 0) for i, v in enumerate(f.values)]
+        path = tmp_path / f"spiked-{k}-{resolution}-{seed}.json"
+        save_function(sampled_function(f.lattice, spiked), path)
+        certified.append((path, ["envelope", "--input", str(path), "--certificates"]))
+    for _, argv in _subcommand_argvs(tmp_path) + certified:
         args = cli._build_parser().parse_args(argv)
         payload, _ = cli._COMMANDS[args.command](args)
         expected = json.dumps(payload, indent=2, sort_keys=True, default=format_rat) + "\n"
         assert cli._json_text(payload) + "\n" == expected
         code, out = run(capsys, *argv)
         assert code in (0, 2) and out == expected
+    # The spikes lift the envelope off the vertex plane, so the
+    # certificates weigh points other than the vertices.
+    for path, _ in certified:
+        res = concave_envelope(load_function(path))
+        supports = {j for cert in res.certificates for j, _ in cert}
+        assert supports - set(res.function.lattice.vertex_indices())
 
 
 def test_json_writer_edge_cases():
@@ -614,6 +632,9 @@ def test_json_writer_edge_cases():
         Fraction(3), Fraction(-7, 2), [Fraction(1, 3), 2, (Fraction(-5), "x")],
         ((1, 2), (3, 4)), (((1,), (2,)), ()), {"a": ((0, Fraction(1, 2)), [(1, 2)])},
         {1: Fraction(2, 3), 2: {3: (Fraction(-1, 4),)}},
+        [((0, Fraction(1, 2)), (3, Fraction(1, 2))), ((1, Fraction(1)),)], [[1, Fraction(1, 2)], [2, 3]],
+        [[(1, Fraction(1, 2))], [(Fraction(1, 2), 1)]], [[(1, Fraction(1, 2))], []], [[(1, 2)], [(1, True)]],
+        [[(1, Fraction(1, 2))], [(1, 2)]], [[[1, 2], [3, 4]], [[5, 6]]], [[(Fraction(-3), 1)], ((2, -5), [7, 8])],
     ]
     for payload in cases:
         expected = json.dumps(payload, indent=2, sort_keys=True, default=format_rat)

@@ -10,6 +10,7 @@ from oracles import (
     earlier_neighbours,
     envelope_bruteforce,
     envelope_full_sweep,
+    envelope_sweep_by_solves,
     midpoint_triples,
     normalize_by_envelope,
 )
@@ -104,36 +105,68 @@ def _general(k, resolution, seed):
     return sampled_function(lat, values)
 
 
-def _solve_routines(monkeypatch):
-    """Per ExactSimplexSolver.solve call, the simplex routines it ran; an
-    empty list is a basis already proved optimal and feasible, returned
-    without pricing."""
-    solves = []
+def _sweep_points(monkeypatch):
+    """Per lattice point of every ExactSimplexSolver.sweep: its rhs, the
+    basis handed in (the sweep's start, then the basis proved at the
+    point before), the basis proved there, the simplex routines run for
+    it and their pivots as (row, entering).  No routine runs where a
+    proved basis holds, so nothing is priced there.  The first point's
+    routines are those of its solve; a later point's dual run is the
+    one whose xb the sweep returns for it."""
+    points, runs, first = [], [], []
+    sweep, solve, pivot = ExactSimplexSolver.sweep, ExactSimplexSolver.solve, ExactSimplexSolver._pivot
 
     def spy(name, fn):
-        def wrapped(*args):
-            solves[-1].append(name)
-            return fn(*args)
+        def wrapped(self, *args):
+            runs.append((name, None if name == "_two_phase" else args[2], []))
+            return fn(self, *args)
 
         return wrapped
 
     for name in ("_primal", "_dual", "_two_phase"):
         monkeypatch.setattr(ExactSimplexSolver, name, spy(name, getattr(ExactSimplexSolver, name)))
-    solve = ExactSimplexSolver.solve
+
+    def pivot_spy(*args):
+        runs[-1][2].append((args[4], args[6]))
+        return pivot(*args)
 
     def solve_spy(self, rhs, basis=None):
-        solves.append([])
-        return solve(self, rhs, basis)
+        sol = solve(self, rhs, basis)
+        first.append(len(runs))
+        return sol
 
+    def sweep_spy(self, rhs_list, basis, near=None):
+        runs.clear()
+        first.clear()
+        results = sweep(self, rhs_list, basis, near)
+        later = {id(run[1]): run for run in runs[first[0]:]}
+        handed = tuple(basis)
+        for i, (rhs, ((proved, _, _), xb)) in enumerate(zip(rhs_list, results)):
+            mine = runs[: first[0]] if i == 0 else [later[id(xb)]] if id(xb) in later else []
+            points.append(
+                {
+                    "rhs": rhs,
+                    "basis": handed,
+                    "proved": proved,
+                    "routines": [name for name, _, _ in mine],
+                    "pivots": [p for _, _, made in mine for p in made],
+                }
+            )
+            handed = proved
+        assert len(later) == len(runs) - first[0]  # every later run repaired one point
+        return results
+
+    monkeypatch.setattr(ExactSimplexSolver, "_pivot", staticmethod(pivot_spy))
     monkeypatch.setattr(ExactSimplexSolver, "solve", solve_spy)
-    return solves
+    monkeypatch.setattr(ExactSimplexSolver, "sweep", sweep_spy)
+    return points
 
 
 @pytest.mark.parametrize(
     "k, resolution, seeds", [(2, 3, (1, 2)), (2, 4, (3, 4)), (2, 5, (5,)), (3, 2, (7, 8)), (3, 3, (9,))]
 )
 def test_general_family_matches_bruteforce_and_pivots(monkeypatch, k, resolution, seeds):
-    solves = _solve_routines(monkeypatch)
+    points = _sweep_points(monkeypatch)
     for seed in seeds:
         f = _general(k, resolution, seed)
         res = concave_envelope(f)
@@ -143,45 +176,32 @@ def test_general_family_matches_bruteforce_and_pivots(monkeypatch, k, resolution
         for i, p in enumerate(f.lattice.points):
             point, value, total = evaluate_certificate(res, i)
             assert (point, value, total) == (p, res.values[i], 1)
+    solves = [point["routines"] for point in points]
     assert any("_dual" in routines for routines in solves)
     assert [] in solves  # a kept basis, feasible again, skips pricing
 
 
 def test_warm_general_sweeps_dual_runs_match_the_oracle_and_never_price_in_full(monkeypatch):
-    # Every solve of a sweep after the first is handed the basis the
+    # Every point of a sweep after the first starts from the basis the
     # solver last proved optimal, so its dual simplex skips the full
-    # dual-feasibility pass; its pivots match the Fraction oracle's.
-    # The solver sees the hull candidates only; the oracle sees every
-    # lattice column, with basis and entering positions mapped back.
-    runs, priced, solvers = [], [], []
-    init, solve, dual = ExactSimplexSolver.__init__, ExactSimplexSolver.solve, ExactSimplexSolver._dual
-    pivot, reduced_costs = ExactSimplexSolver._pivot, ExactSimplexSolver._reduced_costs
+    # dual-feasibility pass; its pivots, replayed or computed, match the
+    # Fraction oracle's.  The solver sees the hull candidates only; the
+    # oracle sees every lattice column, with basis and entering positions
+    # mapped back.
+    priced, solvers = [], []
+    init, reduced_costs = ExactSimplexSolver.__init__, ExactSimplexSolver._reduced_costs
 
     def init_spy(self, columns, objective):
         solvers.append(columns)
         init(self, columns, objective)
-
-    def solve_spy(self, rhs, basis=None):
-        runs.append({"rhs": rhs, "basis": basis, "dual": False, "pivots": []})
-        return solve(self, rhs, basis)
-
-    def dual_spy(self, *args):
-        runs[-1]["dual"] = True
-        return dual(self, *args)
-
-    def pivot_spy(*args):
-        runs[-1]["pivots"].append((args[4], args[6]))
-        return pivot(*args)
 
     def reduced_spy(self, *args):
         priced.append(sys._getframe(1).f_code.co_name)
         return reduced_costs(self, *args)
 
     monkeypatch.setattr(ExactSimplexSolver, "__init__", init_spy)
-    monkeypatch.setattr(ExactSimplexSolver, "solve", solve_spy)
-    monkeypatch.setattr(ExactSimplexSolver, "_dual", dual_spy)
-    monkeypatch.setattr(ExactSimplexSolver, "_pivot", staticmethod(pivot_spy))
     monkeypatch.setattr(ExactSimplexSolver, "_reduced_costs", reduced_spy)
+    runs = _sweep_points(monkeypatch)
     duals = pivots = 0
     for k, resolution, seed in ((2, 6, 1), (2, 6, 2), (3, 4, 3), (3, 4, 4)):
         f = _general(k, resolution, seed)
@@ -190,7 +210,7 @@ def test_warm_general_sweeps_dual_runs_match_the_oracle_and_never_price_in_full(
         kept = [f.lattice.index(column) for column in solvers[-1]]
         assert len(kept) < len(f.lattice)
         for run, value in zip(runs, res.values):
-            if run["dual"]:
+            if "_dual" in run["routines"]:
                 basis = [kept[c] for c in run["basis"]]
                 expected = dual_simplex_bland(f.lattice.int_points, f.values, run["rhs"], basis)
                 mapped = [(row, kept[c]) for row, c in run["pivots"]]
@@ -614,25 +634,10 @@ def test_envelope_values_match_the_certificate_sweep_and_the_oracle(family):
                 assert list(env.values) == envelope_bruteforce(f)
 
 
-def _solve_bases(monkeypatch):
-    """Per ExactSimplexSolver.solve call: the basis handed in, the basis
-    returned, and whether the dual simplex ran."""
-    calls = []
-    solve, dual = ExactSimplexSolver.solve, ExactSimplexSolver._dual
-
-    def solve_spy(self, rhs, basis=None):
-        calls.append([basis, None, False])
-        sol = solve(self, rhs, basis)
-        calls[-1][1] = sol.basis
-        return sol
-
-    def dual_spy(self, *args):
-        calls[-1][2] = True
-        return dual(self, *args)
-
-    monkeypatch.setattr(ExactSimplexSolver, "solve", solve_spy)
-    monkeypatch.setattr(ExactSimplexSolver, "_dual", dual_spy)
-    return calls
+def _solve_bases(points):
+    """[the basis handed in, the basis proved, whether the dual simplex
+    ran] per point of _sweep_points."""
+    return [[p["basis"], p["proved"], "_dual" in p["routines"]] for p in points]
 
 
 def test_values_sweep_reuses_neighbour_bases_the_ordered_sweep_does_not_reach(monkeypatch):
@@ -640,20 +645,22 @@ def test_values_sweep_reuses_neighbour_bases_the_ordered_sweep_does_not_reach(mo
     # without running the dual simplex; the ordered sweep never does.  At
     # degenerate points the hit may be another optimum than the ordered
     # sweep's, with the same value.
-    calls = _solve_bases(monkeypatch)
+    points = _sweep_points(monkeypatch)
     hits = elsewhere = 0
     for family in ("general", "strictly_concave", "ties"):
         for k, resolution in ((2, 5), (2, 8), (3, 4)):
             for seed in (1, 2):
                 f = _VALUES_FAMILIES[family](k, resolution, seed)
-                calls.clear()
+                points.clear()
                 ordered = concave_envelope(f)
+                calls = _solve_bases(points)
                 if not calls:
                     continue  # the affine path
                 assert all(b_in == b_out or dual for b_in, b_out, dual in calls[1:])
                 ordered_bases = [b_out for _, b_out, _ in calls]
-                calls.clear()
+                points.clear()
                 assert envelope_values(f) == ordered.envelope
+                calls = _solve_bases(points)
                 assert len(calls) == len(f.lattice)
                 hits += sum(b_in != b_out and not dual for b_in, b_out, dual in calls[1:])
                 elsewhere += sum(set(b_out) != set(o) for (_, b_out, _), o in zip(calls, ordered_bases))
@@ -661,13 +668,13 @@ def test_values_sweep_reuses_neighbour_bases_the_ordered_sweep_does_not_reach(mo
 
 
 def test_values_sweep_runs_fewer_dual_simplexes(monkeypatch):
-    calls = _solve_bases(monkeypatch)
+    points = _sweep_points(monkeypatch)
     runs = {}
     for sweep in (concave_envelope, envelope_values):
-        calls.clear()
+        points.clear()
         for k, resolution, seed in ((2, 8, 1), (2, 8, 2), (3, 4, 3), (3, 4, 4)):
             sweep(_general(k, resolution, seed))
-        runs[sweep] = sum(dual for _, _, dual in calls)
+        runs[sweep] = sum(dual for _, _, dual in _solve_bases(points))
     assert 0 < runs[envelope_values] < runs[concave_envelope], runs
 
 
@@ -689,10 +696,10 @@ def _fractions_made(fn, *args):
 
 
 def test_sweeps_make_no_fraction_but_the_printed_weights(monkeypatch):
-    calls = _solve_bases(monkeypatch)
+    points = _sweep_points(monkeypatch)
     f = _general(2, 8, 1)
     env, made = _fractions_made(envelope_values, f)
-    assert any(dual for _, _, dual in calls) and made == 0
+    assert any(dual for _, _, dual in _solve_bases(points)) and made == 0
     res, made = _fractions_made(concave_envelope, f)
     assert res.envelope == env
     assert made == sum(len(cert) for cert in res.certificates)
@@ -728,30 +735,113 @@ def test_reports_and_the_plain_envelope_command_skip_certificates(monkeypatch, t
 
 def test_values_sweep_tests_each_proved_fallback_once(monkeypatch):
     # Earlier neighbours often share one proved triple, and the sweep
-    # lists it once per neighbour.  A solve tests each distinct triple
+    # lists it once per neighbour.  A point tests each distinct triple
     # at most once, in the order of first listing, so the values are
     # unchanged.
     solves = []
-    solve, feasible = ExactSimplexSolver.solve, ExactSimplexSolver._feasible
+    sweep, feasible = ExactSimplexSolver.sweep, ExactSimplexSolver._feasible
 
-    def solve_spy(self, rhs, basis=None):
-        ids = [id(t) for t in self.fallbacks]
-        solves.append([len(set(ids)), len(ids), 0])
-        return solve(self, rhs, basis)
+    def sweep_spy(self, points, basis, near=None):
+        results = sweep(self, points, basis, near)
+        tested = {}
+        for b in feasible_calls:
+            tested[b] = tested.get(b, 0) + 1
+        for i in range(1, len(points)):
+            ids = [id(results[j][0]) for j in near[i]] if near else []
+            solves.append([len(set(ids)), len(ids), tested.get(points[i], 0)])
+        return results
 
     def feasible_spy(adj, b):
-        solves[-1][2] += 1
+        feasible_calls.append(b)
         return feasible(adj, b)
 
-    monkeypatch.setattr(ExactSimplexSolver, "solve", solve_spy)
+    feasible_calls = []
+    monkeypatch.setattr(ExactSimplexSolver, "sweep", sweep_spy)
     monkeypatch.setattr(ExactSimplexSolver, "_feasible", staticmethod(feasible_spy))
     shared = 0
     for seed in range(1, 9):
         f = _general(2, 8, seed)
         solves.clear()
+        feasible_calls.clear()
         env = envelope_values(f)
         assert all(tests <= distinct for distinct, _, tests in solves), seed
         shared += sum(tests > 0 and distinct < given for distinct, given, tests in solves)
         solves.clear()
         assert env == concave_envelope(f).envelope
     assert shared > 0
+
+
+_KERNEL_FAMILIES = {
+    "general": lambda k, resolution, seed: _general(k, resolution, 2 * seed),  # a concave bump
+    "spikes": lambda k, resolution, seed: _general(k, resolution, 2 * seed - 1),
+    "ties": _ties,
+    "strictly_concave": _strictly_concave,
+}
+_KERNEL_SIZES = ((1, 4), (1, 11), (2, 3), (2, 6), (3, 3), (3, 4), (4, 2), (4, 3))
+
+
+@pytest.mark.parametrize("family", sorted(_KERNEL_FAMILIES))
+def test_sweep_kernel_matches_one_solve_per_point(monkeypatch, family):
+    # The kernel against the per-point sweep it replaced: the certificate
+    # sweep proves the same bases, values and certificates; the values
+    # sweep the same values.
+    swept = []
+    sweep = ExactSimplexSolver.sweep
+
+    def sweep_spy(self, points, basis, near=None):
+        results = sweep(self, points, basis, near)
+        swept.append([set(triple[0]) for triple, _ in results])
+        return results
+
+    monkeypatch.setattr(ExactSimplexSolver, "sweep", sweep_spy)
+    pivoted = 0
+    for k, resolution in _KERNEL_SIZES:
+        for seed in (1, 2, 3):
+            f = _KERNEL_FAMILIES[family](k, resolution, seed)
+            swept.clear()
+            res = concave_envelope(f)
+            bases, values, certificates = zip(*envelope_sweep_by_solves(f, False))
+            assert (res.values, res.certificates) == (values, certificates)
+            if swept:  # else the affine path, which runs no sweep
+                kept = hull_candidates(f)
+                assert [{kept[c] for c in basis} for basis in swept[0]] == list(bases)
+                pivoted += len(set(bases)) > 1
+            _, values, _ = zip(*envelope_sweep_by_solves(f, True))
+            assert envelope_values(f).values == values
+    assert pivoted > 0
+
+
+def test_certificate_sweep_replays_the_dual_steps_it_kept(monkeypatch):
+    # A general k = 2, N = 8 sweep takes more dual steps than it computes:
+    # a step is kept under (ordered basis, leaving row) and replayed.
+    # Each kept step is the one a fresh solver takes from that basis at a
+    # right hand side whose only negative basic value is in that row.
+    solvers, taken = [], []
+    init, pivot = ExactSimplexSolver.__init__, ExactSimplexSolver._pivot
+
+    def init_spy(self, columns, objective):
+        solvers.append((self, columns, objective))
+        init(self, columns, objective)
+
+    def pivot_spy(*args):
+        if sys._getframe(1).f_code.co_name == "_dual":
+            adj, det, xb, basis, row, d, entering = args
+            taken.append(((tuple(basis), row), (entering, d)))
+        return pivot(*args)
+
+    monkeypatch.setattr(ExactSimplexSolver, "__init__", init_spy)
+    monkeypatch.setattr(ExactSimplexSolver, "_pivot", staticmethod(pivot_spy))
+    f = _general(2, 8, 1)
+    res = concave_envelope(f)
+    monkeypatch.undo()
+    ((solver, columns, objective),) = solvers
+    steps = solver._steps
+    assert len(taken) > len(steps) > 0, (len(taken), len(steps))
+    assert all(steps[key] == step for key, step in taken)
+    for (basis, row), step in steps.items():
+        x = [-1 if r == row else 1 for r in range(len(basis))]
+        rhs = [sum(x[r] * columns[j][i] for r, j in enumerate(basis)) for i in range(len(basis))]
+        fresh = ExactSimplexSolver(columns, objective)
+        fresh.solve(rhs, basis)
+        assert fresh._steps[basis, row] == step
+    assert res.envelope == envelope_values(f)

@@ -602,6 +602,57 @@ def test_warm_solve_sequences_match_fresh_solvers(monkeypatch):
     assert kept_hits >= 300 and pivoted_hits >= 40, (kept_hits, pivoted_hits)
 
 
+# -- the sweep kernel ---------------------------------------------------------
+
+
+def test_sweep_matches_one_solve_per_point():
+    # Per point the kernel returns a proved basis with its exact integer
+    # adj and det, xb = adj b >= 0, and the optimum a fresh solver finds;
+    # so it does when it tests earlier points' bases first, and when it
+    # starts from no basis, or from one the first point's LP rejects.
+    rng = SplitMix64(41)
+    swept = repaired = 0
+    for trial in range(90):
+        m = 1 + trial % 3
+        columns, objective = _int_lp(*_rational_lp(rng, m, m + 3 + trial % 3))
+        optima, points = [], []
+        for _ in range(10):
+            rhs = _int_rows(_rational_rhs(rng, m))
+            sol = ExactSimplexSolver(columns, objective).solve(rhs)
+            if sol.status == "optimal":
+                optima.append(sol.value)
+                points.append(rhs)
+        if not points:
+            continue
+        start = (None, tuple(range(m)), ExactSimplexSolver(columns, objective).solve(points[0]).basis)[trial % 3]
+        near = [list(range(i))[::-1] for i in range(len(points))]
+        for neighbours in (None, near):
+            solver = ExactSimplexSolver(columns, objective)
+            try:
+                results = solver.sweep(points, start, neighbours)
+            except ValueError:
+                assert start == tuple(range(m))  # a singular starting basis
+                continue
+            assert len(results) == len(points)
+            for ((basis, adj, det), xb), b, value in zip(results, points, optima):
+                assert (adj, det) == _integer_basis(columns, basis)
+                assert xb == [sum(map(lambda a, v: a * v, row, b)) for row in adj] and min(xb) >= 0
+                assert Fraction(sum(objective[j] * v for j, v in zip(basis, xb)), det) == value
+            assert solver.proved is results[-1][0]
+            swept += 1
+            repaired += len({id(triple) for triple, _ in results}) > 1
+    assert swept >= 120 and repaired >= 40, (swept, repaired)
+
+
+def test_sweep_validates_its_points():
+    solver = ExactSimplexSolver([[1, 0], [0, 1], [1, 1]], [1, 1, 3])
+    with pytest.raises(ValueError, match="rhs length mismatch"):
+        solver.sweep([[1, 2], [1]], (0, 1))
+    with pytest.raises(TypeError, match=r"point 1 entry 0 is Fraction\(1, 1\)"):
+        solver.sweep([[1, 2], [Fraction(1), 2]], (0, 1))
+    assert solver.proved is None and solver._steps == {}
+
+
 # -- the dual simplex against a Fraction oracle -----------------------------
 
 
