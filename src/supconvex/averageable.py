@@ -22,25 +22,30 @@ This module builds explicit certificates for the families
 and verifies any certificate from scratch: domain tilings, per-piece
 measure preservation, the constant jacobian, the image tiling of the
 target, and the transport inequality on the lattice.  Every check is
-exact.  The transport check proves that every piece of every map has
-an integer matrix and that each map permutes the lattice L_N at
-N = TRANSPORT_RESOLUTION.  Then, for every f on L_N at once,
+exact.  The image tiling re-derives the average's image pieces, fails a
+certificate that claims others, and tests each image vertex for lying
+in T and then in S.  The transport check proves that every piece of
+every map has an integer matrix and that each map permutes the lattice
+L_N at N = TRANSPORT_RESOLUTION.  Then, for every f on L_N at once,
 
     sum_x S_m(H_1 x + ... + H_m x) >= m sum_x f(x),
 
 S_m(s) being the best sum of m values of f over lattice points that
 sum to s, so no function is sampled and no tolerance is used.  A piece
 holds the integer rows of [matrix | offset] over one positive
-denominator, as a simplex holds its vertices: pieces are solved,
-averaged, applied and tested for integrality on those rows, and only
-the volumes and witnesses of the report are rational.
+denominator, as a simplex holds its vertices.  The constructions
+permute the rows of the standard simplex and write midpoints as rows
+over 2; pieces are solved, averaged, applied and tested for integrality
+on those rows; a target's member tests a vertex row over its
+denominator.  Only the volumes and witnesses of the report are
+rational.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from ._rational import ONE, Rat, scaled
 from .exactlp import eliminate
@@ -51,7 +56,6 @@ from .geometry import (
     contains_points,
     lattice,
     relative_volume,
-    simplex,
     simplices_interior_intersect,
     standard_simplex,
 )
@@ -110,11 +114,12 @@ class PLMap:
 @dataclass(frozen=True)
 class TargetRegion:
     """Convex target S of the averaged map, with exact volume and an
-    exact membership test."""
+    exact membership test: member(row, den) says whether the point
+    row / den, an integer row over a positive den, lies in S."""
 
     name: str
     rel_volume: object
-    member: object  # BaryPoint -> bool
+    member: object  # (row, den) -> bool
 
 
 @dataclass(frozen=True)
@@ -143,8 +148,8 @@ class VerificationReport:
 # -- explicit constructions -----------------------------------------------
 
 
-def _piece_from_vertex_images(domain: Simplex, images) -> AffinePiece:
-    """The linear piece sending each domain vertex to its image.
+def _piece_from_vertex_images(domain: Simplex, image: Simplex) -> AffinePiece:
+    """The linear piece sending vertex i of domain to vertex i of image.
 
     Vertices of a nondegenerate simplex in {sum = 1} are linearly
     independent, so a pure matrix (offset zero) always exists.
@@ -152,7 +157,6 @@ def _piece_from_vertex_images(domain: Simplex, images) -> AffinePiece:
     # Row r of the matrix solves (vertex j) . row = (image j)[r] for all j.
     # With vertices rows / D and images W / E, that is rows (E row) = D W[:, r],
     # so the eliminated column r is det E times row r.
-    image = simplex(images)
     rhs = [[domain.den * w[r] for w in image.rows] for r in range(domain.k + 1)]
     det, cols = eliminate(domain.rows, rhs)
     if cols is None:
@@ -163,7 +167,7 @@ def _piece_from_vertex_images(domain: Simplex, images) -> AffinePiece:
 
 
 def _identity_map(tri: Simplex) -> PLMap:
-    return PLMap("identity", (_piece_from_vertex_images(tri, tri.vertices),))
+    return PLMap("identity", (_piece_from_vertex_images(tri, tri),))
 
 
 def _row_in_simplex(row, den: int) -> bool:
@@ -171,21 +175,13 @@ def _row_in_simplex(row, den: int) -> bool:
     return min(row) >= 0 and sum(row) == den
 
 
-def _in_simplex(p: BaryPoint) -> bool:
-    return _row_in_simplex(*scaled(p.coords))
-
-
-def _midpoint(a: BaryPoint, b: BaryPoint) -> BaryPoint:
-    half = Rat(1, 2)
-    return BaryPoint(tuple((x + y) * half for x, y in zip(a.coords, b.coords)))
-
-
 def _scaled_slice_region(k: int, m: int) -> TargetRegion:
-    """(1/m) * slice(k, m) inside T: all coordinates at most 1/m."""
+    """(1/m) * slice(k, m) inside T: all coordinates at most 1/m.  The
+    member tests that bound alone; verify_certificate tests T first."""
     vol = cell_volume(k, m, m)
 
-    def member(p: BaryPoint) -> bool:
-        return all(m * c <= 1 for c in p.coords)
+    def member(row, den) -> bool:
+        return m * max(row) <= den
 
     return TargetRegion(f"slice({k},{m})/{m}", vol, member)
 
@@ -195,7 +191,11 @@ def _average_pieces(maps, m: int):
 
     Supports the certificate shapes built here: at most one map is
     multi-piece, all others are single-piece with domain covering it.
+    A family with no maps, or with a map of no pieces, has no average
+    and so no pieces.
     """
+    if not maps or not all(mp.pieces for mp in maps):
+        return ()
     multi = [mp for mp in maps if len(mp.pieces) > 1]
     if len(multi) > 1:
         raise UnsupportedCertificateError("more than one multi-piece map")
@@ -232,15 +232,15 @@ def _finish(k, m, maps, target) -> AverageabilityCertificate:
 
 
 def _identity_certificate(k: int) -> AverageabilityCertificate:
-    target = TargetRegion("simplex", ONE, _in_simplex)
+    target = TargetRegion("simplex", ONE, _row_in_simplex)
     return _finish(k, 1, (_identity_map(standard_simplex(k)),), target)
 
 
 def _cyclic_certificate(k: int) -> AverageabilityCertificate:
     tri = standard_simplex(k)
-    e = tri.vertices
+    e = tri.rows
     maps = tuple(
-        PLMap(f"rotate{i}", (_piece_from_vertex_images(tri, e[i:] + e[:i]),))
+        PLMap(f"rotate{i}", (_piece_from_vertex_images(tri, Simplex(e[i:] + e[:i], 1)),))
         for i in range(k)
     )
     return _finish(k, k, maps, _scaled_slice_region(k, k))
@@ -249,13 +249,15 @@ def _cyclic_certificate(k: int) -> AverageabilityCertificate:
 def _wedge_certificate() -> AverageabilityCertificate:
     k = 3
     tri = standard_simplex(k)
-    e = tri.vertices
-    axis = (_midpoint(e[0], e[2]), _midpoint(e[1], e[3]))
+    # Rows over 2: the vertices doubled, and the axis through the
+    # midpoints of e0 e2 and of e1 e3.
+    e = [tuple(2 * c for c in v) for v in tri.rows]
+    axis = tuple(tuple(map(add, tri.rows[i], tri.rows[i + 2])) for i in (0, 1))
     pieces = []
     for i in range(4):
-        wedge = simplex((e[i], e[(i + 1) % 4], axis[0], axis[1]))
-        images = (e[(i + 1) % 4], e[(i + 2) % 4], axis[0], axis[1])
-        pieces.append(_piece_from_vertex_images(wedge, images))
+        wedge = Simplex((e[i], e[(i + 1) % 4], *axis), 2)
+        image = Simplex((e[(i + 1) % 4], e[(i + 2) % 4], *axis), 2)
+        pieces.append(_piece_from_vertex_images(wedge, image))
     rotation = PLMap("wedge-rotation", tuple(pieces))
     return _finish(k, 2, (_identity_map(tri), rotation), _scaled_slice_region(k, 2))
 
@@ -265,15 +267,15 @@ def medial_certificate() -> AverageabilityCertificate:
     vertices; the average contracts T onto a quarter-volume simplex."""
     k = 3
     tri = standard_simplex(k)
-    e = tri.vertices
-    images = (e[1], e[2], e[0], e[3])
-    rotation = PLMap("three-cycle", (_piece_from_vertex_images(tri, images),))
-    target_simplex = simplex(
-        (_midpoint(e[0], e[1]), _midpoint(e[1], e[2]), _midpoint(e[2], e[0]), e[3])
-    )
+    e = tri.rows
+    image = Simplex((e[1], e[2], e[0], e[3]), 1)
+    rotation = PLMap("three-cycle", (_piece_from_vertex_images(tri, image),))
+    # Over 2: the midpoints of the rotated edges, and e3 doubled.
+    mids = tuple(tuple(map(add, e[i], e[(i + 1) % 3])) for i in range(3))
+    target_simplex = Simplex((*mids, tuple(2 * c for c in e[3])), 2)
 
-    def member(p: BaryPoint) -> bool:
-        return contains(target_simplex, p)
+    def member(row, den) -> bool:
+        return contains_points(target_simplex, [row], den)[0]
 
     target = TargetRegion("medial-cone", relative_volume(target_simplex), member)
     return _finish(k, 2, (_identity_map(tri), rotation), target)
@@ -339,8 +341,10 @@ def verify_certificate(cert: AverageabilityCertificate) -> VerificationReport:
     + f(H_m x), and summing over x, each sum over H_i x being a sum over
     L_N, gives m sum_x f(x) for every f at once.  That the average
     A(x) = (H_1 x + ... + H_m x)/m lies in the target is image-tiling's
-    check: A is affine on each piece, S is convex, and every image
-    vertex is checked to lie in S.
+    check: A is affine on each piece, T and S are convex, and every
+    image vertex is checked to lie in T and then in S, so a target whose
+    member accepts points off T cannot pass it.  Image-tiling also fails
+    a certificate whose image_pieces are not the images it derives.
 
     Each distinct simplex is measured once per call: domain-tiling,
     piece-measure, average-jacobian and image-tiling read one memo,
@@ -371,8 +375,7 @@ def verify_certificate(cert: AverageabilityCertificate) -> VerificationReport:
             witness = ""
         checks.append(CheckResult(f"piece-measure:{mp.name}", not witness, witness))
 
-    # An empty family has no pieces to average, and so no image.
-    avg = _average_pieces(cert.maps, cert.m) if cert.maps else ()
+    avg = _average_pieces(cert.maps, cert.m)
     images = tuple(p.image_simplex() for p in avg)
     for idx, (piece, img) in enumerate(zip(avg, images)):
         ratio = volume(img) / volume(piece.domain)
@@ -387,12 +390,13 @@ def verify_certificate(cert: AverageabilityCertificate) -> VerificationReport:
             witness = f"jacobian {cert.jacobian} differs from |S|/|T| = {cert.target.rel_volume}"
     checks.append(CheckResult("average-jacobian", not witness, witness))
 
-    def in_target(row, den):
-        return cert.target.member(BaryPoint(tuple(Rat(c, den) for c in row)))
+    def inside(row, den):
+        return _row_in_simplex(row, den) and cert.target.member(row, den)
 
-    checks.append(
-        _simplices_tile(images, cert.target.rel_volume, in_target, "image-tiling", volume)
-    )
+    tiling = _simplices_tile(images, cert.target.rel_volume, inside, "image-tiling", volume)
+    if tiling.passed and images != tuple(cert.image_pieces):
+        tiling = CheckResult("image-tiling", False, "image pieces differ from the average's images")
+    checks.append(tiling)
 
     lat = lattice(cert.k, TRANSPORT_RESOLUTION)
     witness = next(

@@ -25,7 +25,8 @@ integer points x / q in a simplex's chart frame, and containment and
 overlap both read it.
 contains_points tests many points against one simplex in a single
 elimination; contains scales its one query point to integers and calls
-it, and the averageable transport check calls it once per map piece.
+it, the averageable transport check calls it once per map piece, and
+the medial target once per image vertex.
 The overlap test first looks for a facet of either simplex with every
 vertex of the other on its closed far side, from the weights of the
 other's vertices, in integers; only a pair that no facet separates goes

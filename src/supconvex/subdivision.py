@@ -35,7 +35,7 @@ from itertools import combinations
 from math import comb
 
 from ._rational import ONE, Rat, scaled
-from .geometry import BaryPoint, _check_dim, compositions, relative_volume, simplex
+from .geometry import BaryPoint, Simplex, _check_dim, compositions, relative_volume
 
 # Cap on the cells of one subdivision, checked before any is listed.
 # On a 2-vCPU host the largest accepted `supconvex subdivide` runs
@@ -95,9 +95,7 @@ def hypersimplex_triangulation(k: int, m: int):
 @cache
 def hypersimplex_volume(k: int, m: int):
     """Relative volume of slice(k, m), from the exact triangulation."""
-    return sum(
-        (relative_volume(simplex(s)) for s in hypersimplex_triangulation(k, m)), Rat(0)
-    )
+    return sum((relative_volume(Simplex(s, 1)) for s in hypersimplex_triangulation(k, m)), Rat(0))
 
 
 @lru_cache(maxsize=256)

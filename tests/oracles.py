@@ -16,7 +16,8 @@ best_sums_ordered is the package's earlier integer DP, kept whole: it
 checks the unordered-pair DP against every ordered pair.
 sampled_transport is the averageable transport check as it was before
 it became a proof: it runs the package's sup_convolve_n on sampled
-functions and compares lattice means with a tolerance.
+functions and compares lattice means with a tolerance, over the lattice
+points x / N that the target's member(x, N) accepts.
 normalize_by_envelope is normalize_to_simplex_form as it was when it
 ran the package's envelope sweep to read the vertex values and
 subtracted their plane in Fraction arithmetic; it checks the integer
@@ -538,7 +539,10 @@ def sampled_transport(cert, functions, tol_rel=Fraction(1, 20), tol_abs=Fraction
     vol = cert.target.rel_volume
     for t, f in enumerate(functions):
         conv = sup_convolve_n(f, cert.m)
-        inside = [v for v, p in zip(conv.values, f.lattice.points) if cert.target.member(p)]
+        lat = f.lattice
+        inside = [
+            v for v, x in zip(conv.values, lat.int_points) if cert.target.member(x, lat.resolution)
+        ]
         if not inside:
             return False, "no lattice points inside the target"
         lhs = vol * sum(inside, Fraction(0)) / len(inside)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 import pytest
@@ -18,9 +19,10 @@ from supconvex import (
     relative_volume,
     sampled_function,
     simplex,
+    standard_simplex,
     verify_certificate,
 )
-from supconvex import averageable
+from supconvex import averageable, geometry, subdivision
 from supconvex.cli import main
 
 EXPECTED_JACOBIANS = {
@@ -160,7 +162,7 @@ def test_pieces_keep_a_positive_denominator():
     # Vertices listed in odd order give the domain a negative determinant.
     domain = simplex([(0, 1, 0), (1, 0, 0), (0, 0, 1)])
     images = simplex([(0, 0, 1), (0, 1, 0), (1, 0, 0)]).vertices
-    piece = averageable._piece_from_vertex_images(domain, images)
+    piece = averageable._piece_from_vertex_images(domain, simplex(images))
     assert piece.den > 0
     assert tuple(map(piece.apply, domain.vertices)) == images
     assert relative_volume(piece.image_simplex()) == 1
@@ -203,7 +205,7 @@ def _volume_halving(cert):
 
 def _inner_points_only(cert):
     # conv_1 = f, averaged over the points where f = -1 only.
-    target = dataclasses.replace(cert.target, member=lambda p: max(p.coords) < 1)
+    target = dataclasses.replace(cert.target, member=lambda row, den: max(row) < den)
     return dataclasses.replace(cert, target=target)
 
 
@@ -215,10 +217,15 @@ def _k1_map(name, first_images, second_images):
     # The k = 1 identity certificate, its map replaced by the pieces that
     # send the vertices of [e0, mid] and of [mid, e1] to the given images.
     domains = (simplex([E0.coords, MID.coords]), simplex([MID.coords, E1.coords]))
-    pieces = tuple(
-        map(averageable._piece_from_vertex_images, domains, (first_images, second_images))
+    # The one map is its own average, so its piece images are the
+    # certificate's image pieces.
+    images = (simplex(first_images), simplex(second_images))
+    pieces = tuple(map(averageable._piece_from_vertex_images, domains, images))
+    return dataclasses.replace(
+        averaging_certificate(1, 1),
+        maps=(PLMap(name, pieces),),
+        image_pieces=tuple(p.image_simplex() for p in pieces),
     )
-    return dataclasses.replace(averaging_certificate(1, 1), maps=(PLMap(name, pieces),))
 
 
 def _half_reflection(_cert):
@@ -248,7 +255,7 @@ TAMPERED = [
     ),
     (
         lambda c: dataclasses.replace(
-            c, target=dataclasses.replace(c.target, member=lambda p: False)
+            c, target=dataclasses.replace(c.target, member=lambda row, den: False)
         ),
         "image-tiling",
         "vertex (Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)) outside region",
@@ -310,12 +317,59 @@ def test_family_without_its_m_maps_fails_average_jacobian():
     assert failed["average-jacobian"] == "0 maps to average, certificate says m = 2"
     assert failed["image-tiling"] == "volumes sum to 0, want 1/2"
     # One map short: rotate1 / 2 sends T onto T / 2, which has the
-    # jacobian and the volume of slice(2, 2) / 2 and lies inside it, so
-    # the map count is the only check that fails.
+    # jacobian and the volume of slice(2, 2) / 2 and every coordinate at
+    # most 1/2, but lies on {sum = 1/2}, off T, so the map count and the
+    # image vertices fail.
     cert = averaging_certificate(2, 2)
     short = verify_certificate(dataclasses.replace(cert, maps=cert.maps[1:]))
     failed = {c.name: c.witness for c in short.checks if not c.passed}
-    assert failed == {"average-jacobian": "1 maps to average, certificate says m = 2"}
+    assert failed == {
+        "average-jacobian": "1 maps to average, certificate says m = 2",
+        "image-tiling": "vertex (Fraction(0, 1), Fraction(1, 2), Fraction(0, 1)) outside region",
+    }
+
+
+def test_average_off_t_fails_image_tiling():
+    # rotate1 with the offset of its last row lowered by 1: the average
+    # with rotate0 maps T onto {sum = 1/2}.  Every image vertex has all
+    # coordinates at most 1/2, so the slice's member accepts it; only
+    # the test for T rejects it.
+    cert = averaging_certificate(2, 2)
+    rotate0, rotate1 = cert.maps
+    (piece,) = rotate1.pieces
+    matrix, offset = _matrix_and_offset(piece)
+    lowered = _affine_piece(piece.domain, matrix, (*offset[:-1], offset[-1] - 1))
+    tampered = dataclasses.replace(cert, maps=(rotate0, PLMap(rotate1.name, (lowered,))))
+    images = [p.image_simplex() for p in averageable._average_pieces(tampered.maps, 2)]
+    assert all(cert.target.member(row, s.den) for s in images for row in s.rows)
+    report = verify_certificate(tampered)
+    failed = {c.name: c.witness for c in report.checks if not c.passed}
+    assert failed == {
+        "image-tiling": "vertex (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)) outside region",
+        "transport": "rotate1: does not permute L_4",
+    }
+
+
+def test_claimed_image_pieces_must_be_the_average_images():
+    # The CLI prints image_volumes from this field.
+    cert = dataclasses.replace(averaging_certificate(3, 2), image_pieces=(standard_simplex(3),))
+    report = verify_certificate(cert)
+    failed = {c.name: c.witness for c in report.checks if not c.passed}
+    assert failed == {"image-tiling": "image pieces differ from the average's images"}
+
+
+@pytest.mark.parametrize("k, m", [(2, 1), (2, 2)])
+def test_map_without_pieces_fails_domain_tiling(k, m):
+    # The identity family's one map, or rotate0's partner, has no pieces.
+    cert = averaging_certificate(k, m)
+    maps = (*cert.maps[: m - 1], PLMap("empty", ()))
+    report = verify_certificate(dataclasses.replace(cert, maps=maps))
+    failed = {c.name: c.witness for c in report.checks if not c.passed}
+    assert failed == {
+        "domain-tiling:empty": "volumes sum to 0, want 1",
+        "image-tiling": f"volumes sum to 0, want {cert.target.rel_volume}",
+        "transport": "empty: does not permute L_4",
+    }
 
 
 def test_unsupported_families_raise():
@@ -324,9 +378,10 @@ def test_unsupported_families_raise():
             averaging_certificate(k, m)
 
 
-SUPPORTED = [averaging_certificate(k, m) for k, m in ((1, 1), (2, 1), (3, 1), (4, 1))]
-SUPPORTED += [averaging_certificate(k, k) for k in (2, 3, 4)]
-SUPPORTED += [averaging_certificate(3, 2), medial_certificate()]
+BUILDS = [partial(averaging_certificate, k, m) for k, m in ((1, 1), (2, 1), (3, 1), (4, 1))]
+BUILDS += [partial(averaging_certificate, k, k) for k in (2, 3, 4)]
+BUILDS += [partial(averaging_certificate, 3, 2), medial_certificate]
+SUPPORTED = [build() for build in BUILDS]
 
 
 def test_maps_permute_the_lattice_at_every_resolution():
@@ -439,3 +494,22 @@ def test_one_verification_measures_each_distinct_simplex_once(monkeypatch):
         measured |= {p.domain for p in averaged} | {p.image_simplex() for p in averaged}
         assert len(calls) == len(set(calls)), (cert.k, cert.m)
         assert set(calls) == measured, (cert.k, cert.m)
+
+
+def test_building_and_verifying_makes_no_rational_point(monkeypatch):
+    # Construction, targets and checks run on integer rows.  The cached
+    # slice volumes are cleared so that their triangulations are
+    # measured again under the spy.
+    made = []
+    init = geometry.BaryPoint.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(geometry.BaryPoint, "__init__", spy)
+    subdivision.hypersimplex_volume.cache_clear()
+    subdivision.cell_volume.cache_clear()
+    for build in BUILDS:
+        assert verify_certificate(build()).passed
+    assert made == []
