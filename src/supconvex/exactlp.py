@@ -5,19 +5,19 @@ Solves max c.x subject to A x = b, x >= 0 where every entry of A, b
 and c is an int; x and the optimal value are exact rationals.  The
 systems in this package are tiny (at most about nine rows) but are
 solved many times, so the solver keeps an explicit basis inverse, in
-integers, and supports warm starts:
+integers, and supports warm starts.  ``solve`` inverts the basis it is
+handed, and then:
 
-- a caller-supplied basis that is primal feasible for the new right
-  hand side starts the primal simplex (zero pivots when it is already
-  optimal);
-- any other caller-supplied basis starts the dual simplex, which first
-  checks dual feasibility on the reduced costs of every column; a
-  previously optimal basis that went primal infeasible after a right
-  hand side change passes, and is repaired in a few pivots (the dual
-  simplex keeps every reduced cost <= 0, so its result is optimal);
-- a basis that fails that check, or no basis, falls back to a
-  two-phase solve with artificials, run on a second solver over the
-  columns plus the artificials.
+- where that basis is primal feasible for the right hand side, runs
+  the primal simplex (zero pivots when it is already optimal);
+- where it is not, prices every column once: a basis whose reduced
+  costs are all <= 0 is dual feasible, and the dual simplex repairs it
+  (it keeps every reduced cost <= 0, so its result is optimal);
+- where neither holds, or no basis is handed, solves in two phases
+  with artificials, on a second solver over the columns plus the
+  artificials.
+
+``sweep`` alone reuses a basis once proved optimal (see below).
 
 Bland's smallest-index rule is used for both entering and leaving
 choices (and its dual analogue), so every loop terminates despite the
@@ -40,10 +40,9 @@ simplex prices columns in index order and stops at the first one that
 may enter.  The dual simplex forms the leaving row W = adj[row] . A
 for every column at once, as a sum of the rows of A weighted by
 adj[row], and prices only the columns its ratio test reads, those with
-W_j < 0, from y = c_B adj formed once per pivot.  Its dual-feasibility
-check is the one pass over every R_j, made before the first pivot (a
-dual pivot keeps every R_j <= 0) and skipped for the basis the solver
-last proved optimal (see below).  A pivot on d at p = d[row] is
+W_j < 0, from y = c_B adj formed once per pivot.  The dual-feasibility
+check is solve's one pass over every R_j, made before the dual simplex
+runs (a dual pivot keeps every R_j <= 0).  A pivot on d at p = d[row] is
 Edmonds' update: every row r other than row becomes
 (p adj[r] - d[r] adj[row]) // det, xb[r] likewise, and |p| is the new
 det (adj and xb change sign when p < 0, as in every dual pivot).  The
@@ -57,17 +56,11 @@ made as rationals only when read.
 
 Reduced costs do not depend on the right hand side, so a basis once
 proved optimal stays dual feasible, and it is optimal again for every
-right hand side on which it is primal feasible.  The solver therefore
-keeps the last basis a warm solve proved optimal, in its order, with
-its adj and det.  Handed that basis again, it reuses them instead of
-eliminating, and returns at once when the new basic solution is
-nonnegative: the primal simplex would find no entering column there.
-Where it is not, the dual simplex starts on new outer lists (see
-_pivot), without its dual-feasibility check, since the basis passed it
-when it was proved optimal.  The very tuple the solve returned (Solution.basis), which is
-the one kept, is known by identity and skips the checks of its column
-indices too; any other basis is checked first and then compared by
-value, as (2, 1.0) == (2, 1) and (True, 1) == (1, 1).
+right hand side on which it is primal feasible.  ``solve`` makes no
+use of this: it is a function of (rhs, basis) alone, and it checks and
+inverts every basis it is handed.  On an optimum it keeps the proved
+basis, in its order, with its adj and det, as ``proved``: that is
+where ``sweep`` starts after its first point.
 
 The dual simplex keeps what its steps decide.  A dual pivot's leaving
 row is read off the right hand side, but given that row, the entering
@@ -76,8 +69,8 @@ d = adj A_enter depend only on the ordered basis, never on the right
 hand side.  So every step is kept on the solver under (ordered basis,
 leaving row), as (entering, d), or as "no column may enter", and a
 step taken again is replayed: the same pivot is made through
-``_pivot``, with nothing priced and no W formed.  A kept step also proves its basis dual
-feasible, as only such bases are pivoted from.
+``_pivot``, with nothing priced and no W formed.  A kept step also
+proves its basis dual feasible, as only such bases are pivoted from.
 
 ``sweep`` runs the warm solves of a sequence of right hand sides in
 one call, as the envelope does per lattice point.  The first point goes
@@ -280,12 +273,12 @@ class ExactSimplexSolver:
                 return "unbounded", det
             det = self._pivot(adj, det, xb, basis, row, d, entering)
 
-    def _dual(self, adj, det, xb, basis, check):
-        """Returns (status, det); status None when not dual feasible.
+    def _dual(self, adj, det, xb, basis):
+        """Returns (status, det), status "optimal" or "infeasible".
 
-        With check false the caller vouches that the basis is dual
-        feasible, and no column is priced in full.  A step kept from an
-        earlier run is replayed without pricing, and vouches too.
+        The caller vouches that the basis is dual feasible, and no column
+        is priced in full.  A step kept from an earlier run is replayed
+        without pricing.
         """
         costs, ints, steps = self._costs, self._ints, self._steps
         while True:
@@ -298,11 +291,6 @@ class ExactSimplexSolver:
             key = (tuple(basis), row)
             step = steps.get(key)
             if step is None:
-                if check:
-                    # Only the handed-in basis can fail: every dual pivot
-                    # keeps all reduced costs <= 0.
-                    if any(rj > 0 for rj in self._reduced_costs(adj, det, basis, costs, len(ints))):
-                        return None, det
                 # W = adj[row] . A over all columns, as a sum of the rows
                 # of A; W_j >= 0 on every basic column.
                 w = None
@@ -323,7 +311,6 @@ class ExactSimplexSolver:
                             entering, rb, wb = j, rj, wj
                 d = None if entering is None else self._mat_vec(adj, ints[entering])
                 step = steps[key] = (entering, d)
-            check = False
             entering, d = step
             if entering is None:
                 return "infeasible", det
@@ -337,45 +324,32 @@ class ExactSimplexSolver:
         b = _require_ints("rhs", rhs)
         if basis is None:
             return self._two_phase(b)
-        kept = self.proved
-        hit = kept is not None and basis is kept[0]  # checked when it was proved
-        if not hit:
-            basis = list(basis)
-            if len(basis) != self.m:
-                raise ValueError("basis length mismatch")
-            n_cols = len(self._ints)
-            for j in basis:
-                # Negative indices would wrap to the last columns.
-                if type(j) is not int or not 0 <= j < n_cols:
-                    raise ValueError(f"basis index {j!r} is not a column index in range({n_cols})")
-            hit = kept is not None and kept[0] == tuple(basis)
-        if hit:
-            adj, det = kept[1], kept[2]
-            xb = self._mat_vec(adj, b)
-            if all(v >= 0 for v in xb):
-                return self._solution("optimal", xb, det, kept[0])
-            # Pivot on new outer lists, so that the kept inverse survives.
-            adj, basis = list(adj), list(basis)
-            status, det = self._dual(adj, det, xb, basis, False)
+        basis = list(basis)
+        if len(basis) != self.m:
+            raise ValueError("basis length mismatch")
+        n_cols = len(self._ints)
+        for j in basis:
+            # Negative indices would wrap to the last columns.
+            if type(j) is not int or not 0 <= j < n_cols:
+                raise ValueError(f"basis index {j!r} is not a column index in range({n_cols})")
+        # The transposed basis (its columns as rows) eliminated against
+        # the identity yields the rows of the inverse.
+        det, adj = eliminate([self._ints[j] for j in basis], self._identity)
+        if adj is None:
+            raise ValueError("starting basis is singular")
+        if det < 0:
+            det, adj = -det, [[-v for v in row] for row in adj]
+        xb = self._mat_vec(adj, b)
+        if all(v >= 0 for v in xb):
+            status, det = self._primal(adj, det, xb, basis, self._costs, n_cols)
+        elif any(rj > 0 for rj in self._reduced_costs(adj, det, basis, self._costs, n_cols)):
+            return self._two_phase(b)  # neither primal nor dual feasible
         else:
-            # The transposed basis (its columns as rows) eliminated
-            # against the identity yields the rows of the inverse.
-            det, adj = eliminate([self._ints[j] for j in basis], self._identity)
-            if adj is None:
-                raise ValueError("starting basis is singular")
-            if det < 0:
-                det, adj = -det, [[-v for v in row] for row in adj]
-            xb = self._mat_vec(adj, b)
-            if any(v < 0 for v in xb):
-                status, det = self._dual(adj, det, xb, basis, True)
-            else:
-                status, det = self._primal(adj, det, xb, basis, self._costs, len(self._ints))
-        if status is None:
-            return self._two_phase(b)
+            status, det = self._dual(adj, det, xb, basis)
         sol = self._solution(status, xb, det, tuple(basis))
         if status == "optimal":
-            # adj belongs to this call, and nothing changes it after the
-            # return; a later hit pivots on a copy.
+            # The handoff to sweep; adj belongs to this call, and nothing
+            # changes it after the return.
             self.proved = (sol.basis, adj, det)
         return sol
 
@@ -390,7 +364,10 @@ class ExactSimplexSolver:
         would walk its whole inverse); then the dual simplex.  Every
         point is checked as solve checks its right hand side, before the
         first solve.  Raises ArithmeticError at a point with no optimum.
+        No points give no results and leave the solver as it was.
         """
+        if not points:
+            return []
         if any(len(b) != self.m for b in points):
             raise ValueError("rhs length mismatch")
         if not set(map(type, chain.from_iterable(points))) <= {int}:
@@ -419,7 +396,7 @@ class ExactSimplexSolver:
                             break
                 else:
                     basis, adj, det = list(kept[0]), list(kept[1]), kept[2]
-                    status, det = self._dual(adj, det, xb, basis, False)
+                    status, det = self._dual(adj, det, xb, basis)
                     if status != "optimal":
                         raise ArithmeticError(f"sweep LP status {status} at point {i}")
                     kept = (tuple(basis), adj, det)

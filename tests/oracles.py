@@ -180,7 +180,6 @@ def envelope_sweep_by_solves(f, neighbours):
                 if id(proved[j]) not in tried:
                     tried.add(id(proved[j]))
                     if feasible(proved[j], ints):
-                        solver.proved = proved[j]
                         basis = proved[j][0]
                         break
         sol = solver.solve(ints, basis=basis)

@@ -98,19 +98,21 @@ def test_input_validation():
             solver.solve([1, 2], basis)
 
 
-def test_validation_after_a_proved_basis():
-    # Only the very tuple the solver returned skips the index checks:
-    # (2, 1.0) == (2, 1) and (True, 1) == (1, 1), yet neither is a basis.
+def test_validation_after_a_proved_basis(monkeypatch):
+    # No basis skips the index checks, not even one equal to the basis
+    # the solver proved: (2, 1.0) == (2, 1) and (True, 1) == (1, 1), yet
+    # neither is a basis.
     solver = ExactSimplexSolver([[1, 0], [0, 1], [1, 1]], [1, 1, 3])
     proved = solver.solve([1, 2], (2, 1))
     assert proved.status == "optimal" and proved.basis == (2, 1)
     for basis in ((2, 1.0), (2.0, True), (True, 1)):
         with pytest.raises(ValueError, match="not a column index in range\\(3\\)"):
             solver.solve([1, 2], basis)
-    again = solver.solve([1, 2], proved.basis)
-    assert again == proved and again.basis is proved.basis  # kept, so the next hit is one too
-    for copy in (list(proved.basis), tuple(list(proved.basis))):
-        assert solver.solve([1, 2], copy) == proved
+    inverted = []
+    monkeypatch.setattr(exactlp, "eliminate", lambda *a: inverted.append(a) or eliminate(*a))
+    for basis in (proved.basis, list(proved.basis), tuple(list(proved.basis))):
+        inverted.clear()
+        assert solver.solve([1, 2], basis) == proved and len(inverted) == 1  # inverted again
 
 
 # -- eliminate ---------------------------------------------------------------
@@ -283,15 +285,15 @@ def test_dual_feasible_warm_basis_takes_the_dual_simplex(monkeypatch):
 
 
 def test_basis_neither_primal_nor_dual_feasible_falls_back_to_two_phase(monkeypatch):
-    # Basis (2, 1) gives x_2 = -1 and column 0 a positive reduced cost.
-    # Running the dual simplex from it anyway ends at a primal feasible
-    # basis of value 0, below the optimum 1.
+    # Basis (2, 1) gives x_2 = -1 and column 0 a positive reduced cost,
+    # so the dual simplex never runs.  Run from it anyway, it would end
+    # at a primal feasible basis of value 0, below the optimum 1.
     columns = [[1, 0], [0, 1], [-1, 1], [1, 1]]
     objective = [0, 0, 1, 0]
     solver = ExactSimplexSolver(columns, objective)
     taken = _record_paths(solver, monkeypatch)
     warm = solver.solve([1, 1], basis=(2, 1))
-    assert taken == ["_dual", "_two_phase"]
+    assert taken == ["_two_phase"]
     assert warm.status == "optimal" and warm.value == 1
     _assert_matches_cold(columns, objective, [1, 1], warm)
 
@@ -504,7 +506,7 @@ def test_every_pivot_keeps_the_integer_adjugate_and_determinant(monkeypatch):
     assert kinds["drive-out"] >= 20 and kinds["negative p"] >= 100, kinds
 
 
-# -- reuse of the basis last proved optimal ----------------------------------
+# -- warm solves on one solver -----------------------------------------------
 
 
 def _outcome(solver, rhs, basis):
@@ -514,77 +516,42 @@ def _outcome(solver, rhs, basis):
         return f"ValueError: {exc}"
 
 
-def _replayer(columns, objective, monkeypatch):
+class _CountingSteps(dict):
+    """A dual step cache that counts the kept steps read back."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        step = super().get(key, default)
+        self.hits += step is not None
+        return step
+
+
+def _replayer(columns, objective):
     """run(rhs, basis) solves on one solver, asserts that the outcome
     equals that of a solver which has never solved, and returns it with
-    (routines run, bases inverted, pivots) of the first solver."""
+    the number of kept dual steps the first solver replayed."""
     solver = ExactSimplexSolver(columns, objective)
-    taken = _record_paths(solver, monkeypatch)
-    inverted, pivots = [], []
-    pivot = solver._pivot
-    monkeypatch.setattr(solver, "_pivot", lambda *a: pivots.append(a) or pivot(*a))
-    monkeypatch.setattr(exactlp, "eliminate", lambda *a: inverted.append(a) or eliminate(*a))
+    solver._steps = steps = _CountingSteps()
 
     def run(rhs, basis):
-        for log in (taken, inverted, pivots):
-            log.clear()
+        before = steps.hits
         got = _outcome(solver, rhs, basis)
-        trace = (tuple(taken), len(inverted), len(pivots))
         assert got == _outcome(ExactSimplexSolver(columns, objective), rhs, basis)
-        return got, trace
+        return got, steps.hits - before
 
     return run
 
 
-def test_reuse_after_a_dual_pivot(monkeypatch):
-    # The k = 1, N = 2 envelope LP of f = (0, 1, 0).
-    run = _replayer([[0, 2], [1, 1], [2, 0]], [0, 1, 0], monkeypatch)
-    assert run([1, 1], (1, 2))[1] == (("_primal",), 1, 0)
-    got, trace = run([0, 2], (1, 2))  # the kept basis, with x_2 = -1
-    assert trace == (("_dual",), 0, 1) and got.basis == (1, 0)
-    assert run([1, 1], (1, 0))[1] == ((), 0, 0)  # kept and feasible: no pricing
-    assert run([2, 0], (1, 2))[1] == (("_primal",), 1, 0)  # no longer kept
-
-
-def test_reuse_after_a_two_phase_solve(monkeypatch):
-    run = _replayer([[1, 0], [0, 1], [-1, 1], [1, 1]], [0, 0, 1, 0], monkeypatch)
-    got, trace = run([1, 1], (2, 1))
-    assert trace[0] == ("_dual", "_two_phase")
-    assert run([1, 2], got.basis)[1] == (("_primal",), 1, 0)  # two-phase keeps none
-    assert run([1, 3], got.basis)[1] == ((), 0, 0)
-
-
-def test_reuse_after_a_singular_basis_error(monkeypatch):
-    run = _replayer([[1, 0], [0, 1], [2, 0]], [1, 1, 1], monkeypatch)
-    assert run([1, 1], (0, 1))[1] == (("_primal",), 1, 0)
-    assert run([1, 1], (0, 2))[0] == "ValueError: starting basis is singular"
-    assert run([2, 1], (0, 1))[1] == ((), 0, 0)
-
-
-def test_the_kept_basis_is_matched_in_order(monkeypatch):
-    run = _replayer([[1, 0], [0, 1], [2, 0]], [1, 1, 1], monkeypatch)
-    run([1, 3], (0, 1))
-    got, trace = run([1, 3], (1, 0))  # same columns, other order: inverted afresh
-    assert trace == (("_primal",), 1, 0)
-    assert got.basis == (1, 0) and got.x == {0: 1, 1: 3}
-
-
-def test_kept_inverse_survives_a_dual_simplex_that_ends_infeasible(monkeypatch):
-    columns = [[2, -3], [-1, 3], [2, 2], [2, 3]]  # row 0 of [[1, -3], [-1/2, 3], ...] times 2
-    run = _replayer(columns, [-1, -3, 3, 3], monkeypatch)
-    assert run([6, 3], (0, 2))[0].basis == (0, 2)
-    got, trace = run([-2, 0], (0, 2))  # pivots on the kept inverse's copy
-    assert got.status == "infeasible" and trace == (("_dual",), 0, 2)
-    assert run([6, 3], (0, 2))[1] == ((), 0, 0)
-
-
-def test_warm_solve_sequences_match_fresh_solvers(monkeypatch):
+def test_warm_solve_sequences_match_fresh_solvers():
+    # The dual steps a solver keeps persist across its solves, and a
+    # replayed one gives what a solver that has never solved computes.
     rng = SplitMix64(11)
-    kept_hits = pivoted_hits = 0
+    replayed = 0
     for trial in range(120):
         m = 1 + trial % 3
         columns, objective = _int_lp(*_rational_lp(rng, m, m + 2 + trial % 3))
-        run = _replayer(columns, objective, monkeypatch)
+        run = _replayer(columns, objective)
         kept = None
         for _ in range(8):
             choice = rng.next_below(4)
@@ -593,13 +560,11 @@ def test_warm_solve_sequences_match_fresh_solvers(monkeypatch):
                 basis = tuple(pool.pop(rng.next_below(len(pool))) for _ in range(m))
             else:
                 basis = kept[::-1] if choice == 1 else kept
-            got, (_, inverted, pivots) = run(_int_rows(_rational_rhs(rng, m)), basis)
-            if not inverted and not isinstance(got, str):
-                kept_hits += 1
-                pivoted_hits += pivots > 0
+            got, hits = run(_int_rows(_rational_rhs(rng, m)), basis)
+            replayed += hits > 0
             if not isinstance(got, str) and got.status == "optimal":
                 kept = got.basis
-    assert kept_hits >= 300 and pivoted_hits >= 40, (kept_hits, pivoted_hits)
+    assert replayed >= 40, replayed
 
 
 # -- the sweep kernel ---------------------------------------------------------
@@ -651,6 +616,13 @@ def test_sweep_validates_its_points():
     with pytest.raises(TypeError, match=r"point 1 entry 0 is Fraction\(1, 1\)"):
         solver.sweep([[1, 2], [Fraction(1), 2]], (0, 1))
     assert solver.proved is None and solver._steps == {}
+    assert solver.sweep([], (0, 1)) == []
+    assert solver.proved is None and solver._steps == {}
+    solver.solve([1, 2], (2, 1))  # proved optimal
+    solver.solve([1, -1], (2, 1))  # infeasible, after two kept dual steps
+    proved, steps = solver.proved, dict(solver._steps)
+    assert proved[0] == (2, 1) and len(steps) == 2
+    assert solver.sweep([], (0, 1)) == [] and solver.proved is proved and solver._steps == steps
 
 
 # -- the dual simplex against a Fraction oracle -----------------------------
@@ -693,9 +665,9 @@ def _dual_matches_oracle(solver, spies, columns, objective, rhs, basis):
 
 def test_dual_simplex_pivots_like_the_fraction_oracle(monkeypatch):
     # Every nonsingular basis that is dual but not primal feasible, handed
-    # in to a fresh solver (priced in full once), and every basis a solver
-    # kept as proved optimal, reused at a rhs where it is infeasible
-    # (never priced in full).
+    # in to a fresh solver (priced in full once, by solve), and every
+    # basis a sweep proved optimal at its first point and repairs at its
+    # second, where it is infeasible (never priced in full).
     rng = SplitMix64(23)
     handed = kept = pivots = infeasible = 0
     for trial in range(120):
@@ -714,24 +686,34 @@ def test_dual_simplex_pivots_like_the_fraction_oracle(monkeypatch):
             (status, sequence, *_), priced = _dual_matches_oracle(
                 solver, spies, columns, objective, rhs, basis
             )
-            assert priced == ["_dual"]
+            assert priced == ["solve"]
             handed += 1
             pivots += len(sequence)
             infeasible += status == "infeasible"
         solver = ExactSimplexSolver(*_int_lp(columns, objective))
-        spies = _dual_spies(solver, monkeypatch)
+        taken, made, priced = spies = _dual_spies(solver, monkeypatch)
         for _ in range(6):
             rhs = _rational_rhs(rng, m)
             first = solver.solve(_int_rows(rhs))
             if first.status != "optimal":
                 continue
-            solver.solve(_int_rows(rhs), first.basis)  # a two-phase solve keeps no basis
             again = _rational_rhs(rng, m)
-            status, sequence = dual_simplex_bland(columns, objective, again, first.basis)[:2]
+            status, sequence, end_basis, x, value = dual_simplex_bland(columns, objective, again, first.basis)
             if status == "optimal" and not sequence:
                 continue  # still primal feasible: returned without pricing
-            _, priced = _dual_matches_oracle(solver, spies, columns, objective, again, first.basis)
-            assert priced == []
+            for log in spies:
+                log.clear()
+            points = [_int_rows(rhs), _int_rows(again)]
+            if status == "infeasible":
+                with pytest.raises(ArithmeticError, match="sweep LP status infeasible at point 1"):
+                    solver.sweep(points, first.basis)
+            else:
+                (basis, _, det), xb = solver.sweep(points, first.basis)[1]
+                assert (basis, {j: Fraction(v, det) for j, v in zip(basis, xb)}) == (end_basis, x)
+                assert Fraction(sum(solver._costs[j] * v for j, v in zip(basis, xb)), det) == value * OBJ_SCALE
+            # The first point's primal simplex prices once, finding its
+            # basis optimal; the repair prices no column in full.
+            assert taken == ["_primal", "_dual"] and made == sequence and priced == ["_primal"]
             kept += 1
             pivots += len(sequence)
     assert handed >= 150 and kept >= 120, (handed, kept)
