@@ -125,7 +125,7 @@ class SampledFunction:
             raise ValueError(f"{len(nums)} values for {len(self.lattice)} lattice points")
         if type(den) is not int or den <= 0:
             raise ValueError(f"denominator must be a positive int, got {den!r}")
-        if not all(type(v) is int for v in nums):
+        if not set(map(type, nums)) <= {int}:
             i = next(i for i, v in enumerate(nums) if type(v) is not int)
             raise TypeError(f"numerator {i} must be an int, got {nums[i]!r}")
         g = gcd(den, *nums)

@@ -31,8 +31,21 @@ m*N.  So the join goes class by class: the left entries whose
 coordinates are r mod m meet only the right class -r, about
 |left| * |right| / m**k pairs.  A stage's keys and classes depend only
 on the lattice, m and its number of functions j (the sums of j lattice
-points are the points of the lattice dilated by j), so they are cached
-per (lattice, m), and each call looks its stage values up by key.
+points are the points of the lattice dilated by j), so the keys and
+classes of both halves are cached per (lattice, m); the keys of a stage
+between are listed, a range of codes at a time, when the DP grows it.
+
+Each stage, and the join's best sums, live in a table indexed by code.
+The codes of j points are at most j*N*(m*N + 1)**(k-1).  A table is a
+plain list over those slots where it has few slots per key of its stage
+(the join's best sums also few per pair the join meets), and otherwise a
+dict that starts with every key of its stage (for the join, the sums
+m*z, the only ones it writes).  Every slot starts at one floor, below
+any sum of 1..m numerators, so the first candidate for a slot replaces
+it, and every pair loop is one body,
+`if cand > t[w := x + y]: t[w] = cand`, with no test for a missing key.
+Every key of a stage is a sum of its points, so no key of a built stage
+holds the floor, and no other slot is read.
 
 When the m functions are equal in value, (x, y) and (y, x) give one
 sum, and each unordered pair is visited once: in the second stage,
@@ -47,12 +60,15 @@ from functools import lru_cache
 from math import comb, lcm
 
 from .envelope import SampledFunction
-from .geometry import compositions
 
 # Cap on (m - 1) * C(mN + k, k) * |L|, the work of a DP that builds every
 # stage in full; it bounds the stage steps and pairs the DP visits.  On
 # a 2-vCPU host the largest accepted runs, cold in a fresh process, take
-# up to 15 s (k = 1, N = 9999, n = 3) and under 40 MB; at k >= 2 up to 3 s.
+# up to 7.5 s and 29 MiB (k = 1, N = 9999, n = 3); at k >= 2 up to 3.5 s
+# (k = 2, N = 1, n = 736, 57 MiB).  The most memory, 126 MiB, goes to
+# k = 3, N = 1, n = 171 (2.8 s), most of it the cached classes; the
+# largest list, the best sums at k = 3, N = 9, n = 12 (1.3e6 slots),
+# takes that run to 36 MiB, against 28 MiB as a dict.
 DP_CAP = 6 * 10**8
 
 
@@ -64,70 +80,125 @@ def check_dp_cap(lat, m: int) -> None:
         raise ValueError(f"sup-convolution needs up to {work} DP steps (cap {DP_CAP})")
 
 
+# A stage table is a list indexed by code when it has at most
+# STAGE_SLOTS slots per key of its stage, and otherwise a dict over
+# those keys.  A list slot takes 8 bytes and a dict key about 75 (its
+# entry and its int), so no stage list takes twice the memory of its
+# dict, and a list makes each pair's probe cheaper.  The join's best
+# sums, of which it writes only the m z, are a list only when they also
+# have at most JOIN_SLOTS slots per ordered pair the join meets.  The
+# benchmark's DPs (k = 2, N = 10; k = 3, N = 8) have at most 14 slots
+# per key and 2.4 per pair, and run 1.2-1.5 times as fast on lists as
+# on dicts.  Dicts serve the half stages at k = 3, N = 1, n = 171 (23
+# slots per key) and the best sums at k = 4, N = 13, n = 3 (2.9 per
+# pair but 20 per key: as a list, 18 MiB more peak RSS and no faster)
+# and at k = 5, N = 11, n = 2 (as a list, 1.6 times slower).
+STAGE_SLOTS = 16
+JOIN_SLOTS = 4
+
+
 @lru_cache(maxsize=16)
 def _layout(lat, m: int):
     """The codes of lat's points, times 1, m, half = floor(m/2) and
-    m - half, and the keys of the stages of half and of m - half
-    functions by class, {r: (-r, codes)}, r their first k coordinates
-    mod m; repeated reports on one lattice reuse them."""
-    base = m * lat.resolution + 1
+    m - half; the keys of the stages of half and of m - half functions
+    by class, {r: (-r, codes)}, r their first k coordinates mod m;
+    table(j, floor), a table for the stage of j < m functions, or for
+    the join's best sums at j = m, with every slot at floor; and
+    entries(j, stage), the (key, value) pairs of a built stage of j
+    functions.  Repeated reports on one lattice reuse them."""
+    k, res = lat.k, lat.resolution
+    base = m * res + 1
+    steps = [base**i for i in range(k)]
 
     def code(p):
-        return sum(c * base**i for i, c in enumerate(p[:-1]))
+        return sum(c * s for c, s in zip(p, steps))
 
-    def classes(j):
-        out = {}
-        for p in compositions(j * lat.resolution, lat.k + 1):
-            r = tuple(c % m for c in p[:-1])
-            out.setdefault(r, (tuple(-c % m for c in r), []))[1].append(code(p))
+    def span(j):
+        # The codes whose k digits total at most j N, a digit at a time:
+        # each code so far, with what it leaves of j N, spans a range.
+        out, rests = [0], [j * res]
+        for step in steps:
+            pairs, out, rests = zip(out, rests), [], []
+            for c, rest in pairs:
+                out.extend(range(c, c + (rest + 1) * step, step))
+                rests.extend(range(rest, -1, -1))
         return out
 
     half = m // 2
     codes = tuple(map(code, lat.int_points))
+    targets = tuple(m * c for c in codes)
+    known = {j: span(j) for j in (1, half, m - half)}
+
+    def keys(j):
+        return known[j] if j in known else span(j)
+
+    def classes(j):
+        out = {}
+        for c in known[j]:
+            r = tuple(c // s % base % m for s in steps)
+            out.setdefault(r, (tuple(-d % m for d in r), []))[1].append(c)
+        return out
+
     left = classes(half)
     right = left if 2 * half == m else classes(m - half)
-    return codes, *(tuple(t * c for c in codes) for t in (m, half, m - half)), left, right
+    join = sum(len(xs) * len(right[neg][1]) for neg, xs in left.values() if neg in right)
+
+    def table(j, floor):
+        # The codes of j points are at most j N base**(k - 1).
+        slots = j * res * base ** (k - 1) + 1
+        if slots <= STAGE_SLOTS * comb(j * res + k, k) and (j < m or slots <= JOIN_SLOTS * join):
+            return [floor] * slots
+        return dict.fromkeys(keys(j) if j < m else targets, floor)
+
+    def entries(j, stage):
+        if type(stage) is dict:
+            return stage.items()
+        xs = keys(j)
+        return zip(xs, map(stage.__getitem__, xs))
+
+    diag = (tuple(t * c for c in codes) for t in (half, m - half))
+    return codes, targets, *diag, left, right, table, entries
 
 
-def _grow(stage: dict, codes, vals) -> dict:
-    """The stage of one more function, with numerators vals."""
-    new_stage = {}
-    get = new_stage.get
+def _grow(entries, new, codes, vals):
+    """Fill new, the table of one more function with numerators vals,
+    from entries, the (key, value) pairs of the stage before."""
     terms = list(zip(codes, vals))
-    for w_prev, acc in stage.items():
-        for p, v in terms:
-            w = w_prev + p
-            cand = acc + v
-            cur = get(w)
-            if cur is None or cand > cur:
-                new_stage[w] = cand
-    return new_stage
+    for x, u in entries:
+        for y, v in terms:
+            cand = u + v
+            if cand > new[w := x + y]:
+                new[w] = cand
+    return new
 
 
-def _square(codes, vals) -> dict:
-    """The stage of two functions that both have numerators vals: x + y
-    and y + x are one sum, so each unordered pair is visited once."""
+def _square(new, codes, vals):
+    """Fill new, the table of two functions that both have numerators
+    vals: x + y and y + x are one sum, so each unordered pair is
+    visited once."""
     terms = list(zip(codes, vals))
-    stage = {x + x: u + u for x, u in terms}
-    get = stage.get
+    for x, u in terms:
+        new[x + x] = u + u
     while terms:
         x, u = terms.pop()
         for y, v in terms:
-            w = x + y
             cand = u + v
-            cur = get(w)
-            if cur is None or cand > cur:
-                stage[w] = cand
-    return stage
+            if cand > new[w := x + y]:
+                new[w] = cand
+    return new
 
 
-def _stage(nums, codes) -> dict:
+def _stage(nums, codes, table, entries, floor):
+    """The table of the stage of the functions with numerators nums."""
     if len(nums) > 1 and nums[1] == nums[0]:
-        stage, rest = _square(codes, nums[0]), nums[2:]
+        stage, j = _square(table(2, floor), codes, nums[0]), 2
     else:
-        stage, rest = dict(zip(codes, nums[0])), nums[1:]
-    for vals in rest:
-        stage = _grow(stage, codes, vals)
+        stage, j = table(1, floor), 1
+        for x, u in zip(codes, nums[0]):
+            stage[x] = u
+    for vals in nums[j:]:
+        stage = _grow(entries(j, stage), table(j + 1, floor), codes, vals)
+        j += 1
     return stage
 
 
@@ -138,18 +209,24 @@ def _best_sums(lat, nums):
     type, since the stage reuse below compares them by value."""
     m = len(nums)
     check_dp_cap(lat, m)
-    codes, targets, left_diag, right_diag, left_classes, right_classes = _layout(lat, m)
+    codes, targets, left_diag, right_diag, left_classes, right_classes, table, entries = _layout(lat, m)
+    # Below every sum of 1..m numerators, so the first candidate for a
+    # slot always replaces it.
+    low = min(map(min, nums))
+    floor = min(low, m * low) - 1
     half = m // 2
-    left = _stage(nums[:half], codes)
+    left = _stage(nums[:half], codes, table, entries, floor)
     if nums[half:] == nums[:half]:
         right = left
     elif half > 1 and nums[half:-1] == nums[:half]:  # at half = 1, _stage squares
-        right = _grow(left, codes, nums[-1])
+        right = _grow(entries(half, left), table(half + 1, floor), codes, nums[-1])
     else:
-        right = _stage(nums[half:], codes)
+        right = _stage(nums[half:], codes, table, entries, floor)
     shared = right is left
     # Every z has the candidate x = half z, y = (m - half) z.
-    best = {w: left[x] + right[y] for w, x, y in zip(targets, left_diag, right_diag)}
+    best = table(m, floor)
+    for w, x, y in zip(targets, left_diag, right_diag):
+        best[w] = left[x] + right[y]
     for r, (neg, xs) in left_classes.items():
         if shared and neg < r:
             continue  # classes r and -r of one stage met when -r came up

@@ -99,26 +99,102 @@ def _numerators(rng, family, size):
     return [(rng.next_u64() << 8) * (1 - 2 * rng.next_below(2)) + rng.next_below(3) for _ in range(size)]
 
 
-def test_unordered_dp_matches_the_ordered_pair_dp():
+def _stage_sums(lat, m, lists):
+    """Best lists[0][x_1] + ... + lists[j-1][x_j] for every sum of
+    j = len(lists) lattice points, by ordered steps on coordinate
+    tuples, keyed by the sum's code: its first k coordinates as digits
+    in base mN + 1."""
+    stage = dict(zip(lat.int_points, lists[0]))
+    for vals in lists[1:]:
+        grown = {}
+        for s, acc in stage.items():
+            for p, v in zip(lat.int_points, vals):
+                w = tuple(a + b for a, b in zip(s, p))
+                if w not in grown or acc + v > grown[w]:
+                    grown[w] = acc + v
+        stage = grown
+    base = m * lat.resolution + 1
+    return {sum(c * base**i for i, c in enumerate(w[:-1])): v for w, v in stage.items()}
+
+
+@pytest.fixture
+def force_tables(monkeypatch):
+    """force(kind) makes the layouts built after it use kind tables: a
+    huge STAGE_SLOTS and JOIN_SLOTS admit every table as a list, and 0
+    none; force(None) restores the module's rule, which mixes the kinds.
+    The cached layouts are dropped then and again after the test."""
+    rule = {name: getattr(supconvolve, name) for name in ("STAGE_SLOTS", "JOIN_SLOTS")}
+
+    def force(kind):
+        for name, value in rule.items():
+            monkeypatch.setattr(supconvolve, name, {list: 10**9, dict: 0, None: value}[kind])
+        supconvolve._layout.cache_clear()
+
+    yield force
+    supconvolve._layout.cache_clear()
+
+
+def test_unordered_dp_matches_the_ordered_pair_dp(force_tables, monkeypatch):
     # m = 2..6 functions at k = 1..3, N both a multiple and not a
     # multiple of m; the lists are one object m times, distinct, or
-    # equal in value but distinct objects (the pair form with g = f).
+    # equal in value but distinct objects (the pair form with g = f);
+    # each case runs on list tables, on dict tables and on the kinds the
+    # module's rule picks table by table.  The join reads the left stage,
+    # made by _stage, and the right one, made by _stage or grown from the
+    # left.  Every stage _stage returns must hold the exact best sum at
+    # each of its keys, and every step _grow takes the exact best sums
+    # of its entries plus one more point, so that no floor is left where
+    # the join reads.
+    stage, grow = supconvolve._stage, supconvolve._grow
+    made, steps = [], []
+
+    def stage_spy(nums, *layout):
+        out = stage(nums, *layout)
+        made.append((list(nums), out))
+        return out
+
+    def grow_spy(entries, new, codes, vals):
+        entries = list(entries)
+        out = grow(entries, new, codes, vals)
+        steps.append((entries, list(zip(codes, vals)), out))
+        return out
+
+    monkeypatch.setattr(supconvolve, "_stage", stage_spy)
+    monkeypatch.setattr(supconvolve, "_grow", grow_spy)
     rng = SplitMix64(91)
     cases = 0
-    for k, sizes in ((1, (4, 7)), (2, (3, 4)), (3, (2, 3))):
-        for resolution in sizes:
-            lat = lattice(k, resolution)
-            for m in range(2, 7):
-                for family in ("two-valued", "negative", "large"):
-                    one = _numerators(rng, family, len(lat))
-                    for nums in (
-                        [one] * m,
-                        [_numerators(rng, family, len(lat)) for _ in range(m)],
-                        [list(one) for _ in range(m)],
-                    ):
-                        assert _best_sums(lat, nums) == best_sums_ordered(lat.int_points, nums)
-                        cases += 1
-    assert cases == 3 * 2 * 5 * 3 * 3
+    for kind in (list, dict, None):
+        force_tables(kind)
+        for k, sizes in ((1, (4, 7)), (2, (3, 4)), (3, (2, 3))):
+            for resolution in sizes:
+                lat = lattice(k, resolution)
+                for m in range(2, 7):
+                    for family in ("two-valued", "negative", "large"):
+                        one = _numerators(rng, family, len(lat))
+                        for nums in (
+                            [one] * m,
+                            [_numerators(rng, family, len(lat)) for _ in range(m)],
+                            [list(one) for _ in range(m)],
+                        ):
+                            made.clear()
+                            steps.clear()
+                            assert _best_sums(lat, nums) == best_sums_ordered(lat.int_points, nums)
+                            assert made and {len(lists) for lists, _ in made} <= {m // 2, m - m // 2}
+                            checks = [(table, _stage_sums(lat, m, lists)) for lists, table in made]
+                            for entries, terms, table in steps:
+                                sums = {}
+                                for x, u in entries:
+                                    for y, v in terms:
+                                        if x + y not in sums or u + v > sums[x + y]:
+                                            sums[x + y] = u + v
+                                checks.append((table, sums))
+                            for table, sums in checks:
+                                assert kind is None or type(table) is kind
+                                if type(table) is dict:
+                                    assert table.keys() == sums.keys()
+                                assert all(table[w] == v for w, v in sums.items())
+                            cases += 1
+    assert cases == 3 * 3 * 2 * 5 * 3 * 3
 
 
 def test_pair_of_equal_functions_matches_twofold():
@@ -135,9 +211,9 @@ def test_pair_of_equal_functions_builds_one_stage(monkeypatch):
     calls = []
     stage = supconvolve._stage
 
-    def spy(nums, codes):
+    def spy(nums, *layout):
         calls.append(nums)
-        return stage(nums, codes)
+        return stage(nums, *layout)
 
     monkeypatch.setattr(supconvolve, "_stage", spy)
     f = _mixed(2, 4, seed=5)
